@@ -137,32 +137,45 @@ func BenchmarkRunSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile measures the compiler pipeline alone (no simulation) on
-// every loop of the suite under IPBC + selective unrolling.
+// BenchmarkCompile measures the compiler pipeline alone (pipeline.Compile,
+// no simulation) over every benchmark of the suite under IPBC + selective
+// unrolling, at 2, 4 and 8 clusters. The cluster count sets the unroll
+// factor, so the sub-benchmarks show how compile time grows with it.
 func BenchmarkCompile(b *testing.B) {
-	spec, _ := workload.ByName("gsmdec")
-	v := experiments.Interleaved("IPBC", ivliw.IPBC, ivliw.Selective, true, false, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBench(spec, v); err != nil {
-			b.Fatal(err)
-		}
+	for _, clusters := range []int{2, 4, 8} {
+		v := experiments.Interleaved("IPBC", ivliw.IPBC, ivliw.Selective, true, false, false)
+		v.Cfg.Clusters = clusters
+		b.Run(fmt.Sprintf("c%d", clusters), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, spec := range workload.Suite() {
+					if _, err := pipeline.Compile(v.CompileSpec(spec)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkSimulate measures compile+simulate throughput per benchmark for
-// the headline configuration (interleaved, IPBC, ABs).
+// BenchmarkSimulate measures the simulator alone (pipeline.SimulateBatch
+// with one lane) per benchmark for the headline configuration
+// (interleaved, IPBC, ABs), on an artifact compiled before the timer starts.
 func BenchmarkSimulate(b *testing.B) {
 	for _, name := range []string{"gsmdec", "jpegenc", "pgpdec"} {
 		spec, _ := workload.ByName(name)
 		v := experiments.Interleaved("IPBC+AB", ivliw.IPBC, ivliw.Selective, true, true, false)
 		b.Run(name, func(b *testing.B) {
+			art, err := pipeline.Compile(v.CompileSpec(spec))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunBench(spec, v)
+				outs, err := pipeline.SimulateBatch(art, spec, []arch.Config{v.Cfg}, v.Aligned)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.TotalCycles()), "cycles")
+				b.ReportMetric(float64(outs[0].TotalCycles()), "cycles")
 			}
 		})
 	}

@@ -134,8 +134,8 @@
 // # Cost-balanced coordination
 //
 // Count-balanced shard cuts assume rows cost the same, but an 8-cluster
-// jpegenc row compiles orders of magnitude slower than a 2-cluster one, so
-// one shard can dominate wall time. sweep.Calibration is a small persisted
+// jpegenc row compiles about 20× slower than a 2-cluster one, so one shard
+// can dominate wall time. sweep.Calibration is a small persisted
 // cost model — per-cluster-count compile and simulate costs (geometrically
 // interpolated between measured points), a cache-geometry exponent and a
 // sim-batch sharing discount — that prices every row of a grid from its
@@ -278,7 +278,11 @@
 //     reference to the owning instruction's assigned latency, and scratch
 //     buffers reused, so the latency-assignment pass evaluates single-load
 //     perturbations incrementally (IIWithChange) with warm binary-search
-//     bounds instead of re-running Bellman-Ford over [1, ΣL] from scratch;
+//     bounds instead of re-running Bellman-Ford over [1, ΣL] from scratch.
+//     A probe reports an II infeasible as soon as the relaxation's
+//     predecessor graph closes a cycle, which under strict improvement is
+//     always a positive cycle, so a long unrolled recurrence one cycle
+//     short of feasibility is rejected after one pass instead of |V|+1;
 //   - internal/sim streams memory accesses through a k-way merge over the
 //     per-instruction arithmetic progressions t = cycle + i·II instead of
 //     materializing and sorting the iters×mems event list;

@@ -48,12 +48,14 @@ func naiveHasCycle(g *ir.Graph, comp []int) bool {
 	return false
 }
 
-// suiteGraphs yields every loop of the workload suite at unroll factors 1
-// and 4, as (label, loop, graph).
+// suiteGraphs yields every loop of the workload suite at unroll factors 1,
+// 4 and 8, as (label, loop, graph). ×8 is the 8-cluster unroll factor: its
+// long unrolled recurrences are one cycle short at curII−1, the probes
+// that feasible's predecessor-cycle exit ends early.
 func suiteGraphs(t testing.TB) (labels []string, loops []*ir.Loop, graphs []*ir.Graph) {
 	for _, spec := range workload.Suite() {
 		for _, ls := range spec.Loops {
-			for _, u := range []int{1, 4} {
+			for _, u := range []int{1, 4, 8} {
 				ul := unroll.Unroll(ls.Loop, u)
 				labels = append(labels, fmt.Sprintf("%s/%s/u%d", spec.Name, ls.Loop.Name, u))
 				loops = append(loops, ul)

@@ -27,9 +27,15 @@ type RecEngine struct {
 	// with the graph; callers must not modify it.
 	Nodes []int
 	edges []recEdge
-	// dist and lat are scratch buffers reused across evaluations.
-	dist []int
-	lat  []int
+	// dist and lat are scratch buffers reused across evaluations; pred and
+	// mark back the predecessor-cycle check in feasible, and stamp is the
+	// last walk number written to mark (monotone, so mark never needs
+	// clearing).
+	dist  []int
+	lat   []int
+	pred  []int
+	mark  []int
+	stamp int
 }
 
 // recEdge is one dependence of the component with endpoints re-indexed to
@@ -43,7 +49,12 @@ type recEdge struct {
 
 // NewRecEngine compiles the component given by its sorted member node IDs.
 func NewRecEngine(g *Graph, nodes []int) *RecEngine {
-	e := &RecEngine{Nodes: nodes, dist: make([]int, len(nodes))}
+	e := &RecEngine{
+		Nodes: nodes,
+		dist:  make([]int, len(nodes)),
+		pred:  make([]int, len(nodes)),
+		mark:  make([]int, len(nodes)),
+	}
 	local := make(map[int]int, len(nodes))
 	for i, v := range nodes {
 		local[v] = i
@@ -98,12 +109,26 @@ func (e *RecEngine) resolve(assigned []int, instr, lat int) int {
 
 // feasible reports whether no cycle of the component has positive weight
 // under lat − ii·dist, by Bellman-Ford longest-path relaxation bounded to
-// |nodes| rounds. limit is the resolve() latency sum: no simple path can be
-// longer, so a distance exceeding it proves a positive cycle immediately.
+// |nodes|+1 rounds. Two early exits prove a positive cycle sooner:
+//
+//   - a distance above limit, the resolve() latency sum, which no simple
+//     path can exceed;
+//   - a cycle in the predecessor graph, checked in O(|nodes|) after every
+//     round that changed a distance.
+//
+// The second is the longest-path form of the predecessor-graph test (CLRS
+// Lemma 24.16; Cherkassky & Goldberg 1999). A distance only ever rises, so
+// the edge (u, v) that last set pred[v] = u keeps dist[v] ≤ dist[u] +
+// w(u, v). Just before the relaxation that closed the cycle, that edge held
+// strictly, so the cycle's weight is positive. The check matters because a
+// recurrence one cycle short of feasibility gains only about one cycle of
+// slack per round: its distances never exceed limit, and it would otherwise
+// run every round before the bound rejects it.
 func (e *RecEngine) feasible(ii, limit int) bool {
-	dist := e.dist
+	dist, pred := e.dist, e.pred
 	for i := range dist {
 		dist[i] = 0
+		pred[i] = -1
 	}
 	for round := 0; round <= len(e.Nodes); round++ {
 		changed := false
@@ -114,10 +139,39 @@ func (e *RecEngine) feasible(ii, limit int) bool {
 					return false
 				}
 				dist[ed.to] = d
+				pred[ed.to] = ed.from
 				changed = true
 			}
 		}
 		if !changed {
+			return true
+		}
+		if e.predCycle() {
+			return false
+		}
+	}
+	return false
+}
+
+// predCycle reports whether the predecessor graph pred (a forest unless it
+// closes a cycle) contains a cycle. Each node is walked toward its root at
+// most once per call: a walk stops at a root, at a node an earlier walk of
+// this call already cleared, or — proving a cycle — at a node of its own.
+func (e *RecEngine) predCycle() bool {
+	pred, mark := e.pred, e.mark
+	base := e.stamp
+	for v := range pred {
+		if mark[v] > base {
+			continue
+		}
+		e.stamp++
+		walk := e.stamp
+		u := v
+		for u >= 0 && mark[u] <= base {
+			mark[u] = walk
+			u = pred[u]
+		}
+		if u >= 0 && mark[u] == walk {
 			return true
 		}
 	}

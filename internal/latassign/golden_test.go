@@ -255,21 +255,25 @@ func TestGoldenAssignNonAscendingLadder(t *testing.T) {
 }
 
 // BenchmarkLatAssign measures the full latency-assignment pass on the shape
-// that dominated the pre-engine profile (epicdec's 19-memory-op chain loop,
-// unrolled ×4).
+// that dominated the pre-engine profile (epicdec's 19-memory-op chain loop)
+// at the 4- and 8-cluster unroll factors. ×8 has the longest recurrences
+// and the most candidate loads, so it shows how the pass scales.
 func BenchmarkLatAssign(b *testing.B) {
 	spec, ok := workload.ByName("epicdec")
 	if !ok {
 		b.Fatal("epicdec missing")
 	}
-	ul := unroll.Unroll(spec.Loops[0].Loop, 4)
-	g := ir.NewGraph(ul)
 	cfg := arch.Default()
 	ld := latassign.InterleavedLadder(cfg)
-	prof := synthProfiles(ul)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		latassign.Assign(ul, g, cfg, ld, prof)
+	for _, u := range []int{4, 8} {
+		ul := unroll.Unroll(spec.Loops[0].Loop, u)
+		g := ir.NewGraph(ul)
+		prof := synthProfiles(ul)
+		b.Run(fmt.Sprintf("x%d", u), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				latassign.Assign(ul, g, cfg, ld, prof)
+			}
+		})
 	}
 }

@@ -39,17 +39,19 @@
 #      the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the batch-off
 #      4-sibling baseline) is written to BENCH_7.json
 #  10. cost-balanced scheduling + work stealing: on a skewed mixed-cluster
-#      grid (2-cluster compiles are milliseconds, 8-cluster compiles are
-#      hundreds of milliseconds), `-calibrate` must round-trip through
-#      CALIBRATION.json; `-coordinate-balance cost -coordinate-steal 4` must
-#      stitch byte-identically through the inproc, exec and pool launchers —
-#      including a run with an injected chunk crash — and a corrupt
-#      calibration file must degrade to the default model with a warning,
-#      never a failure. The hard perf gate: the per-worker makespan of
-#      cost-balanced cuts + stealing (from contention-free serialized
-#      per-chunk wall times, scheduled exactly as the claim queue does) must
-#      beat count-balanced static shards by >= 1.5x at 2 workers; the
-#      measured makespans land in BENCH_8.json
+#      grid over the whole suite (its 2-cluster half compiles in tens of
+#      milliseconds, its 8-cluster half in hundreds), `-calibrate` must
+#      round-trip through CALIBRATION.json; `-coordinate-balance cost
+#      -coordinate-steal 4` must stitch byte-identically through the
+#      inproc, exec and pool launchers — including a run with an injected
+#      chunk crash — and a corrupt calibration file must degrade to the
+#      default model with a warning, never a failure. The grid must stay
+#      skewed (the heaviest count-balanced shard runs >= 200ms). The hard
+#      perf gate: the per-worker makespan of cost-balanced cuts + stealing
+#      (from contention-free serialized per-chunk wall times, scheduled
+#      exactly as the claim queue does) must beat count-balanced static
+#      shards by >= 1.5x at 2 workers; the measured makespans land in
+#      BENCH_8.json
 #  11. sweep as a service: start `ivliw-served` (exec launcher, worker
 #      subprocesses), submit the default spec over HTTP with `ivliw-load
 #      -submit`, gate the streamed JSONL byte-identical to the direct CLI
@@ -414,11 +416,12 @@ echo "snapshot written to BENCH_7.json:"
 cat BENCH_7.json
 
 echo "== 10/12 cost-balanced scheduling + work stealing =="
-# The skew grid: the 2-cluster half compiles in milliseconds, the 8-cluster
-# half in hundreds of milliseconds (two heavy compile-key atoms, one per
-# cache geometry) — the workload shape cost-balanced cuts exist for.
+# The skew grid: the 2-cluster half compiles in tens of milliseconds, the
+# 8-cluster half in hundreds — the workload shape cost-balanced cuts exist
+# for. It spans the whole suite because two benchmarks do not carry enough
+# 8-cluster compile work: jpegenc compiles there in tens of milliseconds.
 "$tmp/ivliw-bench" -sweep -sweep-clusters 2,8 -sweep-cache-kb 4,8 -sweep-ab 0,16 \
-  -sweep-bench jpegenc,g721dec -spec-out "$tmp/skew.json"
+  -sweep-bench all -spec-out "$tmp/skew.json"
 run_sweep "$tmp/skew_ref.jsonl" -spec "$tmp/skew.json"
 # Calibration round-trip: measure this machine, persist next to the BENCH
 # snapshots, and prove the coordinator actually loads the file back.
@@ -525,6 +528,13 @@ done
 count_ms=$(makespan "$tmp/skew_t_count/manifest.json" 2)
 cost_ms=$(makespan "$tmp/skew_t_cost/manifest.json" 2)
 steal_ms=$(makespan "$tmp/skew_t_steal/manifest.json" 2)
+# The gate below only means something while the grid is skewed: count
+# balancing must leave one shard with real work. With two shards the count
+# makespan is the heaviest shard's wall time.
+if [ "$count_ms" -lt 200 ]; then
+  echo "FAIL: the heaviest count-balanced shard ran only ${count_ms}ms (< 200ms); the skew grid has lost its skew and the makespan gate would measure noise" >&2
+  exit 1
+fi
 if [ "$(( count_ms * 10 ))" -lt "$(( steal_ms * 15 ))" ]; then
   echo "FAIL: cost+stealing makespan ${steal_ms}ms is not >= 1.5x better than count-balanced ${count_ms}ms" >&2
   exit 1
@@ -538,7 +548,7 @@ awk -v count_ms="$count_ms" -v cost_ms="$cost_ms" -v steal_ms="$steal_ms" \
   printf "  \"snapshot\": 8,\n"
   printf "  \"date\": \"%s\",\n", date
   printf "  \"go\": \"%s\",\n", gover
-  printf "  \"grid\": \"clusters 2,8 x cache 4,8KB x AB 0,16 x jpegenc,g721dec (16 rows, 4 compile-key atoms)\",\n"
+  printf "  \"grid\": \"clusters 2,8 x cache 4,8KB x AB 0,16 x all 14 benchmarks (112 rows, 56 compile-key atoms)\",\n"
   printf "  \"count_makespan_ms\": %d,\n", count_ms
   printf "  \"cost_makespan_ms\": %d,\n", cost_ms
   printf "  \"steal_makespan_ms\": %d,\n", steal_ms

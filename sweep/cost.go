@@ -43,8 +43,10 @@ type Calibration struct {
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
 	// Clusters holds per-cluster-count measurements in ascending cluster
 	// order (required, >= 1 entry). Compile cost is strongly superlinear
-	// in clusters (the cross-cluster scheduling search grows with the
-	// topology), which is exactly the skew cost-balanced cuts exist for.
+	// in clusters: the unroll factor follows the cluster count, and the
+	// latency-assignment search over the unrolled recurrences grows with
+	// both their size and their number of candidate loads. That is exactly
+	// the skew cost-balanced cuts exist for.
 	Clusters []ClusterCost `json:"clusters,omitempty"`
 	// CacheExp scales simulate cost by (CacheBytes/default)^CacheExp —
 	// 0 means cache geometry does not move per-cell cost (the measured
@@ -63,19 +65,23 @@ type Calibration struct {
 // a full cell once the merge front is shared).
 const defaultBatchDiscount = 0.5
 
-// DefaultCalibration is the uncalibrated cost model: cluster curves from
-// the reference measurements in PERFORMANCE.md (compile ~3.5ms/35ms/700ms
-// and simulate ~0.46ms/0.47ms/0.73ms per mean benchmark at 2/4/8
-// clusters). Relative shape is what matters — on a machine twice as fast
-// the cuts are identical — so the default is useful without ever running
-// Calibrate; a calibration file just sharpens it.
+// DefaultCalibration is the uncalibrated cost model: the median of five
+// `ivliw-bench -sweep -sweep-clusters 2,4,8 -sweep-bench jpegenc
+// -calibrate` runs on a 2-vCPU x86-64 host (compile ~2.9ms/6.4ms/48.6ms
+// and simulate ~0.59ms/0.65ms/0.73ms at 2/4/8 clusters; see
+// PERFORMANCE.md). jpegenc's compile curve has the shape of the suite's
+// mean (~1.6ms/5.2ms/40ms per benchmark), which one-benchmark probes of
+// the lighter (gsmdec) or heavier (epicdec) compiles do not. Relative
+// shape is what matters — on a machine twice as fast the cuts are
+// identical — so the default is useful without ever running Calibrate; a
+// calibration file just sharpens it.
 func DefaultCalibration() Calibration {
 	return Calibration{
-		CellsPerSec: 2000,
+		CellsPerSec: 1740,
 		Clusters: []ClusterCost{
-			{Clusters: 2, CompileMS: 3.5, SimMS: 0.46},
-			{Clusters: 4, CompileMS: 35, SimMS: 0.47},
-			{Clusters: 8, CompileMS: 700, SimMS: 0.73},
+			{Clusters: 2, CompileMS: 2.9, SimMS: 0.59},
+			{Clusters: 4, CompileMS: 6.4, SimMS: 0.65},
+			{Clusters: 8, CompileMS: 48.6, SimMS: 0.73},
 		},
 		BatchDiscount: defaultBatchDiscount,
 	}

@@ -239,10 +239,10 @@ func TestDrainAndResume(t *testing.T) {
 
 	// Shard 1 blocks until shutdown; shard 0 completes and lands in the
 	// coordinator manifest. launched tells the test shard 1 is in flight.
-	launched := make(chan struct{}, 2)
+	launched := make(chan struct{}, 1)
 	blocking := sweep.LaunchFunc(func(ctx context.Context, task sweep.ShardTask) error {
-		launched <- struct{}{}
 		if task.Index == 1 {
+			launched <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
@@ -264,8 +264,11 @@ func TestDrainAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cancel only once the coordinator has recorded shard 0 done: a
+	// launch returning is not yet a committed manifest entry, and a shard
+	// cancelled before its entry lands is rightly relaunched on resume.
 	<-launched
-	<-launched
+	waitShardDone(t, filepath.Join(dir, "jobs", sub.Job, coordDirName, "manifest.json"), 0)
 	cancel()
 	<-runDone
 	hs.Close()
@@ -308,6 +311,38 @@ func TestDrainAndResume(t *testing.T) {
 	}
 	if want := directRows(t, spec); !bytes.Equal(served.Bytes(), want) {
 		t.Fatalf("resumed rows differ from the direct run (%d vs %d bytes)", served.Len(), len(want))
+	}
+}
+
+// waitShardDone polls a coordinator manifest until it records shard index
+// as done.
+func waitShardDone(t *testing.T, manifestPath string, index int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var m struct {
+			Shards []struct {
+				Index  int    `json:"index"`
+				Status string `json:"status"`
+			} `json:"shards"`
+		}
+		// The manifest is replaced by rename, so a read sees either the
+		// old or the new file; a missing file means the coordinator has
+		// not opened it yet.
+		if data, err := os.ReadFile(manifestPath); err == nil {
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range m.Shards {
+				if sh.Index == index && sh.Status == "done" {
+					return
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d never recorded done in %s", index, manifestPath)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
