@@ -282,7 +282,13 @@
 //     A probe reports an II infeasible as soon as the relaxation's
 //     predecessor graph closes a cycle, which under strict improvement is
 //     always a positive cycle, so a long unrolled recurrence one cycle
-//     short of feasibility is rejected after one pass instead of |V|+1;
+//     short of feasibility is rejected after one pass instead of |V|+1.
+//     internal/latassign probes only the candidates that can still win a
+//     step: that positive cycle at curII−1 names the loads that can lower
+//     the II at all, lowering a load by δ cycles lowers the II by at most
+//     δ, and that caps each candidate's benefit, so the scan runs in
+//     descending order of the cap and stops once the cap falls below the
+//     best benefit found;
 //   - internal/sim streams memory accesses through a k-way merge over the
 //     per-instruction arithmetic progressions t = cycle + i·II instead of
 //     materializing and sorting the iters×mems event list;

@@ -106,7 +106,8 @@ func TestGoldenRecurrences(t *testing.T) {
 
 // TestGoldenIIWithChange: for every recurrence load and candidate latency
 // (lowering and raising), the warm-bounded perturbation query must agree
-// with the naive RecII on the mutated vector.
+// with the naive RecII on the mutated vector, and a lowering by δ must never
+// take the II below curII − δ.
 func TestGoldenIIWithChange(t *testing.T) {
 	labels, loops, graphs := suiteGraphs(t)
 	for gi, g := range graphs {
@@ -125,6 +126,10 @@ func TestGoldenIIWithChange(t *testing.T) {
 					if got := rec.Eng.IIWithChange(assigned, m, lat, rec.II); got != want {
 						t.Errorf("%s rec@%d load %d lat %d: IIWithChange = %d, want %d",
 							labels[gi], rec.Nodes[0], m, lat, got, want)
+					}
+					if delta := saved - lat; delta > 0 && want < rec.II-delta {
+						t.Errorf("%s rec@%d load %d lat %d: II %d below the δ floor %d−%d",
+							labels[gi], rec.Nodes[0], m, lat, want, rec.II, delta)
 					}
 					feasWant := want <= rec.II
 					if got := rec.Eng.FeasibleWithChange(assigned, m, lat, rec.II); got != feasWant {

@@ -10,7 +10,7 @@ import "fmt"
 // latency-assignment search — touch only the component's own edges and reuse
 // the same scratch buffers instead of re-scanning all loop edges per call.
 //
-// The engine answers three queries:
+// The engine answers four queries:
 //
 //   - II(assigned): the component's II for a latency vector;
 //   - IIWithChange(assigned, instr, lat, curII): the II if one instruction's
@@ -18,7 +18,10 @@ import "fmt"
 //     current II (lowering a latency can only keep or decrease the II,
 //     raising it can only keep or increase it);
 //   - FeasibleWithChange(assigned, instr, lat, ii): a single feasibility
-//     probe, for predicates like "stays ≤ target" that need no full search.
+//     probe, for predicates like "stays ≤ target" that need no full search;
+//   - WitnessCycle(assigned, ii, carried): a probe of an infeasible ii that
+//     names the instructions whose latencies its positive cycle carries —
+//     the only ones whose lowering can make ii feasible.
 //
 // Graph.RecII is retained as the naive reference implementation; the golden
 // tests assert both agree on every component of the workload suite.
@@ -27,15 +30,19 @@ type RecEngine struct {
 	// with the graph; callers must not modify it.
 	Nodes []int
 	edges []recEdge
-	// dist and lat are scratch buffers reused across evaluations; pred and
-	// mark back the predecessor-cycle check in feasible, and stamp is the
-	// last walk number written to mark (monotone, so mark never needs
-	// clearing).
+	// dist and lat are scratch buffers reused across evaluations. pred and
+	// mark back the predecessor-cycle check in feasible: pred[v] is the
+	// edge that last raised dist[v] (-1 if none did), and stamp is the last
+	// walk number written to mark (monotone, so mark never needs clearing).
+	// cycle is a node on the cycle the last feasible call found in its
+	// predecessor graph (-1 if it found none); WitnessCycle reads the
+	// cycle's edges back from it.
 	dist  []int
 	lat   []int
 	pred  []int
 	mark  []int
 	stamp int
+	cycle int
 }
 
 // recEdge is one dependence of the component with endpoints re-indexed to
@@ -118,18 +125,21 @@ func (e *RecEngine) resolve(assigned []int, instr, lat int) int {
 //
 // The second is the longest-path form of the predecessor-graph test (CLRS
 // Lemma 24.16; Cherkassky & Goldberg 1999). A distance only ever rises, so
-// the edge (u, v) that last set pred[v] = u keeps dist[v] ≤ dist[u] +
-// w(u, v). Just before the relaxation that closed the cycle, that edge held
-// strictly, so the cycle's weight is positive. The check matters because a
-// recurrence one cycle short of feasibility gains only about one cycle of
-// slack per round: its distances never exceed limit, and it would otherwise
-// run every round before the bound rejects it.
+// the edge (u, v) recorded in pred[v] keeps dist[v] ≤ dist[u] + w(u, v).
+// Just before the relaxation that closed the cycle, that edge held
+// strictly, so the cycle's weight is positive. pred records edges, not
+// nodes, so the argument holds for exactly the edges WitnessCycle reads
+// back. The check matters because a recurrence one cycle short of
+// feasibility gains only about one cycle of slack per round: its distances
+// never exceed limit, and it would otherwise run every round before the
+// bound rejects it.
 func (e *RecEngine) feasible(ii, limit int) bool {
 	dist, pred := e.dist, e.pred
 	for i := range dist {
 		dist[i] = 0
 		pred[i] = -1
 	}
+	e.cycle = -1
 	for round := 0; round <= len(e.Nodes); round++ {
 		changed := false
 		for i := range e.edges {
@@ -139,26 +149,28 @@ func (e *RecEngine) feasible(ii, limit int) bool {
 					return false
 				}
 				dist[ed.to] = d
-				pred[ed.to] = ed.from
+				pred[ed.to] = i
 				changed = true
 			}
 		}
 		if !changed {
 			return true
 		}
-		if e.predCycle() {
+		if e.cycle = e.predCycle(); e.cycle >= 0 {
 			return false
 		}
 	}
 	return false
 }
 
-// predCycle reports whether the predecessor graph pred (a forest unless it
-// closes a cycle) contains a cycle. Each node is walked toward its root at
-// most once per call: a walk stops at a root, at a node an earlier walk of
-// this call already cleared, or — proving a cycle — at a node of its own.
-func (e *RecEngine) predCycle() bool {
-	pred, mark := e.pred, e.mark
+// predCycle returns a node on a cycle of the predecessor graph, in which
+// each node points to the source of its pred edge (a forest unless it
+// closes a cycle), or -1 if there is none. Each node is walked toward its
+// root at most once per call: a walk stops at a root, at a node an earlier
+// walk of this call already cleared, or — proving a cycle — at a node of
+// its own.
+func (e *RecEngine) predCycle() int {
+	pred, mark, edges := e.pred, e.mark, e.edges
 	base := e.stamp
 	for v := range pred {
 		if mark[v] > base {
@@ -169,13 +181,17 @@ func (e *RecEngine) predCycle() bool {
 		u := v
 		for u >= 0 && mark[u] <= base {
 			mark[u] = walk
-			u = pred[u]
+			if p := pred[u]; p >= 0 {
+				u = edges[p].from
+			} else {
+				u = -1
+			}
 		}
 		if u >= 0 && mark[u] == walk {
-			return true
+			return u
 		}
 	}
-	return false
+	return -1
 }
 
 // searchII binary-searches the smallest feasible II in [lo, hi]; hi must be
@@ -213,11 +229,15 @@ func (e *RecEngine) IIWithChange(assigned []int, instr, lat, curII int) int {
 
 // IIWithChangeIn is IIWithChange with a caller-supplied lower bound lo on
 // the result — a latency-independent floor such as the component's II with
-// every load at the ladder minimum, or the result of a smaller candidate
-// latency for the same instruction. The no-change case (the perturbation
+// every load at the ladder minimum. The no-change case (the perturbation
 // leaves the II at curII) is detected with a single feasibility probe at
 // curII−1 before any search runs. lo applies to the lowering direction; a
 // raise searches [curII, sumLat] as usual.
+//
+// A lowering by δ = assigned[instr] − lat also raises lo to curII − δ. Some
+// simple cycle is positive at curII−1, and its iteration distance is at
+// least one. It leaves instr through at most one of its edges, so it loses
+// at most δ of latency and stays positive at every ii < curII − δ.
 func (e *RecEngine) IIWithChangeIn(assigned []int, instr, lat, curII, lo int) int {
 	if len(e.edges) == 0 {
 		return 1
@@ -229,6 +249,7 @@ func (e *RecEngine) IIWithChangeIn(assigned []int, instr, lat, curII, lo int) in
 	if lat > assigned[instr] {
 		return e.searchII(curII, limit+1, limit)
 	}
+	lo = max(lo, curII-(assigned[instr]-lat))
 	if lo >= curII || !e.feasible(curII-1, limit) {
 		return curII
 	}
@@ -244,4 +265,27 @@ func (e *RecEngine) FeasibleWithChange(assigned []int, instr, lat, ii int) bool 
 	}
 	limit := e.resolve(assigned, instr, lat)
 	return e.feasible(ii, limit)
+}
+
+// WitnessCycle probes ii under the unmodified assignment. When ii is
+// infeasible and the probe ends at a cycle of its predecessor graph — a
+// positive cycle — it sets carried[v] for every instruction v whose latency
+// an edge of that cycle carries and reports true. Lowering any instruction
+// it leaves unset keeps the cycle positive, so ii stays infeasible. It
+// reports false and leaves carried untouched when ii is feasible or the
+// probe ends at the latency-sum bound, which names no cycle. carried is
+// indexed by instruction ID.
+func (e *RecEngine) WitnessCycle(assigned []int, ii int, carried []bool) bool {
+	if len(e.edges) == 0 || e.feasible(ii, e.resolve(assigned, -1, 0)) || e.cycle < 0 {
+		return false
+	}
+	for v := e.cycle; ; {
+		ed := &e.edges[e.pred[v]]
+		if ed.latOf >= 0 {
+			carried[ed.latOf] = true
+		}
+		if v = ed.from; v == e.cycle {
+			return true
+		}
+	}
 }

@@ -26,7 +26,8 @@ func benchRecurrence(b *testing.B) (*ir.Graph, ir.Recurrence, []int) {
 }
 
 // BenchmarkRecII compares the naive all-edges RecII against the compiled
-// engine on the same component, plus the incremental perturbation query.
+// engine on the same component, plus the incremental perturbation query and
+// the witness-cycle probe at II−1.
 func BenchmarkRecII(b *testing.B) {
 	g, rec, assigned := benchRecurrence(b)
 	load := -1
@@ -59,4 +60,13 @@ func BenchmarkRecII(b *testing.B) {
 			}
 		})
 	}
+	carried := make([]bool, len(g.Loop.Instrs))
+	b.Run("engine-witness", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !rec.Eng.WitnessCycle(assigned, rec.II-1, carried) {
+				b.Fatal("no witness cycle at II-1")
+			}
+		}
+	})
 }

@@ -107,6 +107,7 @@ func naiveWithChange(g *ir.Graph, nodes, assigned []int, instr, lat int) int {
 // with the naive reference for sampled member instructions, every candidate
 // latency, and every probe II around the answer — in particular at
 // answer−1, where the recurrence is short by the smallest possible amount.
+// A lowering by δ must never take the II below curII − δ.
 func TestRecEngineMatchesNaiveOnRandomLoops(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2002, 35))
 	for _, shape := range []string{"ring", "rings", "random"} {
@@ -157,6 +158,10 @@ func checkRandomLoop(t *testing.T, rng *rand.Rand, label string, g *ir.Graph, as
 					t.Fatalf("%s rec%d instr %d lat %d: IIWithChange = %d, want %d",
 						label, ri, m, lat, got, wantII)
 				}
+				if delta := assigned[m] - lat; delta > 0 && wantII < rec.II-delta {
+					t.Fatalf("%s rec%d instr %d lat %d: II %d below the δ floor %d−%d",
+						label, ri, m, lat, wantII, rec.II, delta)
+				}
 				for _, ii := range []int{wantII - 1, wantII, rec.II - 1, rec.II} {
 					if ii < 1 {
 						continue
@@ -169,4 +174,69 @@ func checkRandomLoop(t *testing.T, rng *rand.Rand, label string, g *ir.Graph, as
 			}
 		}
 	}
+}
+
+// TestWitnessCycleIsSound: the witness cycle at II−1 must name every
+// instruction whose lowering can make II−1 feasible. Lowering all the
+// instructions it leaves unmarked at once, to the ladder minimum, must leave
+// the naive Graph.RecII at II — over the workload suite at unroll ×1, ×4
+// and ×8 and over the seeded random loops. On the suite, every probe must
+// also find a witness: latency assignment prunes its candidates only when
+// one is found.
+func TestWitnessCycleIsSound(t *testing.T) {
+	labels, loops, graphs := suiteGraphs(t)
+	for gi, g := range graphs {
+		for vi, assigned := range latencyVectors(loops[gi]) {
+			label := fmt.Sprintf("%s vec%d", labels[gi], vi)
+			if found, probed := checkWitness(t, label, g, assigned); found != probed {
+				t.Errorf("%s: witness found in %d of %d probes", label, found, probed)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(2002, 36))
+	found, probed := 0, 0
+	for _, shape := range []string{"ring", "rings", "random"} {
+		for id := 0; id < 100; id++ {
+			l := randLoop(rng, shape, id)
+			g := ir.NewGraph(l)
+			for vi, assigned := range [][]int{l.DefaultLatencies(15), l.DefaultLatencies(1)} {
+				f, p := checkWitness(t, fmt.Sprintf("%s vec%d", l.Name, vi), g, assigned)
+				found += f
+				probed += p
+			}
+		}
+	}
+	if found == 0 {
+		t.Errorf("random loops: witness found in none of %d probes", probed)
+	}
+}
+
+// checkWitness runs the witness check on every recurrence of g with II ≥ 2
+// and returns how many probes found a witness out of how many ran.
+func checkWitness(t *testing.T, label string, g *ir.Graph, assigned []int) (found, probed int) {
+	t.Helper()
+	carried := make([]bool, len(assigned))
+	lowered := make([]int, len(assigned))
+	for _, rec := range g.Recurrences(assigned) {
+		if rec.II < 2 {
+			continue
+		}
+		probed++
+		clear(carried)
+		if !rec.Eng.WitnessCycle(assigned, rec.II-1, carried) {
+			continue
+		}
+		found++
+		copy(lowered, assigned)
+		for _, v := range rec.Nodes {
+			if !carried[v] {
+				lowered[v] = min(lowered[v], 1)
+			}
+		}
+		if got := g.RecII(rec.Nodes, lowered); got != rec.II {
+			t.Errorf("%s rec@%d: II %d fell to %d with only unmarked instructions lowered",
+				label, rec.Nodes[0], rec.II, got)
+		}
+	}
+	return found, probed
 }

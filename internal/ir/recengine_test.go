@@ -4,7 +4,9 @@ import "testing"
 
 // TestPredCycle drives the predecessor-graph cycle check directly: forests
 // (including chains that merge) have none; a self loop, a two-node cycle and
-// a tail leading into a cycle each have one. The calls share one engine, so
+// a tail leading into a cycle each have one, and the node returned must lie
+// on it. Each case lists every node's predecessor node; the test turns it
+// into one edge per node, recorded in pred. The calls share one engine, so
 // the walk stamps carried between calls are exercised too.
 func TestPredCycle(t *testing.T) {
 	cases := []struct {
@@ -24,9 +26,28 @@ func TestPredCycle(t *testing.T) {
 	}
 	e := &RecEngine{pred: make([]int, 5), mark: make([]int, 5)}
 	for _, c := range cases {
-		copy(e.pred, c.pred)
-		if got := e.predCycle(); got != c.want {
-			t.Errorf("%s %v: predCycle = %v, want %v", c.name, c.pred, got, c.want)
+		e.edges = e.edges[:0]
+		for v, u := range c.pred {
+			e.pred[v] = -1
+			if u >= 0 {
+				e.pred[v] = len(e.edges)
+				e.edges = append(e.edges, recEdge{from: u, to: v})
+			}
+		}
+		u := e.predCycle()
+		if got := u >= 0; got != c.want {
+			t.Errorf("%s %v: predCycle = %d, want a cycle: %v", c.name, c.pred, u, c.want)
+			continue
+		}
+		if !c.want {
+			continue
+		}
+		v := c.pred[u]
+		for steps := 0; v != u && v >= 0 && steps < len(c.pred); steps++ {
+			v = c.pred[v]
+		}
+		if v != u {
+			t.Errorf("%s %v: predCycle = %d, not on a cycle", c.name, c.pred, u)
 		}
 	}
 }

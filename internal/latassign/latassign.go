@@ -18,7 +18,9 @@
 package latassign
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"ivliw/internal/arch"
@@ -147,6 +149,20 @@ func Assign(l *ir.Loop, g *ir.Graph, cfg arch.Config, ld Ladder, prof map[int]Me
 
 	res := Result{Assigned: assigned, TargetMII: target}
 
+	// bestStep's scratch, sized once: a candidate slot for every (load,
+	// ladder latency) pair of the loop, and one witness mark per
+	// instruction.
+	nLoads := 0
+	for _, in := range l.Instrs {
+		if in.IsLoad() {
+			nLoads++
+		}
+	}
+	sc := scratch{
+		cands:   make([]candidate, 0, nLoads*len(ld)),
+		carried: make([]bool, len(l.Instrs)),
+	}
+
 	// Recurrences are node-disjoint and a flow edge's latency belongs to
 	// its in-component producer, so steps applied to one recurrence never
 	// change another's II: the IIs computed here stay valid throughout.
@@ -159,7 +175,7 @@ func Assign(l *ir.Loop, g *ir.Graph, cfg arch.Config, ld Ladder, prof map[int]Me
 		ii := rec.II
 		last := -1
 		for ii > target {
-			step, ok := bestStep(rec.Eng, loads, ld, prof, assigned, ii, floors[rec.Eng])
+			step, ok := bestStep(rec.Eng, loads, ld, prof, assigned, ii, floors[rec.Eng], &sc)
 			if !ok {
 				break // no remaining change lowers the II
 			}
@@ -195,52 +211,77 @@ func recLoads(l *ir.Loop, nodes []int) []int {
 	return loads
 }
 
-// bestStep evaluates the benefit function for every (load, lower latency)
-// pair of the recurrence and returns the winning change. loads is the
-// recurrence's load list, computed once per recurrence by the caller; floor
-// is the recurrence's II with every load at the ladder minimum, a lower
-// bound no single-load lowering can beat.
-func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII, floor int) (Step, bool) {
-	best := Step{B: math.Inf(-1)}
-	found := false
+// candidate is one (load, lower latency) pair of a bestStep, with its exact
+// stall increase and a ceiling on the benefit it can reach.
+type candidate struct {
+	instr, la int
+	dStall    float64
+	ceil      float64
+}
+
+// scratch is bestStep's reusable storage: the candidate list and the
+// witness marks, indexed by instruction ID.
+type scratch struct {
+	cands   []candidate
+	carried []bool
+}
+
+// bestStep returns the (load, lower latency) pair of the recurrence with the
+// best benefit. loads is the recurrence's load list, computed once per
+// recurrence by the caller; floor is the recurrence's II with every load at
+// the ladder minimum, a lower bound no single-load lowering can beat.
+//
+// Only candidates that can still win are probed. Lowering a load by δ
+// cycles lowers the II by at most min(δ, curII−floor) (see
+// ir.RecEngine.IIWithChangeIn), which caps the candidate's benefit before
+// any graph work. Candidates run in descending order of that cap, and the
+// scan stops once a cap falls below the best benefit found: better is a
+// strict total order, so the order cannot change the winner. A load that
+// carries no latency of the witness cycle at curII−1 cannot lower the II at
+// all and is scored without a probe.
+func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII, floor int, sc *scratch) (Step, bool) {
+	cands := sc.cands[:0]
 	for _, m := range loads {
 		cur := assigned[m]
 		p := prof[m] // zero value: hit rate 0, worst case
 		oldStall := ExpectedStall(ld, p, cur)
-		// The perturbed II is monotone in the latency and bounded above
-		// by curII, so along ascending candidates each result is a floor
-		// for the next, and once a candidate leaves the II at curII
-		// every larger candidate does too and needs no search. Ladders
-		// are expected ascending but nothing enforces it, so the chain
-		// resets whenever a candidate goes out of order.
-		newII := -1
-		lo := floor
-		prevLa := -1
 		for _, la := range ld {
 			if la >= cur {
 				continue
 			}
-			if la < prevLa {
-				newII, lo = -1, floor
-			}
-			prevLa = la
-			if newII != curII {
-				newII = eng.IIWithChangeIn(assigned, m, la, curII, lo)
-				lo = newII
-			}
-			dII := curII - newII
 			dStall := ExpectedStall(ld, p, la) - oldStall
-			b := benefit(dII, dStall)
-			if !found || better(b, dII, m, la, best) {
-				best = Step{Instr: m, From: cur, To: la, DeltaII: dII, DeltaStall: dStall, B: b}
-				found = true
-			}
+			cands = append(cands, candidate{
+				instr: m, la: la, dStall: dStall,
+				ceil: benefit(min(cur-la, curII-floor), dStall),
+			})
 		}
 	}
-	// Give up when nothing was evaluated (every load at the minimum) or
-	// the winner leaves the II unchanged: lowering it would only add
-	// stall for no compute gain.
-	if !found || best.DeltaII <= 0 {
+	// Give up when every load is at the minimum.
+	if len(cands) == 0 {
+		return Step{}, false
+	}
+	slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(b.ceil, a.ceil) })
+	clear(sc.carried)
+	witness := eng.WitnessCycle(assigned, curII-1, sc.carried)
+
+	best := Step{B: math.Inf(-1)}
+	for _, c := range cands {
+		if c.ceil < best.B {
+			break
+		}
+		newII := curII
+		if !witness || sc.carried[c.instr] {
+			newII = eng.IIWithChangeIn(assigned, c.instr, c.la, curII, floor)
+		}
+		dII := curII - newII
+		b := benefit(dII, c.dStall)
+		if better(b, dII, c.instr, c.la, best) {
+			best = Step{Instr: c.instr, From: assigned[c.instr], To: c.la, DeltaII: dII, DeltaStall: c.dStall, B: b}
+		}
+	}
+	// Give up when the winner leaves the II unchanged: lowering it would
+	// only add stall for no compute gain.
+	if best.DeltaII <= 0 {
 		return Step{}, false
 	}
 	return best, true

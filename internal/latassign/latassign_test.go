@@ -214,6 +214,50 @@ func TestAssignStopsWhenNothingHelps(t *testing.T) {
 	}
 }
 
+// TestZeroStallNoGainStopsRecurrence pins a known deviation from the paper.
+// benefit returns +Inf whenever the stall increase is not positive, even
+// when the II gain is zero too. Load a always misses in its local module
+// (Hit 0, Local 1), so lowering it from remote miss (15) to local miss (10)
+// costs no stall. a sits only on the lighter cycle, so the change gains no
+// II either, yet it wins the step with B = +Inf. bestStep then sees ΔII = 0
+// and gives up on the recurrence, although lowering load b would still cut
+// its II. The paper calls a zero denominator "maximum" but would apply the
+// free change and continue. The suite compiles hit this six times at 2, 4
+// and 8 clusters; fixing it changes the golden transcript.
+func TestZeroStallNoGainStopsRecurrence(t *testing.T) {
+	b := ir.NewBuilder("zerogain", 100, 1)
+	m := ir.MemInfo{Sym: "v", Stride: 4, StrideKnown: true, Gran: 4, SymBytes: 4096}
+	la := b.Load("a", m)
+	lb := b.Load("b", m)
+	add := b.Op("add", ir.OpIntALU)
+	// Cycle b → add → b is critical (II 16); a → add → a spans two
+	// iterations (II 8) and shares add, so both form one recurrence.
+	b.Flow(lb, add).FlowD(add, lb, 1)
+	b.Flow(la, add).FlowD(add, la, 2)
+	l := b.MustBuild()
+	g := ir.NewGraph(l)
+	cfg := arch.Default()
+	res := Assign(l, g, cfg, InterleavedLadder(cfg), map[int]MemProfile{
+		la: {Hit: 0, Local: 1},
+		lb: {Hit: 0.9, Local: 0.5},
+	})
+	if res.TargetMII != 2 {
+		t.Fatalf("target MII = %d, want 2", res.TargetMII)
+	}
+	if len(res.Steps) != 0 || res.Assigned[la] != 15 || res.Assigned[lb] != 15 {
+		t.Errorf("steps %+v, latencies a=%d b=%d; want no step, both at 15",
+			res.Steps, res.Assigned[la], res.Assigned[lb])
+	}
+	if got := ir.RecMII(g, res.Assigned); got != 16 {
+		t.Errorf("RecMII after assignment = %d, want 16", got)
+	}
+	lowered := append([]int(nil), res.Assigned...)
+	lowered[lb] = 10
+	if got := ir.RecMII(g, lowered); got != 11 {
+		t.Errorf("RecMII with b at 10 = %d, want 11: lowering b still helps", got)
+	}
+}
+
 // TestBenefitInfiniteDenominator: a zero stall increase yields maximum
 // benefit, as stated in the paper.
 func TestBenefitInfiniteDenominator(t *testing.T) {
