@@ -24,10 +24,9 @@
 //	ivliw-bench -spec run.json -spec-hash
 //	ivliw-bench -spec run.json -coordinate 3 [-coordinate-dir DIR]
 //	            [-coordinate-launch exec|inproc|pool] [-coordinate-attempts 3]
-//	            [-coordinate-straggler 90s] [-coordinate-backoff 250ms]
-//	            [-coordinate-seed 1] [-coordinate-balance count|cost]
-//	            [-coordinate-steal 4] [-coordinate-calibration calibration.json]
-//	            [-out sweep.jsonl]
+//	            [-coordinate-backoff 250ms] [-coordinate-seed 1]
+//	            [-coordinate-parallel 0]
+//	            [-coordinate-calibration calibration.json] [-out sweep.jsonl]
 //	ivliw-bench -spec run.json -coordinate 3 -coordinate-launch pool
 //	            [-pool-workers 3] [-pool-slots 1] [-pool-capacity 0]
 //	            [-pool-stale 2s] [-pool-heartbeat 500ms]
@@ -42,35 +41,31 @@
 // -artifact-dir layers the compile cache over a persistent
 // content-addressed artifact store so repeated and sharded runs start warm.
 //
-// -coordinate n runs the whole sharded workflow in one command: the grid is
-// cut into n shard runs executed through a launcher (exec: worker
-// subprocesses of this binary, whose Command prefix is also the ssh seam;
-// inproc: goroutines), failed attempts are retried and stragglers
-// optionally relaunched within -coordinate-attempts, and the per-shard
-// outputs are stitched into -out byte-identical to the unsharded run.
-// -coordinate-balance cost cuts the grid at equal predicted cost instead of
-// equal row count, under a cost model optionally calibrated to this machine
-// (-calibrate writes the file, -coordinate-calibration loads it; a missing
-// or corrupt file degrades to the built-in model with a warning).
-// -coordinate-steal k cuts finer — up to k cost-ordered chunks per shard,
-// on compile-key atom boundaries — and idle workers claim the next chunk
-// (heaviest first) as they finish, so a straggling range delays the run by
-// its own length, not its whole static shard's. Workers receive explicit
-// ranges through the -claim lo:hi protocol; every cut policy preserves
-// byte-identity by construction, because rows stay keyed by grid index and
-// the stitcher concatenates ranges in index order. Zero-row ranges are
-// committed as empty outputs directly, never launched.
-// Shard outputs and the manifest live in -coordinate-dir; every state
+// -coordinate n runs the whole sharded workflow in one command with n
+// workers: the grid is cut into up to 4n never-empty chunks of equal
+// predicted cost, on compile-key atom boundaries (one chunk when n is 1),
+// and idle workers claim the next chunk, heaviest first, through a
+// launcher (exec: worker subprocesses of this binary, whose Command prefix
+// is also the ssh seam; inproc: goroutines). Failed attempts are retried
+// within -coordinate-attempts, and the chunk outputs are stitched into -out
+// byte-identical to the unsharded run. The cost model can be calibrated to
+// this machine (-calibrate writes the file, -coordinate-calibration loads
+// it; a missing or corrupt file degrades to the built-in model with a
+// warning). Workers receive their ranges through the -claim lo:hi
+// protocol; byte-identity holds by construction, because rows stay keyed
+// by grid index and the stitcher concatenates ranges in index order.
+// Chunk outputs and the manifest live in -coordinate-dir; every state
 // transition is committed atomically (temp+rename), so a coordinator
-// killed mid-run resumes its completed shards when rerun over the same
+// killed mid-run resumes its completed chunks when rerun over the same
 // directory. SIGINT/SIGTERM cancel sweep and coordinator runs cleanly —
 // staged output files are discarded, never truncated — and exit 130.
 //
-// -coordinate-launch pool schedules the shard attempts across a
+// -coordinate-launch pool schedules the chunk attempts across a
 // health-checked pool of worker subprocesses (sweep.Pool): each attempt
 // writes heartbeats (-heartbeat under the hood), attempts whose heartbeat
-// goes stale for -pool-stale are killed and retried, and workers that fail
-// repeatedly are quarantined with backoff. The IVLIW_FAULT_PLAN environment
+// goes stale for -pool-stale are killed and retried — the only hang
+// detection a coordinated run has — and workers that fail repeatedly are
+// quarantined with backoff. The IVLIW_FAULT_PLAN environment
 // variable may name a JSON fault plan (see ivliw/sweep/fault) that
 // deterministically crashes, hangs or wedges specific shard attempts and
 // kills specific pool workers — the harness scripts/ci.sh uses to prove
@@ -141,17 +136,14 @@ func main() {
 	specOut := flag.String("spec-out", "", "write the sweep spec as JSON to this file and exit without running")
 	specHash := flag.Bool("spec-hash", false, "print the spec's semantic hash — the dedup/job key ivliw-served uses — and exit without running")
 	out := flag.String("out", "", "write sweep JSONL rows to this file instead of stdout")
-	coordinate := flag.Int("coordinate", 0, "run the sweep as this many coordinated shards: launch, retry, resume, stitch (0: off)")
+	coordinate := flag.Int("coordinate", 0, "run the sweep coordinated over this many workers: cut, launch, retry, resume, stitch (0: off)")
 	coordDir := flag.String("coordinate-dir", "", "coordinator work dir (manifest + shard outputs); reuse it to resume a killed run (default: fresh temp dir)")
-	coordLaunch := flag.String("coordinate-launch", "exec", "shard launcher: exec (worker subprocesses), inproc (goroutines) or pool (health-checked worker pool)")
-	coordAttempts := flag.Int("coordinate-attempts", 3, "max attempts per shard (first try + retries + straggler backups)")
-	coordStraggler := flag.Duration("coordinate-straggler", 0, "relaunch a shard still running after this long (e.g. 90s; 0: never)")
-	coordBackoff := flag.Duration("coordinate-backoff", 0, "base delay before retrying a failed shard attempt, doubled per retry with deterministic jitter (0: retry immediately)")
+	coordLaunch := flag.String("coordinate-launch", "exec", "chunk launcher: exec (worker subprocesses), inproc (goroutines) or pool (health-checked worker pool)")
+	coordAttempts := flag.Int("coordinate-attempts", 3, "max attempts per chunk (first try + retries)")
+	coordBackoff := flag.Duration("coordinate-backoff", 0, "base delay before retrying a failed chunk attempt, doubled per retry with deterministic jitter (0: retry immediately)")
 	coordSeed := flag.Uint64("coordinate-seed", 0, "seed of the deterministic retry and quarantine jitter")
-	coordParallel := flag.Int("coordinate-parallel", 0, "bound on concurrently running shard attempts (0: all shards at once); 1 serializes launches, e.g. for contention-free per-shard timing")
-	coordBalance := flag.String("coordinate-balance", "count", "shard cut policy: count (row-count-balanced slices) or cost (equal predicted cost under the calibration model, cut on compile-key atoms)")
-	coordSteal := flag.Int("coordinate-steal", 0, "work stealing: cut the grid into up to N cost-ordered chunks per shard, claimed dynamically by idle workers (0: static shards)")
-	coordCalibration := flag.String("coordinate-calibration", "", "calibration JSON for the cost model (see -calibrate); a missing or corrupt file degrades to the built-in default with a warning")
+	coordParallel := flag.Int("coordinate-parallel", 0, "bound on concurrently running chunk attempts (0: one per worker); 1 serializes launches, e.g. for contention-free per-chunk timing")
+	coordCalibration := flag.String("coordinate-calibration", "", "calibration JSON for the cost model that sizes and orders chunks (see -calibrate); a missing or corrupt file degrades to the built-in default with a warning")
 	heartbeat := flag.String("heartbeat", "", "write liveness heartbeats to this file while the sweep runs (sweep/spec runs)")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 0, "heartbeat period (0: 500ms; needs -heartbeat)")
 	poolWorkers := flag.Int("pool-workers", 3, "pool size for -coordinate-launch pool: worker subprocesses of this binary")
@@ -209,12 +201,6 @@ func main() {
 		}
 		if *coordAttempts < 1 {
 			usageErr("-coordinate-attempts must be >= 1, got %d", *coordAttempts)
-		}
-		if *coordBalance != sweep.BalanceCount && *coordBalance != sweep.BalanceCost {
-			usageErr("-coordinate-balance must be count or cost, got %q", *coordBalance)
-		}
-		if *coordSteal < 0 {
-			usageErr("-coordinate-steal must be >= 0, got %d", *coordSteal)
 		}
 		if *coordParallel < 0 {
 			usageErr("-coordinate-parallel must be >= 0, got %d", *coordParallel)
@@ -423,12 +409,9 @@ func main() {
 				dir:            *coordDir,
 				launch:         *coordLaunch,
 				attempts:       *coordAttempts,
-				straggler:      *coordStraggler,
 				backoff:        *coordBackoff,
 				seed:           *coordSeed,
 				parallel:       *coordParallel,
-				balance:        *coordBalance,
-				steal:          *coordSteal,
 				calibration:    *coordCalibration,
 				poolWorkers:    *poolWorkers,
 				poolCapacity:   *poolCapacity,
@@ -832,12 +815,9 @@ type coordinatorCLI struct {
 	dir         string
 	launch      string
 	attempts    int
-	straggler   time.Duration
 	backoff     time.Duration
 	seed        uint64
 	parallel    int
-	balance     string
-	steal       int
 	calibration string
 
 	poolWorkers    int
@@ -849,11 +829,11 @@ type coordinatorCLI struct {
 	poolBackoff    time.Duration
 }
 
-// runCoordinated expands the spec into o.shards shard runs, executes them
-// through the selected launcher with retry/straggler handling, and stitches
-// the shard outputs into the spec's output path (stdout by default) —
+// runCoordinated cuts the spec's grid into chunks for o.shards workers,
+// executes them through the selected launcher with retries, and stitches
+// the chunk outputs into the spec's output path (stdout by default) —
 // byte-identical to the unsharded run. Reusing -coordinate-dir resumes
-// completed shards from the manifest after a kill.
+// completed chunks from the manifest after a kill.
 func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) error {
 	var launcher sweep.Launcher
 	var pool *sweep.Pool
@@ -900,18 +880,15 @@ func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) erro
 		launcher = sweep.Exec{Command: []string{exe}, Stderr: os.Stderr}
 	}
 	st, err := sweep.Coordinate(ctx, spec, sweep.CoordinatorOptions{
-		Shards:         o.shards,
-		Launcher:       launcher,
-		Dir:            o.dir,
-		MaxAttempts:    o.attempts,
-		StragglerAfter: o.straggler,
-		RetryBackoff:   o.backoff,
-		Seed:           o.seed,
-		Parallel:       o.parallel,
-		Balance:        o.balance,
-		Steal:          o.steal,
-		Calibration:    o.calibration,
-		Log:            log.Printf,
+		Shards:       o.shards,
+		Launcher:     launcher,
+		Dir:          o.dir,
+		MaxAttempts:  o.attempts,
+		RetryBackoff: o.backoff,
+		Seed:         o.seed,
+		Parallel:     o.parallel,
+		Calibration:  o.calibration,
+		Log:          log.Printf,
 	})
 	if pool != nil {
 		ps := pool.Stats()
@@ -921,12 +898,8 @@ func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) erro
 	if err != nil {
 		return err
 	}
-	log.Printf("coordinator: %d shards (%d resumed), %d launches (%d retries, %d stragglers), %d rows stitched",
-		st.Shards, st.Resumed, st.Launches, st.Retries, st.Stragglers, st.Rows)
-	if st.Tasks != st.Shards || st.Empty > 0 {
-		log.Printf("coordinator: grid cut into %d range tasks (%d empty, committed without launching)",
-			st.Tasks, st.Empty)
-	}
+	log.Printf("coordinator: %d workers, %d tasks, %d resumed, %d launches, %d retries, %d rows stitched",
+		st.Shards, st.Tasks, st.Resumed, st.Launches, st.Retries, st.Rows)
 	if st.Launches > 0 {
 		log.Printf("coordinator: slowest task %d: %.2fs (%.1f cells/s)",
 			st.SlowestTask, st.SlowestWall.Seconds(), st.SlowestCellsPerSec)

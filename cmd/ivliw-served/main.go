@@ -36,8 +36,9 @@
 // -launch selects where shard attempts run: inproc (goroutines), exec
 // (worker subprocesses of -worker-bin, the `ivliw-bench -spec` protocol),
 // or pool (a health-checked sweep.Pool of -pool-workers subprocess workers
-// with heartbeat monitoring). -shards cuts each job into that many shard
-// runs; any value produces byte-identical rows.
+// with heartbeat monitoring). -shards is each job's coordinator worker
+// count: 1 runs a job as one task, more cut it into cost-ordered chunks the
+// workers claim; any value produces byte-identical rows.
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight HTTP requests finish,
 // running jobs tear down through context cancellation (staged outputs
@@ -75,7 +76,7 @@ func main() {
 	executors := flag.Int("executors", 2, "concurrent job executions")
 	queue := flag.Int("queue", 64, "bounded submission backlog beyond running jobs")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum spec body bytes")
-	shards := flag.Int("shards", 1, "coordinator shards per job")
+	shards := flag.Int("shards", 1, "coordinator workers per job (1: each job runs as one task)")
 	attempts := flag.Int("attempts", 3, "launch attempts per shard")
 	launch := flag.String("launch", "inproc", "shard launcher: inproc, exec or pool")
 	workerBin := flag.String("worker-bin", "", "worker binary for -launch exec|pool (the ivliw-bench -spec protocol)")

@@ -80,24 +80,26 @@
 // # Coordinated sweeps
 //
 // sweep.Coordinate turns the manual sharding pattern ("ship the spec file,
-// run every shard, cat the outputs") into one crash-safe call: it expands a
-// Spec into n shard specs, runs them through a pluggable sweep.Launcher —
-// sweep.InProcess (goroutines) or sweep.Exec (worker subprocesses running
-// `ivliw-bench -spec F -shard i/n -out O`; prefixing the command with `ssh
-// host` is the multi-host seam over a shared filesystem) — retries failed
-// attempts and optionally relaunches stragglers within per-shard attempt
-// caps, and stitches the per-shard JSONL files into the final output
-// byte-identical to the unsharded run (gated by scripts/ci.sh).
+// run every shard, cat the outputs") into one crash-safe call over n
+// workers (CoordinatorOptions.Shards). It cuts the grid into range tasks
+// (see "Cost-balanced coordination" below), runs them through a pluggable
+// sweep.Launcher — sweep.InProcess (goroutines), sweep.Exec (worker
+// subprocesses running `ivliw-bench -spec F -shard i/n -claim lo:hi -out
+// O`; prefixing the command with `ssh host` is the multi-host seam over a
+// shared filesystem) or sweep.Pool — retries failed attempts within a
+// per-task attempt cap, one attempt in flight at a time, and stitches the
+// per-task JSONL files into the final output byte-identical to the
+// unsharded run (gated by scripts/ci.sh).
 //
-// The coordinator is built on an all-or-nothing file discipline: shard
+// The coordinator is built on an all-or-nothing file discipline: task
 // outputs, the manifest and the stitched result only ever appear via
 // whole-file atomic renames, so no reader can observe a truncated file. A
 // manifest in the work directory records the spec fingerprint and every
-// shard's status and attempt count, rewritten atomically on each
+// task's row range, status and attempt count, rewritten atomically on each
 // transition; a coordinator killed at any instant — including mid-write —
 // resumes by rerunning the same command over the same directory, restoring
-// completed shards for free (and, with a shared Spec.Store.Dir, even the
-// dead shards' compilations). Canceling the context (SIGINT/SIGTERM in
+// completed tasks for free (and, with a shared Spec.Store.Dir, even the
+// dead tasks' compilations). Canceling the context (SIGINT/SIGTERM in
 // `ivliw-bench`, which then exits 130) tears attempts down promptly and
 // leaves only committed state behind. `ivliw-bench -coordinate n` wraps
 // the whole workflow as a CLI; examples/coordinated-sweep exercises
@@ -105,37 +107,38 @@
 //
 // # Worker pools and health
 //
-// sweep.Pool is the health-checked Launcher: it schedules shard attempts
+// sweep.Pool is the health-checked Launcher: it schedules task attempts
 // across a registry of sweep.Worker entries (each a command prefix — the
-// ssh seam again — plus advertised capacity, used to size the per-shard
-// `-workers`, and a slot count bounding concurrent attempts). Liveness is
-// heartbeat-based rather than deadline-based: every attempt writes an
-// atomically renamed beat file (`ivliw-bench -heartbeat`, or
+// ssh seam again — plus advertised capacity, used to size the per-task
+// `-workers`, and a slot count bounding concurrent attempts). It is also
+// the coordinator's only hang detector: the coordinator waits for each
+// attempt it launches, and liveness is heartbeat-based. Every attempt
+// writes an atomically renamed beat file (`ivliw-bench -heartbeat`, or
 // Spec.Heartbeat via sweep.Run), the final beat carries the row count and
 // the sha256 of the committed output, and the pool kills any attempt whose
-// beats go stale — catching a hung worker in O(StaleAfter) instead of
-// waiting out a straggler deadline sized for the slowest honest shard. The
-// done-beat checksum is re-verified against the shard file before the
-// attempt counts as complete, so a corrupted output is retried instead of
-// stitched.
+// beats go stale for Pool.StaleAfter, failing it back to the coordinator
+// for a retry. The done-beat checksum is re-verified against the task file
+// before the attempt counts as complete, so a corrupted output is retried
+// instead of stitched. Plain InProcess and Exec runs have no hang
+// detection.
 //
 // Failure domains are per worker: consecutive failures quarantine the
 // worker under capped exponential backoff with deterministic jitter
 // (readmitted after the delay), and a worker that dies requeues all of its
-// in-flight shards at once onto the survivors. The coordinator manifest
+// in-flight tasks at once onto the survivors. The coordinator manifest
 // records, per attempt, which worker served it and how it failed. A
 // deterministic fault harness (ivliw/sweep/fault, armed via the
 // IVLIW_FAULT_PLAN env var) scripts crashes, hangs, stale heartbeats,
-// corrupt outputs and dead workers by shard/attempt/worker, which is how
-// scripts/ci.sh step 8 gates that shard outputs stay byte-identical under
+// corrupt outputs and dead workers by task/attempt/worker, which is how
+// scripts/ci.sh step 8 gates that task outputs stay byte-identical under
 // every recovery path. `ivliw-bench -coordinate n -coordinate-launch pool`
 // wraps it; examples/worker-pool drives a faulted pool end to end.
 //
 // # Cost-balanced coordination
 //
-// Count-balanced shard cuts assume rows cost the same, but an 8-cluster
-// jpegenc row compiles about 20× slower than a 2-cluster one, so one shard
-// can dominate wall time. sweep.Calibration is a small persisted
+// Rows do not cost the same: an 8-cluster jpegenc row compiles about 12×
+// slower than a 2-cluster one, so equal row counts would leave one worker
+// with most of the wall time. sweep.Calibration is a small persisted
 // cost model — per-cluster-count compile and simulate costs (geometrically
 // interpolated between measured points), a cache-geometry exponent and a
 // sim-batch sharing discount — that prices every row of a grid from its
@@ -146,23 +149,20 @@
 // or corrupt file degrades to the built-in default model with a warning,
 // never a failure.
 //
-// Two scheduling layers spend the model. With
-// CoordinatorOptions.Balance == BalanceCost (`-coordinate-balance cost`),
-// shard cuts equalize predicted cost instead of row count, cutting only on
-// compile-key atom boundaries (sibling runs of rows sharing one compiled
-// artifact) so no artifact is compiled twice across shards. With
-// CoordinatorOptions.Steal > 0 (`-coordinate-steal k`), static slices are
-// replaced by a work-stealing queue: the grid is cut into up to k×n
-// cost-ordered chunks, and idle workers claim the heaviest remaining chunk
-// — a straggling chunk delays only itself. Chunks pin explicit row ranges
-// through Shard.Lo/Hi (CLI protocol: `ivliw-bench -spec F -claim lo:hi`),
-// and byte-identity holds by construction: rows are keyed by grid index,
-// chunks tile the grid exactly, and the stitcher concatenates committed
-// chunk files in index order (gated by scripts/ci.sh step 10 across the
-// in-process, exec and pool launchers, including an injected chunk crash).
-// Cuts that come out empty (more shards than rows, or a heavy atom
-// swallowing a whole share) commit their empty output directly instead of
-// launching a worker. The manifest records per-attempt wall time and
+// The coordinator has one cut policy. One worker runs the grid as a single
+// task. n > 1 workers get a work-stealing queue: the grid is cut into up
+// to 4n chunks of equal predicted cost, only on compile-key atom
+// boundaries (sibling runs of rows sharing one compiled artifact, so no
+// artifact is compiled twice across tasks, and never more chunks than
+// atoms), and idle workers claim the heaviest remaining chunk — a slow
+// chunk delays only itself. A cut that would come out empty (an atom
+// heavier than its equal share) is dropped, so every task launches. Tasks
+// pin explicit row ranges through Shard.Lo/Hi (CLI protocol: `ivliw-bench
+// -spec F -claim lo:hi`), and byte-identity holds by construction: rows
+// are keyed by grid index, tasks tile the grid exactly, and the stitcher
+// concatenates committed task files in index order (gated by scripts/ci.sh
+// step 10 across the in-process, exec and pool launchers, including an
+// injected chunk crash). The manifest records per-attempt wall time and
 // cells/s, which is both the coordinator's slowest-task stats line and the
 // raw material for recalibration.
 //

@@ -1,18 +1,18 @@
 // Coordinated-sweep demonstrates the distributed sweep coordinator against
-// the public sweep package alone: one Coordinate call expands a declarative
-// Spec into shards, launches them, retries an injected failure, stitches
-// the shard outputs byte-identically to the unsharded run, and — rerun over
-// the same work directory — resumes every completed shard from the manifest
-// without recomputing anything.
+// the public sweep package alone: one Coordinate call cuts a declarative
+// Spec's grid into chunks for its workers, launches them, retries an
+// injected failure, stitches the chunk outputs byte-identically to the
+// unsharded run, and — rerun over the same work directory — resumes every
+// completed chunk from the manifest without recomputing anything.
 //
 // Three invariants are checked live:
 //
 //   - stitching: the coordinator's output file equals the unsharded run
-//     byte for byte, even though one shard failed once and was retried;
-//   - crash-safety: shard outputs and the manifest only ever appear via
+//     byte for byte, even though one chunk failed once and was retried;
+//   - crash-safety: chunk outputs and the manifest only ever appear via
 //     atomic renames, so the work directory is always a valid resume point;
 //   - resume: a second Coordinate over the same directory launches zero
-//     shards and still reproduces the identical output.
+//     chunks and still reproduces the identical output.
 //
 // The in-process launcher keeps the example self-contained; substituting
 // sweep.Exec{Command: []string{"ivliw-bench"}} (or []string{"ssh", "host",
@@ -90,8 +90,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// First coordinated run: 3 shards, shard 1 fails its first attempt and
-	// is retried. The work dir keeps the manifest and per-shard outputs.
+	// First coordinated run: 3 workers share the grid's 2 compile-key
+	// chunks, and chunk 1 fails its first attempt and is retried. The work
+	// dir keeps the manifest and per-chunk outputs.
 	work := filepath.Join(dir, "work")
 	opts := sweep.CoordinatorOptions{
 		Shards:   3,
@@ -103,8 +104,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("coordinated: %d shards, %d launches (%d retries), %d rows\n",
-		st.Shards, st.Launches, st.Retries, st.Rows)
+	fmt.Printf("coordinated: %d workers, %d tasks, %d launches (%d retries), %d rows\n",
+		st.Shards, st.Tasks, st.Launches, st.Retries, st.Rows)
 
 	stitched, err := os.ReadFile(spec.Output.Path)
 	if err != nil {
@@ -115,7 +116,7 @@ func main() {
 	}
 	fmt.Printf("stitched %d rows byte-identical to the unsharded run (despite the injected failure)\n", st.Rows)
 
-	// Second run over the same work dir: the manifest says every shard is
+	// Second run over the same work dir: the manifest says every chunk is
 	// done, so nothing launches — the "killed coordinator, rerun the same
 	// command" recovery path, here exercised on the happy case.
 	opts.Launcher = sweep.InProcess{}
@@ -123,8 +124,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if st2.Launches != 0 || st2.Resumed != st2.Shards {
-		log.Fatalf("BUG: resume launched %d shards (resumed %d)", st2.Launches, st2.Resumed)
+	if st2.Launches != 0 || st2.Resumed != st2.Tasks {
+		log.Fatalf("BUG: resume launched %d chunks (resumed %d)", st2.Launches, st2.Resumed)
 	}
 	restitched, err := os.ReadFile(spec.Output.Path)
 	if err != nil {
@@ -133,8 +134,8 @@ func main() {
 	if !bytes.Equal(restitched, ref.Bytes()) {
 		log.Fatal("BUG: resumed stitch differs from the unsharded run")
 	}
-	fmt.Printf("resume: %d/%d shards restored from the manifest, 0 launches, identical bytes\n",
-		st2.Resumed, st2.Shards)
+	fmt.Printf("resume: %d/%d chunks restored from the manifest, 0 launches, identical bytes\n",
+		st2.Resumed, st2.Tasks)
 	fmt.Println("\nEquivalent CLI:")
 	fmt.Println("  ivliw-bench -spec run.json -coordinate 3 -coordinate-dir work \\")
 	fmt.Println("              -artifact-dir artifacts -out sweep.jsonl")

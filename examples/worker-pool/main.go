@@ -7,12 +7,11 @@
 // byte — the invariant every recovery path in this repo is held to.
 //
 // Along the way the pool exercises its full health loop even on healthy
-// workers: each attempt writes heartbeat files (liveness the pool
-// monitors instead of waiting out a straggler deadline) whose final beat
-// carries a sha256 of the committed shard output, re-verified before the
-// shard counts as done. The manifest in the work directory records which
-// worker served each shard and the per-attempt post-mortem trail, printed
-// at the end.
+// workers: each attempt writes heartbeat files (the liveness signal the
+// pool kills hung attempts by) whose final beat carries a sha256 of the
+// committed shard output, re-verified before the shard counts as done.
+// The manifest in the work directory records which worker served each
+// shard and the per-attempt post-mortem trail, printed at the end.
 //
 // The in-process workers (empty Command) keep the example self-contained;
 // giving each Worker a command prefix like []string{"ssh", "hostN",
@@ -44,13 +43,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// An 8-point grid over one paper benchmark and one synthetic workload,
-	// cut into 4 shards so the pool has more shards than workers.
+	// An 8-point grid over one paper benchmark and one synthetic workload.
+	// Its 4 compile keys (clusters × cache capacity) become 4 chunks for
+	// the pool's 3 workers, so the pool has more chunks than workers.
 	spec := sweep.Spec{
 		Grid: sweep.Grid{
-			Clusters:  []int{2, 4},
-			ABEntries: []int{0, 16},
-			MSHRs:     []int{0, 4},
+			Clusters:   []int{2, 4},
+			CacheBytes: []int{8 << 10, 16 << 10},
+			ABEntries:  []int{0, 16},
 		},
 		Workloads: sweep.Workloads{
 			Bench: []string{"gsmdec"},
@@ -101,7 +101,7 @@ func main() {
 
 	work := filepath.Join(dir, "work")
 	st, err := sweep.Coordinate(context.Background(), spec, sweep.CoordinatorOptions{
-		Shards:   4,
+		Shards:   3,
 		Dir:      work,
 		Launcher: pool,
 		Log:      log.Printf,
@@ -175,6 +175,6 @@ func main() {
 
 	fmt.Println("\nEquivalent CLI:")
 	fmt.Println("  IVLIW_FAULT_PLAN=plan.json ivliw-bench -spec run.json \\")
-	fmt.Println("      -coordinate 4 -coordinate-launch pool -pool-workers 3 \\")
+	fmt.Println("      -coordinate 3 -coordinate-launch pool -pool-workers 3 \\")
 	fmt.Println("      -pool-stale 2s -coordinate-dir work -out sweep.jsonl")
 }

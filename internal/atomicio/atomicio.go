@@ -12,8 +12,8 @@
 // umask). Staging names follow the `<path>.tmp-*` convention the rest of
 // the module relies on for stale-temp cleanup globs, and derive their
 // uniqueness from the process id plus a process-local counter rather than
-// the clock or a global RNG: straggler twins (distinct processes) staging
-// the same destination concurrently still never collide, and the writer
+// the clock or a global RNG: writers in distinct processes staging the
+// same destination concurrently still never collide, and the writer
 // path stays free of nondeterminism sources (ivliw-vet's determinism
 // analyzer walks it from sweep.Run).
 package atomicio
@@ -41,7 +41,7 @@ type File struct {
 
 // Create opens a unique `<path>.tmp-<pid>-<n>` staging file in path's
 // directory (same directory, so the commit rename never crosses a
-// filesystem). A name collision — a stale temp left by a crashed twin
+// filesystem). A name collision — a stale temp left by a crashed writer
 // after pid reuse — just draws the next name.
 func Create(path string) (*File, error) {
 	pid := os.Getpid()

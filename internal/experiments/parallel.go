@@ -12,7 +12,7 @@ import (
 )
 
 // defaultWorkers is the pool size used when a caller passes workers <= 0 to
-// runCells: 0 means "GOMAXPROCS at dispatch time". It is set by SetWorkers
+// StreamCells: 0 means "GOMAXPROCS at dispatch time". It is set by SetWorkers
 // (the -workers flag) instead of mutating runtime.GOMAXPROCS, which would
 // also throttle the garbage collector and any nested parallelism.
 var defaultWorkers atomic.Int64
@@ -34,19 +34,32 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runCells evaluates f over n independent cells — typically the (benchmark ×
-// variant) grid of a figure — on a bounded worker pool and returns the
-// results in cell order. Every cell compiles and simulates in isolation
-// (RunBench shares no mutable state), so the fan-out is embarrassingly
-// parallel; workers is the pool size (<= 0 selects the SetWorkers /
-// GOMAXPROCS default), and a single-worker pool degrades to the serial
-// evaluation order. Results and errors are deterministic regardless of
-// scheduling: cell i's result lands in slot i, and the reported error is the
-// one from the lowest-indexed failing cell. Canceling ctx stops the
-// dispatch of new cells promptly (in-flight cells drain) and surfaces
-// ctx.Err() unless a cell had already failed.
-func runCells[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
+// StreamCells evaluates f over n independent cells on a bounded worker pool
+// and hands the results to emit in strict cell order, as they become
+// contiguously available — the one cell pool under the figure drivers and
+// sweep.Run, whose output must not buffer the whole grid. workers <= 0
+// selects the SetWorkers / GOMAXPROCS default, and a one-worker pool runs
+// the cells serially in order. Memory stays bounded by a reorder window:
+// workers never dispatch more than window cells ahead of the emission
+// frontier, so at most window results wait in the reorder buffer plus up
+// to window more in the batch being emitted, regardless of n. emit is
+// called serially (never concurrently) and in ascending cell order,
+// outside the pool lock so workers keep computing while rows are written;
+// an emit error stops the run.
+// On a cell error dispatch stops, already-dispatched cells drain, and the
+// lowest-indexed failing cell's error is returned (rows before it may
+// already have been emitted). Canceling ctx likewise stops dispatch and
+// emission promptly — in-flight cells drain without their rows being
+// emitted — and surfaces ctx.Err() unless a cell or emit error had already
+// been recorded. An n <= 0 grid (an empty shard) succeeds with no emit
+// calls, provided the context is still live.
+func StreamCells[T any](ctx context.Context, n, workers int, f func(i int) (T, error), emit func(i int, v T) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if n <= 0 {
+		return nil
+	}
 	if workers <= 0 {
 		workers = Workers()
 	}
@@ -56,49 +69,145 @@ func runCells[T any](ctx context.Context, n, workers int, f func(i int) (T, erro
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			var err error
-			if out[i], err = f(i); err != nil {
-				return nil, err
+			v, err := f(i)
+			if err != nil {
+				return err
+			}
+			if err := emit(i, v); err != nil {
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
+	// The window only bounds memory, so its floor is generous: grids of up
+	// to 64 cells (every figure grid but Figure 8's 70) dispatch exactly as
+	// an unwindowed pool would, and a slow cell holding the emission
+	// frontier cannot leave the other workers idle at the window's edge.
+	window := max(4*workers, 64)
+
+	var (
+		mu       sync.Mutex
+		cond     = sync.NewCond(&mu)
+		buf      = make(map[int]T, window)
+		next     int // next cell to dispatch
+		nextEmit int // next cell to emit
+		emitting bool
+		stopped  bool
+		emitErr  error
+		cellErrs map[int]error
+	)
+	// A canceled context stops the pool the same way an error does: wake
+	// every waiter, let in-flight cells drain, emit nothing further.
+	unregister := context.AfterFunc(ctx, func() {
+		mu.Lock()
+		stopped = true
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	defer unregister()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				// Stop dispatching new cells once any cell has failed or the
-				// context is canceled. Cells are handed out in ascending
-				// order, so every cell below the first failure still runs to
-				// completion and the lowest-indexed error below stays
-				// deterministic.
-				if failed.Load() || ctx.Err() != nil {
+				mu.Lock()
+				for !stopped && next < n && next-nextEmit >= window {
+					cond.Wait()
+				}
+				if stopped || next >= n {
+					mu.Unlock()
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := next
+				next++
+				mu.Unlock()
+
+				v, err := f(i)
+
+				mu.Lock()
+				if err != nil {
+					if cellErrs == nil {
+						cellErrs = map[int]error{}
+					}
+					cellErrs[i] = err
+					stopped = true
+					cond.Broadcast()
+					mu.Unlock()
 					return
 				}
-				if out[i], errs[i] = f(i); errs[i] != nil {
-					failed.Store(true)
+				buf[i] = v
+				// Flush the contiguous prefix. Extraction happens under
+				// the lock but emit (user I/O) runs outside it, so other
+				// workers keep depositing results meanwhile. `emitting`
+				// keeps emission serialized and in order: whoever holds
+				// it loops until no contiguous rows remain, picking up
+				// whatever accumulated at the frontier while it was
+				// emitting. A failed cell never lands in buf, so the
+				// flush stops before it.
+				for !stopped && !emitting {
+					start := nextEmit
+					var batch []T
+					for {
+						head, ok := buf[nextEmit]
+						if !ok {
+							break
+						}
+						delete(buf, nextEmit)
+						batch = append(batch, head)
+						nextEmit++
+					}
+					if len(batch) == 0 {
+						break
+					}
+					emitting = true
+					cond.Broadcast() // the window frontier advanced
+					mu.Unlock()
+					var err error
+					for k := range batch {
+						if err = emit(start+k, batch[k]); err != nil {
+							break
+						}
+					}
+					mu.Lock()
+					emitting = false
+					if err != nil {
+						emitErr = err
+						stopped = true
+					}
 				}
+				cond.Broadcast()
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	// Cells are dispatched in ascending order and every dispatched cell
+	// completes, so the lowest-indexed failure is deterministic.
+	if len(cellErrs) > 0 {
+		lowest := -1
+		for i := range cellErrs {
+			if lowest < 0 || i < lowest {
+				lowest = i
+			}
 		}
+		return cellErrs[lowest]
 	}
-	if err := ctx.Err(); err != nil {
+	if emitErr != nil {
+		return emitErr
+	}
+	return ctx.Err()
+}
+
+// runCells evaluates f over n independent cells — typically the (benchmark ×
+// variant) grid of a figure — on the StreamCells pool and returns the
+// results in cell order, with StreamCells' deterministic error and
+// cancellation semantics.
+func runCells[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if err := StreamCells(ctx, n, workers, f, func(i int, v T) error { out[i] = v; return nil }); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -4,8 +4,8 @@
 # Runs, in order:
 #   1. go build ./...
 #   2. go vet ./...
-#   3. go test -race ./...       (includes the runCells/streamCells
-#                                 determinism and compile-key property tests)
+#   3. go test -race ./...       (includes the StreamCells determinism and
+#                                 compile-key property tests)
 #   4. byte-identity of `ivliw-bench -exp all` against the committed golden
 #      transcript (cmd/ivliw-bench/testdata/exp_all.golden), so any drift in
 #      the paper reproduction is caught before it lands
@@ -19,39 +19,39 @@
 #      store must all be byte-identical to the cache-disabled single-process
 #      reference; malformed -shard values must exit 2
 #   7. the distributed sweep coordinator: `-coordinate 3` (exec launcher,
-#      real worker subprocesses) must stitch output byte-identical to the
-#      unsharded reference — including a run where one shard's first attempt
+#      real worker subprocesses; 3 workers sharing the default grid's 2
+#      cost-balanced tasks) must stitch output byte-identical to the
+#      unsharded reference — including a run where one task's first attempt
 #      is crashed by a scripted fault plan (IVLIW_FAULT_PLAN, see
 #      ivliw/sweep/fault) and retried — and rerunning over the same
-#      -coordinate-dir must resume all shards from the manifest with zero
+#      -coordinate-dir must resume all tasks from the manifest with zero
 #      launches
 #   8. the health-checked worker pool: `-coordinate-launch pool` over 3
 #      worker subprocesses must stitch byte-identical output and record the
-#      serving worker per shard in the manifest — including under a fault
-#      plan that kills one worker and hangs one attempt (caught by the
-#      stale-heartbeat monitor, far before a straggler deadline would fire)
-#      — and the run snapshot (pool overhead vs plain exec, stale vs
-#      straggler detection latency) is written to BENCH_6.json
+#      serving worker per task in the manifest — including under a fault
+#      plan, on a grid the coordinator cuts into 3 tasks, that kills one
+#      worker and hangs one attempt (caught by the stale-heartbeat monitor,
+#      the only hang detector) — and the run snapshot (pool overhead vs
+#      plain exec, fault recovery time) is written to BENCH_6.json
 #   9. batched simulation: `-sim-batch 8` (sibling cells sharing one
 #      event-merge pass) must emit bytes identical to the batch-off
 #      reference — serial, parallel, and through the coordinator's worker
 #      pool — and must actually engage (the "sim batches:" stderr line);
 #      the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the batch-off
 #      4-sibling baseline) is written to BENCH_7.json
-#  10. cost-balanced scheduling + work stealing: on a skewed mixed-cluster
-#      grid over the whole suite (its 2-cluster half compiles in tens of
-#      milliseconds, its 8-cluster half in hundreds), `-calibrate` must
-#      round-trip through CALIBRATION.json; `-coordinate-balance cost
-#      -coordinate-steal 4` must stitch byte-identically through the
-#      inproc, exec and pool launchers — including a run with an injected
-#      chunk crash — and a corrupt calibration file must degrade to the
-#      default model with a warning, never a failure. The grid must stay
-#      skewed (the heaviest count-balanced shard runs >= 200ms). The hard
-#      perf gate: the per-worker makespan of cost-balanced cuts + stealing
-#      (from contention-free serialized per-chunk wall times, scheduled
-#      exactly as the claim queue does) must beat count-balanced static
-#      shards by >= 1.5x at 2 workers; the measured makespans land in
-#      BENCH_8.json
+#  10. cost-balanced chunks + work stealing: on a skewed mixed-cluster
+#      grid (its 2-cluster half compiles in tens of milliseconds, its
+#      8-cluster half in hundreds), `-calibrate` must
+#      round-trip through CALIBRATION.json; `-coordinate 2` must stitch
+#      byte-identically through the inproc, exec and pool launchers —
+#      including a run with an injected chunk crash — and a corrupt
+#      calibration file must degrade to the default model with a warning,
+#      never a failure. The grid must stay skewed (the heavier of the two
+#      count-balanced `-shard i/2` runs takes >= 200ms). The hard perf
+#      gate: the 2-worker makespan of the coordinator's chunks (from
+#      contention-free serialized per-chunk wall times, scheduled exactly
+#      as the claim queue does) must beat those two count-balanced shards
+#      by >= 1.5x; the measured makespans land in BENCH_8.json
 #  11. sweep as a service: start `ivliw-served` (exec launcher, worker
 #      subprocesses), submit the default spec over HTTP with `ivliw-load
 #      -submit`, gate the streamed JSONL byte-identical to the direct CLI
@@ -225,16 +225,16 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/coord_retry.jsonl"; then
   echo "FAIL: coordinated output with a retried shard differs from the reference" >&2
   exit 1
 fi
-# Resume: rerunning over the completed work dir must launch nothing (all
-# shards restored from the manifest) and still emit identical bytes.
+# Resume: rerunning over the completed work dir must launch nothing (both
+# tasks restored from the manifest) and still emit identical bytes.
 if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$coord" \
     -out "$tmp/coord_resume.jsonl" 2> "$tmp/coord_resume_stderr.log"; then
   echo "FAIL: coordinator resume crashed:" >&2
   cat "$tmp/coord_resume_stderr.log" >&2
   exit 1
 fi
-if ! grep -q '3 resumed.*0 launches' "$tmp/coord_resume_stderr.log"; then
-  echo "FAIL: resume relaunched shards it should have restored from the manifest:" >&2
+if ! grep -q '3 workers, 2 tasks, 2 resumed, 0 launches' "$tmp/coord_resume_stderr.log"; then
+  echo "FAIL: resume relaunched tasks it should have restored from the manifest:" >&2
   cat "$tmp/coord_resume_stderr.log" >&2
   exit 1
 fi
@@ -242,7 +242,7 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/coord_resume.jsonl"; then
   echo "FAIL: resumed coordinator output differs from the reference" >&2
   exit 1
 fi
-echo "coordinator byte-identical (3 worker subprocesses; 1 injected failure retried; resume launches 0)"
+echo "coordinator byte-identical (3 workers, 2 tasks; 1 injected failure retried; resume launches 0)"
 
 echo "== 8/12 health-checked worker pool: heartbeats, failure domains, fault plan =="
 now_ns() { date +%s%N; }
@@ -257,7 +257,7 @@ if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$t
 fi
 exec_ns=$(( $(now_ns) - t0 ))
 # Plain pool run: 3 worker subprocesses, heartbeat monitoring on. Must be
-# byte-identical and attribute every shard to a worker in the manifest.
+# byte-identical and attribute every task to a worker in the manifest.
 t0=$(now_ns)
 if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-launch pool \
     -pool-workers 3 -pool-stale 2s -coordinate-dir "$tmp/pool" \
@@ -272,19 +272,24 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/pool.jsonl"; then
   exit 1
 fi
 if ! grep -q '"worker": "w' "$tmp/pool/manifest.json"; then
-  echo "FAIL: pool manifest does not attribute shards to workers:" >&2
+  echo "FAIL: pool manifest does not attribute tasks to workers:" >&2
   cat "$tmp/pool/manifest.json" >&2
   exit 1
 fi
-# Fault plan: worker w1 dies on its first launch (its in-flight shard must
-# requeue and the worker quarantine) and shard 2's first attempt hangs
+# Fault plan: worker w1 dies on its first launch (its in-flight task must
+# requeue and the worker quarantine) and task 2's first attempt hangs
 # without heartbeating (the stale monitor must kill and retry it). The
-# stitched bytes must still be identical.
+# stitched bytes must still be identical. The plan needs a task 2, and the
+# default grid's 8-cluster atom outweighs its other two together, so
+# -coordinate 3 cuts it into only 2 tasks. This grid has 3 compile-key
+# atoms (one per cache capacity) of equal cost, which it cuts into 3.
+"$tmp/ivliw-bench" -sweep -sweep-clusters 2 -sweep-cache-kb 4,8,16 -spec-out "$tmp/tri.json"
+run_sweep "$tmp/tri_ref.jsonl" -spec "$tmp/tri.json" -workers 1 -compile-cache 0
 echo '{"events":[{"op":"dead-worker","worker":"w1"},{"op":"hang","shard":2,"attempt":1}]}' \
   > "$tmp/pool_plan.json"
 t0=$(now_ns)
 if ! IVLIW_FAULT_PLAN="$tmp/pool_plan.json" \
-    "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-launch pool \
+    "$tmp/ivliw-bench" -spec "$tmp/tri.json" -coordinate 3 -coordinate-launch pool \
     -pool-workers 3 -pool-stale 1s -pool-backoff 100ms -coordinate-backoff 50ms \
     -coordinate-attempts 4 -coordinate-seed 7 -coordinate-dir "$tmp/pool_fault" \
     -out "$tmp/pool_fault.jsonl" 2> "$tmp/pool_fault_stderr.log"; then
@@ -293,38 +298,20 @@ if ! IVLIW_FAULT_PLAN="$tmp/pool_plan.json" \
   exit 1
 fi
 pool_fault_ns=$(( $(now_ns) - t0 ))
-if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/pool_fault.jsonl"; then
+if ! cmp -s "$tmp/tri_ref.jsonl" "$tmp/pool_fault.jsonl"; then
   echo "FAIL: pool output under the fault plan differs from the reference" >&2
   exit 1
 fi
-for want in 'worker w1 died' 'quarantined' 'heartbeat stale'; do
+for want in '3 workers, 3 tasks' 'worker w1 died' 'quarantined' 'heartbeat stale'; do
   if ! grep -q "$want" "$tmp/pool_fault_stderr.log"; then
     echo "FAIL: faulted pool run never reported '$want':" >&2
     cat "$tmp/pool_fault_stderr.log" >&2
     exit 1
   fi
 done
-# Detection-latency comparison: the same hang handled by the coordinator's
-# straggler deadline alone (plain exec launcher, no heartbeats). The pool's
-# stale monitor must beat the straggler deadline by a wide margin.
-echo '{"events":[{"op":"hang","shard":2,"attempt":1}]}' > "$tmp/hang_plan.json"
-t0=$(now_ns)
-if ! IVLIW_FAULT_PLAN="$tmp/hang_plan.json" \
-    "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-straggler 4s \
-    -coordinate-dir "$tmp/straggle" -out "$tmp/straggle.jsonl" 2> "$tmp/straggle_stderr.log"; then
-  echo "FAIL: straggler comparison run crashed:" >&2
-  cat "$tmp/straggle_stderr.log" >&2
-  exit 1
-fi
-straggle_ns=$(( $(now_ns) - t0 ))
-if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/straggle.jsonl"; then
-  echo "FAIL: straggler comparison output differs from the reference" >&2
-  exit 1
-fi
 # Snapshot for PERFORMANCE.md. Byte-identity above is the hard gate; the
 # timings are recorded, not thresholded (sub-second runs are noisy).
-awk -v exec_ns="$exec_ns" -v pool_ns="$pool_ns" \
-    -v fault_ns="$pool_fault_ns" -v straggle_ns="$straggle_ns" \
+awk -v exec_ns="$exec_ns" -v pool_ns="$pool_ns" -v fault_ns="$pool_fault_ns" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" 'BEGIN {
   printf "{\n"
   printf "  \"snapshot\": 6,\n"
@@ -333,8 +320,7 @@ awk -v exec_ns="$exec_ns" -v pool_ns="$pool_ns" \
   printf "  \"plain_exec_seconds\": %.3f,\n", exec_ns / 1e9
   printf "  \"pool_seconds\": %.3f,\n", pool_ns / 1e9
   printf "  \"pool_overhead_pct\": %.1f,\n", (pool_ns - exec_ns) * 100.0 / exec_ns
-  printf "  \"pool_fault_recovery_seconds\": %.3f,\n", fault_ns / 1e9
-  printf "  \"straggler_recovery_seconds\": %.3f\n", straggle_ns / 1e9
+  printf "  \"pool_fault_recovery_seconds\": %.3f\n", fault_ns / 1e9
   printf "}\n"
 }' > BENCH_6.json
 echo "pool byte-identical (plain, dead-worker+hang fault plan); manifest attributes workers"
@@ -415,13 +401,15 @@ fi
 echo "snapshot written to BENCH_7.json:"
 cat BENCH_7.json
 
-echo "== 10/12 cost-balanced scheduling + work stealing =="
+echo "== 10/12 cost-balanced chunks + work stealing =="
 # The skew grid: the 2-cluster half compiles in tens of milliseconds, the
 # 8-cluster half in hundreds — the workload shape cost-balanced cuts exist
-# for. It spans the whole suite because two benchmarks do not carry enough
-# 8-cluster compile work: jpegenc compiles there in tens of milliseconds.
-"$tmp/ivliw-bench" -sweep -sweep-clusters 2,8 -sweep-cache-kb 4,8 -sweep-ab 0,16 \
-  -sweep-bench all -spec-out "$tmp/skew.json"
+# for. Its two benchmarks have the suite's steepest compile curves (epicdec
+# about 12x, jpegdec about 5x from 2 to 8 clusters), so the light half stays
+# a small share of the work; the six cache capacities give six 8-cluster
+# atoms, which the claim queue can split evenly between two workers.
+"$tmp/ivliw-bench" -sweep -sweep-clusters 2,8 -sweep-cache-kb 4,8,16,32,64,128 -sweep-ab 0,16 \
+  -sweep-bench epicdec,jpegdec -spec-out "$tmp/skew.json"
 run_sweep "$tmp/skew_ref.jsonl" -spec "$tmp/skew.json"
 # Calibration round-trip: measure this machine, persist next to the BENCH
 # snapshots, and prove the coordinator actually loads the file back.
@@ -438,7 +426,8 @@ if ! grep -q 'calibration written to' "$tmp/calibrate_stderr.log"; then
   cat "$tmp/calibrate_stderr.log" >&2
   exit 1
 fi
-# Byte-identity of cost-balanced cuts + stealing across every launcher path.
+# Byte-identity of the coordinator's cost-balanced chunks across every
+# launcher path.
 coord_skew() { # work_dir out_file extra_args...
   local work="$1" out="$2"; shift 2
   if ! "$tmp/ivliw-bench" -spec "$tmp/skew.json" -coordinate 2 \
@@ -456,24 +445,22 @@ for launch in inproc exec pool; do
   extra=()
   if [ "$launch" = pool ]; then extra=(-pool-workers 2 -pool-stale 5s); fi
   coord_skew "$tmp/skew_$launch" "$tmp/skew_$launch.jsonl" \
-    -coordinate-launch "$launch" -coordinate-balance cost -coordinate-steal 4 \
-    -coordinate-calibration CALIBRATION.json "${extra[@]}"
+    -coordinate-launch "$launch" -coordinate-calibration CALIBRATION.json "${extra[@]}"
 done
 if ! grep -q 'calibration loaded from CALIBRATION.json' "$tmp/skew_stderr.log"; then
   echo "FAIL: the coordinator never loaded CALIBRATION.json back (round trip broken):" >&2
   cat "$tmp/skew_stderr.log" >&2
   exit 1
 fi
-# Injected crash while stealing: chunk 1's first attempt dies; the retry
-# must converge on identical bytes.
+# Injected crash while workers claim chunks: chunk 1's first attempt dies;
+# the retry must converge on identical bytes.
 echo '{"events":[{"op":"crash","shard":1,"attempt":1}]}' > "$tmp/skew_crash.json"
 # Subshell: an env assignment prefixed to a *function* call would persist in
 # this shell and poison every later run.
 (
   export IVLIW_FAULT_PLAN="$tmp/skew_crash.json"
   coord_skew "$tmp/skew_crash" "$tmp/skew_crash.jsonl" \
-    -coordinate-launch exec -coordinate-balance cost -coordinate-steal 4 \
-    -coordinate-calibration CALIBRATION.json -coordinate-backoff 50ms
+    -coordinate-launch exec -coordinate-calibration CALIBRATION.json -coordinate-backoff 50ms
 )
 if ! grep -q 'fault: crash' "$tmp/skew_stderr.log"; then
   echo "FAIL: the skew crash plan never fired:" >&2
@@ -484,8 +471,7 @@ fi
 # and still stitch identical bytes.
 echo '{"clusters": [], "broken' > "$tmp/corrupt_cal.json"
 coord_skew "$tmp/skew_corrupt" "$tmp/skew_corrupt.jsonl" \
-  -coordinate-launch inproc -coordinate-balance cost \
-  -coordinate-calibration "$tmp/corrupt_cal.json"
+  -coordinate-launch inproc -coordinate-calibration "$tmp/corrupt_cal.json"
 if ! grep -q 'unusable.*default cost model' "$tmp/skew_stderr.log"; then
   echo "FAIL: corrupt calibration did not degrade with a warning:" >&2
   cat "$tmp/skew_stderr.log" >&2
@@ -494,10 +480,16 @@ fi
 # The perf gate. This container may have a single CPU, so end-to-end wall
 # time of concurrent workers only measures time-slicing; instead, serialize
 # launches (-coordinate-parallel 1) for contention-free per-chunk wall
-# times from the manifest, then compute each policy's 2-worker makespan by
-# replaying exactly the coordinator's schedule (static cuts: one shard per
-# worker; stealing: heaviest-first claim by the next idle worker). That
-# makespan is the wall time of any machine with >= 2 free cores.
+# times from the manifest, then compute the 2-worker makespan by replaying
+# exactly the coordinator's schedule (heaviest-first claim by the next idle
+# worker). That makespan is the wall time of any machine with >= 2 free
+# cores. The count-balanced baseline is the two equal-row-count halves a
+# manual `-shard i/2` split runs, timed one after the other; with one
+# worker per half, its makespan is the slower half. Both sides evaluate
+# their rows on one goroutine (-workers 1), as the replay assumes: a count
+# half has a dozen compiles to spread over the host's cores, a one-atom
+# chunk only two, so letting each process use every core would measure the
+# host's free cores instead of the schedule.
 makespan() { # manifest_file workers
   grep -o '"wall_ms": [0-9]*' "$1" | awk -v W="$2" '
     { w[n++] = $2 }
@@ -516,23 +508,25 @@ makespan() { # manifest_file workers
       print best
     }'
 }
-for mode in count cost steal; do
-  case $mode in
-    count) flags=(-coordinate-balance count) ;;
-    cost)  flags=(-coordinate-balance cost -coordinate-calibration CALIBRATION.json) ;;
-    steal) flags=(-coordinate-balance cost -coordinate-steal 4 -coordinate-calibration CALIBRATION.json) ;;
-  esac
-  coord_skew "$tmp/skew_t_$mode" "$tmp/skew_t_$mode.jsonl" \
-    -coordinate-launch exec -coordinate-parallel 1 "${flags[@]}"
+count_ms=0
+for i in 0 1; do
+  t0=$(now_ns)
+  run_sweep "$tmp/skew_count_$i.jsonl" -spec "$tmp/skew.json" -workers 1 -shard "$i/2"
+  shard_ms=$(( ($(now_ns) - t0) / 1000000 ))
+  if [ "$shard_ms" -gt "$count_ms" ]; then count_ms=$shard_ms; fi
 done
-count_ms=$(makespan "$tmp/skew_t_count/manifest.json" 2)
-cost_ms=$(makespan "$tmp/skew_t_cost/manifest.json" 2)
+cat "$tmp/skew_count_0.jsonl" "$tmp/skew_count_1.jsonl" > "$tmp/skew_count.jsonl"
+if ! cmp -s "$tmp/skew_ref.jsonl" "$tmp/skew_count.jsonl"; then
+  echo "FAIL: the count-balanced -shard i/2 halves differ from the unsharded reference" >&2
+  exit 1
+fi
+coord_skew "$tmp/skew_t_steal" "$tmp/skew_t_steal.jsonl" -workers 1 \
+  -coordinate-launch exec -coordinate-parallel 1 -coordinate-calibration CALIBRATION.json
 steal_ms=$(makespan "$tmp/skew_t_steal/manifest.json" 2)
 # The gate below only means something while the grid is skewed: count
-# balancing must leave one shard with real work. With two shards the count
-# makespan is the heaviest shard's wall time.
+# balancing must leave one half with real work.
 if [ "$count_ms" -lt 200 ]; then
-  echo "FAIL: the heaviest count-balanced shard ran only ${count_ms}ms (< 200ms); the skew grid has lost its skew and the makespan gate would measure noise" >&2
+  echo "FAIL: the heavier count-balanced half ran only ${count_ms}ms (< 200ms); the skew grid has lost its skew and the makespan gate would measure noise" >&2
   exit 1
 fi
 if [ "$(( count_ms * 10 ))" -lt "$(( steal_ms * 15 ))" ]; then
@@ -540,17 +534,15 @@ if [ "$(( count_ms * 10 ))" -lt "$(( steal_ms * 15 ))" ]; then
   exit 1
 fi
 echo "cost+steal byte-identical (inproc/exec/pool; 1 injected crash; corrupt calibration degraded)"
-echo "2-worker makespan: count ${count_ms}ms, cost ${cost_ms}ms, cost+steal ${steal_ms}ms"
-awk -v count_ms="$count_ms" -v cost_ms="$cost_ms" -v steal_ms="$steal_ms" \
-    -v calibrate_ns="$calibrate_ns" \
+echo "2-worker makespan: count ${count_ms}ms, cost+steal ${steal_ms}ms"
+awk -v count_ms="$count_ms" -v steal_ms="$steal_ms" -v calibrate_ns="$calibrate_ns" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" 'BEGIN {
   printf "{\n"
   printf "  \"snapshot\": 8,\n"
   printf "  \"date\": \"%s\",\n", date
   printf "  \"go\": \"%s\",\n", gover
-  printf "  \"grid\": \"clusters 2,8 x cache 4,8KB x AB 0,16 x all 14 benchmarks (112 rows, 56 compile-key atoms)\",\n"
+  printf "  \"grid\": \"clusters 2,8 x cache 4-128KB x AB 0,16 x epicdec,jpegdec (48 rows, 12 compile-key atoms)\",\n"
   printf "  \"count_makespan_ms\": %d,\n", count_ms
-  printf "  \"cost_makespan_ms\": %d,\n", cost_ms
   printf "  \"steal_makespan_ms\": %d,\n", steal_ms
   printf "  \"steal_vs_count_speedup\": %.2f,\n", count_ms / steal_ms
   printf "  \"calibrate_seconds\": %.3f\n", calibrate_ns / 1e9

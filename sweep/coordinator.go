@@ -18,92 +18,64 @@ import (
 	"ivliw/internal/atomicio"
 )
 
-// CoordinatorOptions parameterizes Coordinate: how many shards to cut the
-// grid into, how to launch them, where the coordinator keeps its durable
-// state, and how failures and stragglers are handled.
+// CoordinatorOptions parameterizes Coordinate: how many workers share the
+// grid, how to launch their tasks, where the coordinator keeps its durable
+// state, and how failures are handled.
 type CoordinatorOptions struct {
-	// Shards is the number of shard specs the grid is expanded into
-	// (required, >= 1).
+	// Shards is the worker count (required, >= 1): the number of tasks
+	// that may run at once, unless Parallel lowers it. With more than one
+	// worker the grid is cut into up to chunksPerWorker×Shards cost-ordered
+	// chunks that idle workers claim; with one it runs as a single task.
 	Shards int
-	// Launcher runs shard attempts; nil selects InProcess. An Exec launcher
+	// Launcher runs task attempts; nil selects InProcess. An Exec launcher
 	// turns the coordinator into a multi-process (or, prefixed with ssh, a
-	// multi-host) run.
+	// multi-host) run, and a Pool adds heartbeat-based hang detection.
 	Launcher Launcher
 	// Dir is the coordinator's work directory: the shared base spec file,
-	// the per-shard output files and the manifest live there. Reusing a Dir
-	// resumes: shards the manifest records as done (and whose output files
+	// the per-task output files and the manifest live there. Reusing a Dir
+	// resumes: tasks the manifest records as done (and whose output files
 	// exist) are not relaunched. Empty means a fresh temp directory,
 	// removed when Coordinate returns — correct but resume-less. Exactly
 	// one coordinator may use a Dir at a time.
 	Dir string
-	// MaxAttempts caps the launches per shard — first tries, retries after
-	// failures and straggler backups all count (0 = 3).
+	// MaxAttempts caps the launches per task — the first try plus retries
+	// after failures (0 = 3).
 	MaxAttempts int
-	// StragglerAfter launches a backup attempt for any shard still running
-	// after this long, and again each further period, within MaxAttempts;
-	// the first attempt to finish wins and the rest are canceled. Shard
-	// outputs are deterministic and land by atomic rename, so twins racing
-	// on one output file are safe. 0 disables speculation.
-	StragglerAfter time.Duration
-	// Parallel bounds the number of concurrently running shards
-	// (0 = Shards, i.e. everything at once).
+	// Parallel bounds the number of concurrently running tasks
+	// (0 = Shards).
 	Parallel int
 	// RetryBackoff delays the relaunch after a failed attempt: retry k of
-	// a shard waits min(RetryBackoff<<k-1, RetryBackoffMax), jittered
+	// a task waits min(RetryBackoff<<k-1, 32×RetryBackoff), jittered
 	// deterministically by Seed into [d/2, d], instead of hammering a
-	// struggling worker immediately. 0 retries at once (the previous
-	// behavior); RetryBackoffMax 0 caps at 32x the base. Straggler backups
-	// are never delayed — they exist to cut latency.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// Seed feeds the retry jitter; identical (Seed, shard, attempt)
+	// struggling worker immediately. 0 retries at once.
+	RetryBackoff time.Duration
+	// Seed feeds the retry jitter; identical (Seed, task, attempt)
 	// triples always wait identically, keeping runs reproducible.
 	Seed uint64
-	// Balance selects the shard-cut policy: BalanceCount ("" or "count",
-	// the default) keeps the historical contiguous count-balanced
-	// Shard.Range cuts; BalanceCost ("cost") cuts at equal predicted cost
-	// under the cost model (see Calibration), aligned to compile-key atom
-	// boundaries so no artifact is compiled by two shard processes.
-	Balance string
 	// Calibration, when non-empty, names a calibration JSON file (see
-	// Calibrate/SaveCalibration) loaded for the cost model. A missing or
-	// corrupt file degrades to the built-in DefaultCalibration with a
-	// logged warning, never a failure. Ignored when no cost model is in
-	// play (Balance count, Steal 0).
+	// Calibrate/SaveCalibration) loaded for the cost model that sizes and
+	// orders the chunks. A missing or corrupt file degrades to the
+	// built-in DefaultCalibration with a logged warning, never a failure.
 	Calibration string
-	// Steal enables work stealing: instead of Shards static slices the
-	// grid is cut into up to Steal×Shards cost-balanced chunks (still at
-	// compile-key atoms — the chunk count is capped by the atom count),
-	// queued heaviest-first, and the Parallel worker slots claim the next
-	// chunk as each goes idle. A worker stuck on a heavy chunk keeps it
-	// while idle peers drain the queue, so stragglers shed their tail
-	// instead of being speculatively twinned. 0 disables stealing.
-	Steal int
-	// Log receives progress lines (retries, stragglers, resume notes);
-	// nil discards them.
+	// Log receives progress lines (retries, resume notes); nil discards
+	// them.
 	Log func(format string, args ...any)
 }
 
-// Balance policies for CoordinatorOptions.Balance.
-const (
-	BalanceCount = "count"
-	BalanceCost  = "cost"
-)
+// chunksPerWorker is how many chunks per worker a multi-worker run is cut
+// into: enough that a worker stuck on a heavy chunk leaves the rest of the
+// queue to its idle peers, few enough that launches stay cheap.
+const chunksPerWorker = 4
 
 // CoordinatorStats summarizes a coordinated run.
 type CoordinatorStats struct {
-	// Shards is the configured shard (worker) count; Resumed counts range
-	// tasks restored from the manifest without relaunching.
-	Shards, Resumed int
-	// Tasks is the number of range tasks the grid was cut into: Shards
-	// under static balancing, up to Steal×Shards chunks when stealing.
-	// Empty of them were zero-row ranges committed directly — no worker
-	// is ever launched for an empty shard.
-	Tasks, Empty int
-	// Launches counts shard attempts started this run; Retries of them
-	// followed a failed attempt and Stragglers were speculative backups of
-	// attempts past the StragglerAfter deadline.
-	Launches, Retries, Stragglers int
+	// Shards is the configured worker count; Tasks is the number of
+	// range tasks the grid was cut into, and Resumed counts tasks restored
+	// from the manifest without relaunching.
+	Shards, Tasks, Resumed int
+	// Launches counts task attempts started this run; Retries of them
+	// followed a failed attempt.
+	Launches, Retries int
 	// Rows is the row count of the stitched output.
 	Rows int
 	// SlowestTask identifies the winning attempt with the longest wall
@@ -114,24 +86,25 @@ type CoordinatorStats struct {
 	SlowestCellsPerSec float64
 }
 
-// Coordinate runs spec as cooperating shard runs and stitches their
+// Coordinate runs spec as cooperating range tasks and stitches their
 // outputs into the spec's Output.Path (stdout when empty), byte-identical
-// to the unsharded run. The grid is cut into range tasks — opts.Shards
-// count-balanced slices by default, equal-predicted-cost slices under
-// Balance "cost", or up to Steal×Shards cost-ordered chunks claimed
-// dynamically by idle workers when stealing is on; every cut policy
-// preserves byte-identity by construction, since rows stay keyed by grid
-// index and the stitcher emits ranges in index order regardless of who
-// computed them. Failed attempts are retried and stragglers optionally
-// relaunched, within per-shard attempt caps; every
-// shard-state transition is committed to an atomically rewritten manifest
-// in the work directory, so a coordinator killed at any point — including
-// mid-write, since shard outputs only appear via whole-file renames —
-// restarts with `Coordinate` over the same Dir and resumes completed
-// shards for free. Pointing Spec.Store.Dir at a shared artifact directory
-// additionally lets shards share stage-1 compilations. Canceling ctx stops
-// launching promptly, tears running attempts down and returns ctx.Err()
-// with no stitched output.
+// to the unsharded run. With one worker the grid is one task. With more,
+// it is cut into up to chunksPerWorker×Shards never-empty chunks of
+// near-equal predicted cost under the (optionally calibrated) cost model,
+// only ever on compile-key atom boundaries, and idle workers claim them
+// heaviest first. Byte-identity holds by construction: rows stay keyed by
+// grid index and the stitcher emits ranges in index order regardless of
+// who computed them. A failed attempt is retried within the per-task
+// attempt cap, one attempt in flight at a time; detecting a hung attempt
+// is the launcher's job (Pool.StaleAfter). Every task-state transition is
+// committed to an atomically rewritten manifest in the work directory, so
+// a coordinator killed at any point — including mid-write, since task
+// outputs only appear via whole-file renames — restarts with Coordinate
+// over the same Dir and resumes completed tasks for free. Pointing
+// Spec.Store.Dir at a shared artifact directory additionally lets tasks
+// share stage-1 compilations. Canceling ctx stops launching promptly,
+// tears running attempts down and returns ctx.Err() with no stitched
+// output.
 func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (CoordinatorStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -143,17 +116,8 @@ func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (Coordi
 		return CoordinatorStats{}, fmt.Errorf("sweep: the coordinator owns sharding; clear Spec.Shard (got %d/%d [%d:%d))",
 			spec.Shard.Index, spec.Shard.Count, spec.Shard.Lo, spec.Shard.Hi)
 	}
-	switch opts.Balance {
-	case "", BalanceCount, BalanceCost:
-	default:
-		return CoordinatorStats{}, fmt.Errorf("sweep: unknown balance policy %q (want %q or %q)",
-			opts.Balance, BalanceCount, BalanceCost)
-	}
-	if opts.Steal < 0 {
-		return CoordinatorStats{}, fmt.Errorf("sweep: steal granularity must be >= 0, got %d", opts.Steal)
-	}
 	// Resolving (rather than just validating) exposes the row grid the cut
-	// planner needs; for plain count balancing only the row count is used.
+	// planner prices.
 	opt, benches, err := spec.resolve()
 	if err != nil {
 		return CoordinatorStats{}, err
@@ -171,48 +135,30 @@ func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (Coordi
 		opts.Log = func(string, ...any) {}
 	}
 
-	// Cut the grid into range tasks. Count balancing reproduces
-	// Shard.Range arithmetic exactly; the cost policies price every row
-	// under the (possibly calibrated) model and cut at equal predicted
-	// cost, only ever on compile-key atom boundaries. Stealing cuts
-	// finer — up to Steal chunks per worker — and relies on runAll's
-	// claim queue to assign them dynamically.
+	// Cut the grid into range tasks: price every row under the (possibly
+	// calibrated) model and cut at equal predicted cost, only ever on
+	// compile-key atom boundaries so no artifact is compiled by two tasks.
+	cal := DefaultCalibration()
+	if opts.Calibration != "" {
+		if loaded, lerr := LoadCalibration(opts.Calibration); lerr != nil {
+			opts.Log("coordinator: calibration %s unusable (%v); using the default cost model", opts.Calibration, lerr)
+		} else {
+			cal = loaded
+			opts.Log("coordinator: calibration loaded from %s", opts.Calibration)
+		}
+	}
 	points := spec.Grid.points(opt)
-	n := len(points) * len(benches)
-	var tasks []rowRange
-	var taskCost []float64
-	pinned := false
-	if opts.Balance == BalanceCost || opts.Steal > 0 {
-		cal := DefaultCalibration()
-		if opts.Calibration != "" {
-			if loaded, lerr := LoadCalibration(opts.Calibration); lerr != nil {
-				opts.Log("coordinator: calibration %s unusable (%v); using the default cost model", opts.Calibration, lerr)
-			} else {
-				cal = loaded
-				opts.Log("coordinator: calibration loaded from %s", opts.Calibration)
-			}
+	gc := newCostModel(cal).gridCosts(points, benches, spec.SimBatch)
+	k := 1
+	if opts.Shards > 1 {
+		k = min(chunksPerWorker*opts.Shards, len(gc.atoms))
+	}
+	tasks := costCuts(gc, len(points)*len(benches), k)
+	taskCost := make([]float64, len(tasks))
+	for i, t := range tasks {
+		for c := t.lo; c < t.hi; c++ {
+			taskCost[i] += gc.rows[c]
 		}
-		gc := newCostModel(cal).gridCosts(points, benches, spec.SimBatch)
-		k := opts.Shards
-		if opts.Steal > 0 {
-			k = opts.Steal * opts.Shards
-			if k > len(gc.atoms) {
-				k = len(gc.atoms) // never cut inside a compile-key atom
-			}
-			if k < 1 {
-				k = 1
-			}
-		}
-		tasks = costCuts(gc, n, k)
-		taskCost = make([]float64, len(tasks))
-		for i, t := range tasks {
-			for c := t.lo; c < t.hi; c++ {
-				taskCost[i] += gc.rows[c]
-			}
-		}
-		pinned = true
-	} else {
-		tasks = countCuts(n, opts.Shards)
 	}
 
 	dir := opts.Dir
@@ -245,7 +191,7 @@ func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (Coordi
 	}
 
 	// Sweep up staging leftovers of a killed predecessor: temp files never
-	// renamed into place. Committed shard outputs and the manifest are left
+	// renamed into place. Committed task outputs and the manifest are left
 	// alone — they are the resume state.
 	removeStaleTemps(dir, "shard_*.jsonl")
 	removeStaleTemps(dir, manifestName)
@@ -259,34 +205,14 @@ func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (Coordi
 		return CoordinatorStats{}, err
 	}
 	if resumed > 0 {
-		opts.Log("coordinator: resuming %d/%d completed shards from %s", resumed, len(tasks), dir)
+		opts.Log("coordinator: resuming %d/%d completed tasks from %s", resumed, len(tasks), dir)
 	}
 
 	c := &coordinator{spec: spec, opts: opts, dir: dir, specPath: specPath, mf: mf,
-		tasks: tasks, taskCost: taskCost, pinned: pinned}
+		tasks: tasks, taskCost: taskCost}
 	c.stats.Shards = opts.Shards
 	c.stats.Tasks = len(tasks)
 	c.stats.Resumed = resumed
-
-	// Zero-row ranges need no worker: commit their empty outputs directly
-	// and mark them done, so a shard count above the row count (or a heavy
-	// atom swallowing a cut's whole cost share) never launches a process
-	// just to produce an empty file.
-	for i, t := range c.tasks {
-		if t.lo != t.hi || c.mf.state(i).Status == shardDone {
-			continue
-		}
-		if err := writeFileAtomic(filepath.Join(dir, shardFileName(i)), nil); err != nil {
-			return c.stats, fmt.Errorf("sweep: coordinator: %w", err)
-		}
-		if err := c.mf.update(i, func(s *shardState) { s.Status = shardDone }); err != nil {
-			return c.stats, err
-		}
-		c.stats.Empty++
-	}
-	if c.stats.Empty > 0 {
-		opts.Log("coordinator: %d empty shards committed without launching", c.stats.Empty)
-	}
 
 	if err := c.runAll(ctx); err != nil {
 		return c.stats, err
@@ -299,21 +225,17 @@ func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (Coordi
 	return c.stats, nil
 }
 
-// coordinator carries the per-run state shared by the shard goroutines.
+// coordinator carries the per-run state shared by the task goroutines.
 type coordinator struct {
 	spec     Spec
 	opts     CoordinatorOptions
 	dir      string
 	specPath string
 	mf       *manifest
-	// tasks are the planned row ranges, one per manifest shard; taskCost
-	// prices them (nil without a cost model) and orders the claim queue;
-	// pinned records whether ranges are explicit (cost cuts, stolen
-	// chunks) and must ride the -claim protocol rather than being
-	// re-derived from Index/Count arithmetic.
+	// tasks are the planned row ranges, one per manifest entry; taskCost
+	// prices them and orders the claim queue.
 	tasks    []rowRange
 	taskCost []float64
-	pinned   bool
 
 	mu    sync.Mutex
 	stats CoordinatorStats
@@ -326,17 +248,12 @@ func (c *coordinator) count(fn func(*CoordinatorStats)) {
 	c.mu.Unlock()
 }
 
-// shardSpec derives shard i's spec: the base run, pinned to its slice of
-// the grid and to its canonical output file in the coordinator directory.
-// Count-balanced slices stay implicit (Index/Count arithmetic recomputes
-// them in the worker); cost-balanced cuts and stolen chunks pin the
-// explicit range, which Exec forwards as -claim.
+// shardSpec derives task i's spec: the base run, pinned to its explicit
+// row range (which Exec forwards as -claim) and to its canonical output
+// file in the coordinator directory.
 func (c *coordinator) shardSpec(i int) Spec {
 	s := c.spec
-	s.Shard = Shard{Index: i, Count: len(c.tasks)}
-	if c.pinned {
-		s.Shard.Lo, s.Shard.Hi = c.tasks[i].lo, c.tasks[i].hi
-	}
+	s.Shard = Shard{Index: i, Count: len(c.tasks), Lo: c.tasks[i].lo, Hi: c.tasks[i].hi}
 	s.Output = Output{Path: filepath.Join(c.dir, shardFileName(i))}
 	// Heartbeats are per-attempt: a health-checking launcher (the pool)
 	// assigns its own beat files; a plain launcher runs without them.
@@ -345,17 +262,16 @@ func (c *coordinator) shardSpec(i int) Spec {
 }
 
 // runAll drives every non-resumed task to done: pending tasks form a
-// shared queue — ordered heaviest-first whenever a cost model priced them
-// — and opts.Parallel worker slots claim the next task as each goes idle.
-// That claim loop is the work-stealing half of cost-aware scheduling: a
-// slot stuck on a heavy chunk keeps it while idle slots drain the rest of
-// the queue, so a straggling range delays the run by at most its own
-// length instead of its whole static shard. A task that exhausts its
-// attempts fails the run, but deliberately does not cancel its siblings:
-// every task that still completes commits its output to the manifest, so
-// the retry of a partially-failed run (same Dir, perhaps after fixing a
-// bad host) resumes everything but the broken range. Only a canceled ctx
-// tears the whole run down.
+// shared queue ordered heaviest-first, and opts.Parallel worker slots claim
+// the next task as each goes idle. That claim loop is the work-stealing
+// half of cost-aware scheduling: a slot stuck on a heavy chunk keeps it
+// while idle slots drain the rest of the queue, so a slow range delays the
+// run by at most its own length. A task that exhausts its attempts fails
+// the run, but deliberately does not cancel its siblings: every task that
+// still completes commits its output to the manifest, so the retry of a
+// partially-failed run (same Dir, perhaps after fixing a bad host) resumes
+// everything but the broken range. Only a canceled ctx tears the whole run
+// down.
 func (c *coordinator) runAll(ctx context.Context) error {
 	var order []int
 	for i := range c.tasks {
@@ -363,15 +279,10 @@ func (c *coordinator) runAll(ctx context.Context) error {
 			order = append(order, i)
 		}
 	}
-	if c.taskCost != nil {
-		sort.SliceStable(order, func(a, b int) bool {
-			return c.taskCost[order[a]] > c.taskCost[order[b]]
-		})
-	}
-	workers := c.opts.Parallel
-	if workers > len(order) {
-		workers = len(order)
-	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return c.taskCost[order[a]] > c.taskCost[order[b]]
+	})
+	workers := min(c.opts.Parallel, len(order))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -387,7 +298,7 @@ func (c *coordinator) runAll(ctx context.Context) error {
 				}
 				if err := c.runShard(ctx, order[k]); err != nil {
 					mu.Lock()
-					// Keep the most informative error: a shard's real
+					// Keep the most informative error: a task's real
 					// failure beats the context errors a cancellation
 					// causes in its siblings.
 					if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
@@ -405,188 +316,95 @@ func (c *coordinator) runAll(ctx context.Context) error {
 	return firstErr
 }
 
-// attemptResult pairs a finished attempt's number with its outcome and
-// measured wall time, so the coordinator can attribute the result — and
-// its throughput — to the right history record.
-type attemptResult struct {
-	attempt int
-	wall    time.Duration
-	err     error
-}
-
-// runShard drives one shard through launch, retry and straggler backup
-// until an attempt produces the output file or the attempt cap is hit.
+// runShard drives one task through launch and retry, one attempt at a
+// time, until an attempt produces the output file or the attempt cap is
+// hit. Each attempt is recorded running, launched, checked for its output,
+// and recorded done or failed; a failure backs off and retries.
 func (c *coordinator) runShard(ctx context.Context, idx int) error {
-	// The per-shard context tears down losing twins the moment a winner
-	// lands (and every attempt when the run is canceled).
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	task := ShardTask{Spec: c.shardSpec(idx), SpecPath: c.specPath, Index: idx}
-	out := task.Spec.Output.Path
-	results := make(chan attemptResult, c.opts.MaxAttempts)
-	attempts, inFlight := 0, 0
-	// Every exit path cancels the shard context and reaps the in-flight
-	// attempt goroutines: losing straggler twins finish aborting their
-	// staged writes before the coordinator moves on (or the process exits),
-	// so cancellation leaves no writer behind.
-	defer func() {
-		cancel()
-		for inFlight > 0 {
-			<-results
-			inFlight--
-		}
-	}()
-	launch := func() error {
-		attempts++
-		t := task
-		t.Attempt = attempts
-		// Placement-aware launchers report the worker through Assigned;
-		// the manifest write is best-effort attribution, never a failure.
-		attempt := attempts
-		t.Assigned = func(worker string) {
-			_ = c.mf.update(idx, func(s *shardState) { s.record(attempt).Worker = worker })
-		}
+	rows := c.tasks[idx].hi - c.tasks[idx].lo
+	for attempt := 1; ; attempt++ {
 		if err := c.mf.update(idx, func(s *shardState) {
 			s.Status = shardRunning
-			s.Attempts = attempts
+			s.Attempts = attempt
 			s.record(attempt)
 		}); err != nil {
 			return err
 		}
 		c.count(func(st *CoordinatorStats) { st.Launches++ })
-		// inFlight counts spawned goroutines only — a failed manifest write
-		// above must not leave the drain loop waiting on a send that will
-		// never come.
-		inFlight++
-		go func() {
-			start := time.Now()
-			err := c.opts.Launcher.Launch(sctx, t)
-			results <- attemptResult{attempt, time.Since(start), err}
-		}()
-		return nil
-	}
-	if err := launch(); err != nil {
-		return err
-	}
-
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	if c.opts.StragglerAfter > 0 {
-		timer = time.NewTimer(c.opts.StragglerAfter)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	rearm := func() {
-		if timer == nil {
-			return
+		t := task
+		t.Attempt = attempt
+		// Placement-aware launchers report the worker through Assigned;
+		// the manifest write is best-effort attribution, never a failure.
+		t.Assigned = func(worker string) {
+			_ = c.mf.update(idx, func(s *shardState) { s.record(attempt).Worker = worker })
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+		start := time.Now()
+		err := c.opts.Launcher.Launch(ctx, t)
+		wall := time.Since(start)
+		if err == nil {
+			// Trust, but verify: a launcher reporting success without the
+			// output file present is an attempt failure, not a stitch-time
+			// surprise.
+			if _, serr := os.Stat(task.Spec.Output.Path); serr != nil {
+				err = fmt.Errorf("sweep: shard %d reported success without output: %w", idx, serr)
 			}
 		}
-		timer.Reset(c.opts.StragglerAfter)
-		timerC = timer.C
-	}
-
-	var lastErr error
-	for {
-		select {
-		case res := <-results:
-			inFlight--
-			err := res.err
-			if err == nil {
-				// Trust, but verify: a launcher reporting success without
-				// the output file present is an attempt failure, not a
-				// stitch-time surprise.
-				if _, serr := os.Stat(out); serr != nil {
-					err = fmt.Errorf("sweep: shard %d reported success without output: %w", idx, serr)
+		if err == nil {
+			// The winner's worker (if a placement-aware launcher reported
+			// one) is promoted to the task record, and the attempt's
+			// measured wall time and throughput land in its history — the
+			// raw data calibrations and slow-worker post-mortems read.
+			cps := 0.0
+			if wall > 0 {
+				cps = math.Round(float64(rows)/wall.Seconds()*10) / 10
+			}
+			c.count(func(st *CoordinatorStats) {
+				if wall > st.SlowestWall {
+					st.SlowestTask, st.SlowestWall, st.SlowestCellsPerSec = idx, wall, cps
 				}
-			}
-			if err == nil {
-				// Straggler twins, if any, lose; the deferred drain reaps
-				// them. The winner's worker (if a placement-aware launcher
-				// reported one) is promoted to the shard record, and the
-				// attempt's measured wall time and throughput land in its
-				// history — the raw data calibrations and slow-worker
-				// post-mortems read.
-				rows := c.tasks[idx].hi - c.tasks[idx].lo
-				cps := 0.0
-				if res.wall > 0 {
-					cps = math.Round(float64(rows)/res.wall.Seconds()*10) / 10
-				}
-				c.count(func(st *CoordinatorStats) {
-					if res.wall > st.SlowestWall {
-						st.SlowestTask, st.SlowestWall, st.SlowestCellsPerSec = idx, res.wall, cps
-					}
-				})
-				return c.mf.update(idx, func(s *shardState) {
-					s.Status = shardDone
-					r := s.record(res.attempt)
-					r.WallMS, r.Rows, r.CellsPerSec = res.wall.Milliseconds(), rows, cps
-					s.Worker = r.Worker
-				})
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = err
-			// The failure goes into the attempt's post-mortem record
-			// (bounded: error strings can carry long stderr tails).
-			msg := err.Error()
-			if len(msg) > 300 {
-				msg = msg[:297] + "..."
-			}
-			if merr := c.mf.update(idx, func(s *shardState) {
-				r := s.record(res.attempt)
-				r.Error, r.WallMS = msg, res.wall.Milliseconds()
-			}); merr != nil {
-				return merr
-			}
-			if attempts < c.opts.MaxAttempts {
-				d := backoffDelay(c.opts.RetryBackoff, c.opts.RetryBackoffMax, attempts-1,
-					splitmix64(c.opts.Seed^uint64(idx)<<20^uint64(attempts)))
-				if d > 0 {
-					c.opts.Log("coordinator: shard %d attempt %d/%d failed (%v); retrying in %v",
-						idx, attempts, c.opts.MaxAttempts, err, d.Round(time.Millisecond))
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-				} else {
-					c.opts.Log("coordinator: shard %d attempt %d/%d failed (%v); retrying",
-						idx, attempts, c.opts.MaxAttempts, err)
-				}
-				c.count(func(st *CoordinatorStats) { st.Retries++ })
-				if lerr := launch(); lerr != nil {
-					return lerr
-				}
-				rearm()
-			} else if inFlight == 0 {
-				if merr := c.mf.update(idx, func(s *shardState) { s.Status = shardFailed }); merr != nil {
-					return merr
-				}
-				return fmt.Errorf("sweep: shard %d/%d failed after %d attempts: %w",
-					idx, len(c.tasks), attempts, lastErr)
-			}
-		case <-timerC:
-			if attempts < c.opts.MaxAttempts {
-				c.opts.Log("coordinator: shard %d still running after %v (attempt %d/%d); launching backup",
-					idx, c.opts.StragglerAfter, attempts, c.opts.MaxAttempts)
-				c.count(func(st *CoordinatorStats) { st.Stragglers++ })
-				if lerr := launch(); lerr != nil {
-					return lerr
-				}
-				timer.Reset(c.opts.StragglerAfter)
-			} else {
-				timerC = nil // at the cap: let the in-flight attempts finish
-			}
-		case <-ctx.Done():
+			})
+			return c.mf.update(idx, func(s *shardState) {
+				s.Status = shardDone
+				r := s.record(attempt)
+				r.WallMS, r.Rows, r.CellsPerSec = wall.Milliseconds(), rows, cps
+				s.Worker = r.Worker
+			})
+		}
+		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		// The failure goes into the attempt's post-mortem record
+		// (bounded: error strings can carry long stderr tails).
+		msg := err.Error()
+		if len(msg) > 300 {
+			msg = msg[:297] + "..."
+		}
+		if merr := c.mf.update(idx, func(s *shardState) {
+			r := s.record(attempt)
+			r.Error, r.WallMS = msg, wall.Milliseconds()
+		}); merr != nil {
+			return merr
+		}
+		if attempt >= c.opts.MaxAttempts {
+			if merr := c.mf.update(idx, func(s *shardState) { s.Status = shardFailed }); merr != nil {
+				return merr
+			}
+			return fmt.Errorf("sweep: shard %d/%d failed after %d attempts: %w",
+				idx, len(c.tasks), attempt, err)
+		}
+		d := backoffDelay(c.opts.RetryBackoff, attempt-1,
+			splitmix64(c.opts.Seed^uint64(idx)<<20^uint64(attempt)))
+		c.opts.Log("coordinator: shard %d attempt %d/%d failed (%v); retrying in %v",
+			idx, attempt, c.opts.MaxAttempts, err, d.Round(time.Millisecond))
+		if d > 0 {
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		c.count(func(st *CoordinatorStats) { st.Retries++ })
 	}
 }
 

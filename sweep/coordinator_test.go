@@ -9,17 +9,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// coordSpec is a 4-point grid over one benchmark = 4 rows, cheap enough to
-// coordinate repeatedly.
+// coordSpec is a 6-point grid over one benchmark = 6 rows, cheap enough to
+// coordinate repeatedly. Cache capacity is a compile-key axis and AB size
+// is not, so the grid has 3 compile-key atoms of 2 rows each and equal
+// predicted cost: any run with >= 2 workers is cut into exactly tasks 0-2.
 func coordSpec(t *testing.T) Spec {
 	t.Helper()
 	return Spec{
-		Grid:      Grid{Clusters: []int{2, 4}, ABEntries: []int{0, 16}},
+		Grid: Grid{
+			Clusters:   []int{2},
+			CacheBytes: []int{4 << 10, 8 << 10, 16 << 10},
+			ABEntries:  []int{0, 16},
+		},
 		Workloads: Workloads{Bench: []string{"g721dec"}},
 		Compile:   Compile{Heuristic: "IPBC", Unroll: "none"},
 	}
@@ -63,14 +70,15 @@ func (l *scriptedLauncher) launchCount() int {
 }
 
 // TestCoordinateMatchesUnsharded: the acceptance criterion — the stitched
-// output of a coordinated run is byte-identical to the unsharded run, even
-// when the shard count exceeds the row count (empty shards stitch as
-// nothing).
+// output of a coordinated run is byte-identical to the unsharded run, for
+// one worker (a single task) and for worker counts whose chunk budget
+// exceeds the atom count (capped at one chunk per atom).
 func TestCoordinateMatchesUnsharded(t *testing.T) {
 	spec := coordSpec(t)
-	ref := runJSONL(t, spec) // 4 rows, unsharded
+	ref := runJSONL(t, spec) // 6 rows, unsharded
 
-	for _, shards := range []int{1, 3, 7} { // 7 > 4 rows: empty shards
+	for _, shards := range []int{1, 3, 7} {
+		wantTasks := min(shards, 3) // one per atom at most
 		dir := t.TempDir()
 		out := filepath.Join(dir, "out.jsonl")
 		cs := spec
@@ -89,13 +97,9 @@ func TestCoordinateMatchesUnsharded(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("shards=%d: stitched output differs from the unsharded run", shards)
 		}
-		// Zero-row shards (shards > 4 rows) commit empty outputs directly
-		// and are never launched.
-		wantEmpty := max(shards-4, 0)
-		wantLaunches := shards - wantEmpty
-		if st.Rows != 4 || st.Launches != wantLaunches || st.Empty != wantEmpty || st.Resumed != 0 {
-			t.Errorf("shards=%d: stats = %+v, want 4 rows, %d launches, %d empty",
-				shards, st, wantLaunches, wantEmpty)
+		if st.Rows != 6 || st.Tasks != wantTasks || st.Launches != wantTasks || st.Resumed != 0 {
+			t.Errorf("shards=%d: stats = %+v, want 6 rows over %d tasks, one launch each",
+				shards, st, wantTasks)
 		}
 	}
 }
@@ -171,45 +175,6 @@ func TestCoordinateExhaustsAttempts(t *testing.T) {
 	}
 	if m.Shards[1].Status != shardFailed || m.Shards[1].Attempts != 2 {
 		t.Errorf("manifest shard 1 = %+v, want failed after 2 attempts", m.Shards[1])
-	}
-}
-
-// TestCoordinateStragglerRelaunch: an attempt hanging past the deadline is
-// speculatively relaunched; the backup wins, the hung twin is canceled, and
-// the stitched output carries no duplicate rows.
-func TestCoordinateStragglerRelaunch(t *testing.T) {
-	spec := coordSpec(t)
-	ref := runJSONL(t, spec)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out.jsonl")
-	cs := spec
-	cs.Output.Path = out
-	l := &scriptedLauncher{
-		inner: InProcess{},
-		hang:  map[[2]int]bool{{1, 1}: true}, // first attempt never finishes
-	}
-	st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
-		Shards:         3,
-		Dir:            filepath.Join(dir, "work"),
-		Launcher:       l,
-		MaxAttempts:    3,
-		StragglerAfter: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Stragglers < 1 {
-		t.Errorf("stats = %+v, want >= 1 straggler relaunch", st)
-	}
-	if st.Retries != 0 {
-		t.Errorf("stats = %+v: straggler backups must not count as retries", st)
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Error("straggler relaunch produced duplicate or missing rows")
 	}
 }
 
@@ -327,7 +292,9 @@ func TestCoordinateManifestSpecMismatch(t *testing.T) {
 	}
 
 	second := coordSpec(t)
-	second.Grid.Clusters = []int{2, 4, 8} // different grid → different hash
+	// A different simulate-only axis: a different hash over the very same
+	// cuts, so only the hash check can reject the old manifest.
+	second.Grid.ABEntries = []int{0, 8}
 	second.Output.Path = filepath.Join(dir, "b.jsonl")
 	ref := runJSONL(t, second)
 	st, err := Coordinate(context.Background(), second, CoordinatorOptions{Shards: 3, Dir: work})
@@ -404,41 +371,42 @@ while [ $# -gt 1 ]; do [ "$1" = -out ] && : > "$2"; shift; done
 	}
 }
 
-// TestCoordinateManifestWriteFailureNoHang: a manifest commit failing while
-// an attempt is still in flight (here: the work dir turns read-only before
-// a straggler backup tries to record its launch) must surface an error —
-// not deadlock waiting to reap an attempt that was never spawned.
+// TestCoordinateManifestWriteFailureNoHang: a manifest commit failing
+// after an attempt (here: the work dir vanishes while the attempt runs, so
+// recording its outcome cannot land) must surface an error, not hang or
+// retry into a ledger that can no longer record anything.
 func TestCoordinateManifestWriteFailureNoHang(t *testing.T) {
 	dir := t.TempDir()
 	work := filepath.Join(dir, "work")
 	cs := coordSpec(t)
 	cs.Output.Path = filepath.Join(dir, "out.jsonl")
+	launches := 0
 	l := LaunchFunc(func(ctx context.Context, task ShardTask) error {
-		// Break the ledger while this attempt hangs (removal, not chmod:
-		// tests may run as root, which ignores permission bits); the
-		// straggler backup's launch will fail to commit its manifest
-		// transition with the first attempt still in flight.
+		// Removal, not chmod: tests may run as root, which ignores
+		// permission bits.
+		launches++
 		os.RemoveAll(work)
-		<-ctx.Done()
-		return ctx.Err()
+		return fmt.Errorf("injected failure for shard %d attempt %d", task.Index, task.Attempt)
 	})
 	done := make(chan error, 1)
 	go func() {
 		_, err := Coordinate(context.Background(), cs, CoordinatorOptions{
-			Shards:         1,
-			Dir:            work,
-			Launcher:       l,
-			MaxAttempts:    3,
-			StragglerAfter: 20 * time.Millisecond,
+			Shards:      1,
+			Dir:         work,
+			Launcher:    l,
+			MaxAttempts: 3,
 		})
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("broken manifest dir must fail the run")
+		if err == nil || !strings.Contains(err.Error(), "manifest") {
+			t.Fatalf("err = %v, want the manifest write failure", err)
+		}
+		if launches != 1 {
+			t.Errorf("%d launches, want 1: the run must stop at the failed write", launches)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator hung on a failed launch (phantom in-flight attempt)")
+		t.Fatal("coordinator hung after a failed manifest write")
 	}
 }

@@ -298,55 +298,41 @@ func (m *costModel) gridCosts(points []experiments.Variant, benches []workload.B
 // rowRange is a half-open slice [lo, hi) of the row grid.
 type rowRange struct{ lo, hi int }
 
-// countCuts is the historical count-balanced partition: k contiguous
-// slices whose sizes differ by at most one (Shard.Range's arithmetic).
-func countCuts(n, k int) []rowRange {
-	cuts := make([]rowRange, k)
-	for i := range cuts {
-		cuts[i] = rowRange{i * n / k, (i + 1) * n / k}
-	}
-	return cuts
-}
-
-// costCuts partitions [0, n) into k contiguous ranges of near-equal total
-// predicted cost, cutting only at compile-key atom boundaries so no
-// artifact is compiled by two shards. Each interior boundary is the atom
-// edge whose cost prefix lies closest to its ideal equal-cost position;
-// boundaries are monotone by construction, and a range may come out empty
-// when a single atom outweighs the ideal share (the coordinator commits
-// empty ranges directly, without a launch). Degenerate inputs (zero total
+// costCuts partitions [0, n) into at most k contiguous, non-empty ranges
+// of near-equal total predicted cost, cutting only at compile-key atom
+// boundaries so no artifact is compiled by two tasks. Each interior
+// boundary is the atom edge whose cost prefix lies closest to its ideal
+// equal-cost position; boundaries are monotone by construction, and a cut
+// that would come out empty — a single atom outweighing the ideal share —
+// is dropped, so every range needs a launch. Degenerate inputs (zero total
 // cost) fall back to count-balanced cuts.
 func costCuts(g gridCosts, n, k int) []rowRange {
-	if n == 0 || k <= 1 {
-		return countCuts(n, k)
-	}
 	prefix := make([]float64, n+1)
 	for i, c := range g.rows[:n] {
 		prefix[i+1] = prefix[i] + c
 	}
 	total := prefix[n]
-	if !(total > 0) {
-		return countCuts(n, k)
-	}
 	cand := append(append(make([]int, 0, len(g.atoms)+1), g.atoms...), n)
-	cuts := make([]rowRange, k)
-	ci := 0
-	lo := 0
-	for i := 0; i < k; i++ {
+	var cuts []rowRange
+	ci, lo := 0, 0
+	for i := 1; i <= k; i++ {
 		hi := n
-		if i < k-1 {
-			target := total * float64(i+1) / float64(k)
+		switch {
+		case i == k: // the last range ends at n
+		case total > 0:
+			target := total * float64(i) / float64(k)
 			for ci+1 < len(cand) &&
 				math.Abs(prefix[cand[ci+1]]-target) <= math.Abs(prefix[cand[ci]]-target) {
 				ci++
 			}
 			hi = cand[ci]
-			if hi < lo {
-				hi = lo
-			}
+		default:
+			hi = i * n / k
 		}
-		cuts[i] = rowRange{lo, hi}
-		lo = hi
+		if hi > lo {
+			cuts = append(cuts, rowRange{lo, hi})
+			lo = hi
+		}
 	}
 	return cuts
 }

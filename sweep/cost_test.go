@@ -112,7 +112,7 @@ func TestCoordinateCorruptCalibrationDegrades(t *testing.T) {
 		var logs []string
 		st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
 			Shards: 2, Dir: filepath.Join(dir, "work"),
-			Balance: BalanceCost, Calibration: path,
+			Calibration: path,
 			Log: func(f string, a ...any) {
 				mu.Lock()
 				logs = append(logs, fmt.Sprintf(f, a...))
@@ -134,16 +134,17 @@ func TestCoordinateCorruptCalibrationDegrades(t *testing.T) {
 		if !warned {
 			t.Errorf("%s calibration: no degradation warning logged (logs: %q)", name, logs)
 		}
-		if st.Rows != 4 {
-			t.Errorf("%s calibration: stats = %+v, want 4 rows", name, st)
+		if st.Rows != 6 {
+			t.Errorf("%s calibration: stats = %+v, want 6 rows", name, st)
 		}
 	}
 }
 
 // TestCostCutsProperties: on randomized synthetic grids, cost cuts always
-// (a) tile [0, n) contiguously and monotonically, (b) cut only at
-// compile-key atom boundaries, and (c) are deterministic. Fuzzing the shape
-// here is cheap — no simulation runs, just index arithmetic.
+// (a) number at most k, (b) are non-empty and tile [0, n) contiguously and
+// monotonically, (c) cut only at compile-key atom boundaries, and (d) are
+// deterministic. Fuzzing the shape here is cheap — no simulation runs,
+// just index arithmetic.
 func TestCostCutsProperties(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 200; trial++ {
@@ -165,8 +166,8 @@ func TestCostCutsProperties(t *testing.T) {
 		}
 		k := 1 + rng.IntN(10)
 		cuts := costCuts(g, n, k)
-		if len(cuts) != k {
-			t.Fatalf("trial %d: got %d cuts, want %d", trial, len(cuts), k)
+		if len(cuts) < 1 || len(cuts) > k {
+			t.Fatalf("trial %d: got %d cuts, want 1..%d", trial, len(cuts), k)
 		}
 		atomSet := map[int]bool{0: true, n: true}
 		for _, a := range g.atoms {
@@ -174,8 +175,8 @@ func TestCostCutsProperties(t *testing.T) {
 		}
 		lo := 0
 		for i, c := range cuts {
-			if c.lo != lo || c.hi < c.lo {
-				t.Fatalf("trial %d: cut %d = %+v does not tile (prev hi %d)", trial, i, c, lo)
+			if c.lo != lo || c.hi <= c.lo {
+				t.Fatalf("trial %d: cut %d = %+v is empty or does not tile (prev hi %d)", trial, i, c, lo)
 			}
 			if !atomSet[c.hi] {
 				t.Fatalf("trial %d: cut %d ends at %d, inside a compile-key atom (atoms %v, n %d)",
@@ -187,6 +188,9 @@ func TestCostCutsProperties(t *testing.T) {
 			t.Fatalf("trial %d: cuts cover [0, %d), want [0, %d)", trial, lo, n)
 		}
 		again := costCuts(g, n, k)
+		if len(again) != len(cuts) {
+			t.Fatalf("trial %d: costCuts is not deterministic", trial)
+		}
 		for i := range cuts {
 			if cuts[i] != again[i] {
 				t.Fatalf("trial %d: costCuts is not deterministic", trial)
@@ -220,13 +224,22 @@ func TestCostCutsBalance(t *testing.T) {
 	if cuts[0] != (rowRange{0, 8}) || cuts[1] != (rowRange{8, 16}) {
 		t.Errorf("zero-cost cuts = %+v, want the count-balanced fallback", cuts)
 	}
+	// An empty grid has no cuts at all, not k empty ones.
+	if cuts := costCuts(gridCosts{}, 0, 3); len(cuts) != 0 {
+		t.Errorf("empty-grid cuts = %+v, want none", cuts)
+	}
 }
 
 // TestGridCostsShape: the priced grid respects the model's structure —
 // positive costs, atoms exactly at compile-key changes, and sim-batch
 // sibling lanes discounted below their leader.
 func TestGridCostsShape(t *testing.T) {
-	spec := coordSpec(t) // clusters {2,4} x ab {0,16} x one bench = 4 rows
+	// clusters {2,4} x ab {0,16} x one bench = 4 rows
+	spec := Spec{
+		Grid:      Grid{Clusters: []int{2, 4}, ABEntries: []int{0, 16}},
+		Workloads: Workloads{Bench: []string{"g721dec"}},
+		Compile:   Compile{Heuristic: "IPBC", Unroll: "none"},
+	}
 	opt, benches, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -265,12 +278,14 @@ func TestGridCostsShape(t *testing.T) {
 	}
 }
 
-// TestCoordinateCostStealProperty is the PR's property test: random small
-// grids × cut policy × steal granularity × parallelism always stitch
-// byte-identically to the unsharded run. The byte-identity argument is
-// structural (rows stay keyed by grid index; the stitcher concatenates
-// ranges in index order), and this fuzzes the argument's edges: empty
-// chunks, atoms heavier than the ideal share, more workers than chunks.
+// TestCoordinateCostStealProperty: random small grids × worker count ×
+// parallelism always stitch byte-identically to the unsharded run. The
+// byte-identity argument is structural (rows stay keyed by grid index; the
+// stitcher concatenates ranges in index order), and this fuzzes the
+// argument's edges: one worker, atoms heavier than the ideal share, more
+// workers than chunks. One worker is always exactly one task; more are cut
+// into at most chunksPerWorker chunks each, capped by the atom count, and
+// every task launches exactly once.
 func TestCoordinateCostStealProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	benchPool := []string{"g721dec", "gsmdec"}
@@ -286,14 +301,9 @@ func TestCoordinateCostStealProperty(t *testing.T) {
 			SimBatch:  []int{0, 4}[rng.IntN(2)],
 		}
 		ref := runJSONL(t, spec)
-		for _, tc := range []struct {
-			balance            string
-			steal, shards, par int
-		}{
-			{BalanceCost, 0, 3, 3},
-			{BalanceCount, 3, 2, 1},
-			{BalanceCost, 4, 2, 8},
-			{BalanceCost, 2, 5, 2},
+		atoms := len(spec.Grid.Clusters) // AB and MSHR depth are simulate-only
+		for _, tc := range []struct{ shards, par int }{
+			{1, 1}, {1, 4}, {2, 1}, {3, 3}, {2, 8}, {5, 2},
 		} {
 			dir := t.TempDir()
 			out := filepath.Join(dir, "out.jsonl")
@@ -301,7 +311,6 @@ func TestCoordinateCostStealProperty(t *testing.T) {
 			cs.Output.Path = out
 			st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
 				Shards: tc.shards, Parallel: tc.par, Dir: filepath.Join(dir, "work"),
-				Balance: tc.balance, Steal: tc.steal,
 			})
 			if err != nil {
 				t.Fatalf("trial %d %+v: %v", trial, tc, err)
@@ -313,12 +322,15 @@ func TestCoordinateCostStealProperty(t *testing.T) {
 			if !bytes.Equal(got, ref) {
 				t.Errorf("trial %d %+v: stitched output differs from the unsharded run", trial, tc)
 			}
-			if tc.steal > 0 && st.Tasks < tc.shards && st.Tasks < tc.steal*tc.shards {
-				// Chunk count is capped by the atom count; it must still be
-				// at least 1 and the run must have covered every row.
-				if st.Tasks < 1 {
-					t.Errorf("trial %d %+v: %d tasks, want >= 1", trial, tc, st.Tasks)
-				}
+			maxTasks := 1
+			if tc.shards > 1 {
+				maxTasks = min(chunksPerWorker*tc.shards, atoms)
+			}
+			if st.Tasks < 1 || st.Tasks > maxTasks || (tc.shards == 1 && st.Tasks != 1) {
+				t.Errorf("trial %d %+v: %d tasks, want 1..%d (exactly 1 for one worker)", trial, tc, st.Tasks, maxTasks)
+			}
+			if st.Launches != st.Tasks {
+				t.Errorf("trial %d %+v: %d launches for %d tasks, want one each", trial, tc, st.Launches, st.Tasks)
 			}
 		}
 	}
@@ -356,8 +368,7 @@ func TestCoordinateCancelMidStealResumes(t *testing.T) {
 		return InProcess{}.Launch(lctx, task)
 	})
 	_, err := Coordinate(ctx, cs, CoordinatorOptions{
-		Shards: 2, Parallel: 1, Dir: work,
-		Balance: BalanceCost, Steal: 2, Launcher: launcher,
+		Shards: 2, Parallel: 1, Dir: work, Launcher: launcher,
 	})
 	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("canceled run returned %v, want context.Canceled", err)
@@ -370,7 +381,6 @@ func TestCoordinateCancelMidStealResumes(t *testing.T) {
 	// replanned cuts — same default calibration), the rest relaunch.
 	st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
 		Shards: 2, Parallel: 1, Dir: work,
-		Balance: BalanceCost, Steal: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,8 +393,8 @@ func TestCoordinateCancelMidStealResumes(t *testing.T) {
 	}
 }
 
-// TestPoolDeadWorkerDuringSteal: the PR's fault case — a pool worker dies
-// while stealing is on; its in-flight chunks fail, requeue onto the healthy
+// TestPoolDeadWorkerDuringSteal: a pool worker dies while idle workers
+// claim chunks; its in-flight chunks fail, requeue onto the healthy
 // worker, and the stitched output stays byte-identical.
 func TestPoolDeadWorkerDuringSteal(t *testing.T) {
 	spec := coordSpec(t)
@@ -395,7 +405,6 @@ func TestPoolDeadWorkerDuringSteal(t *testing.T) {
 	pool := &Pool{
 		Workers:           []Worker{{Name: "w0", Slots: 2}, {Name: "w1", Slots: 2}},
 		QuarantineBackoff: 20 * time.Millisecond,
-		QuarantineMax:     40 * time.Millisecond,
 		Fault:             &fault.Plan{Events: []fault.Event{{Op: fault.DeadWorker, Worker: "w1"}}},
 		Log:               t.Logf,
 	}
@@ -410,7 +419,6 @@ func TestPoolDeadWorkerDuringSteal(t *testing.T) {
 	}
 	st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
 		Shards: 2, Dir: filepath.Join(dir, "work"), Launcher: pool, MaxAttempts: 3,
-		Balance: BalanceCost, Steal: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -426,11 +434,13 @@ func TestPoolDeadWorkerDuringSteal(t *testing.T) {
 	}
 }
 
-// TestCoordinateEmptyShardsNotLaunched is the satellite bugfix's regression
-// test: a shard count far above the row count commits the zero-row ranges
-// directly — no launcher call, empty files on disk, done in the manifest.
+// TestCoordinateEmptyShardsNotLaunched: a heavy leading atom outweighs
+// several equal-cost shares, so some ideal cut positions collapse onto the
+// same atom edge. Those cuts are dropped rather than kept as empty ranges:
+// every manifest range holds rows, and every task launches exactly once.
 func TestCoordinateEmptyShardsNotLaunched(t *testing.T) {
-	spec := coordSpec(t) // 4 rows
+	spec := coordSpec(t)
+	spec.Grid = Grid{Clusters: []int{8, 2}, CacheBytes: []int{4 << 10, 8 << 10}} // 4 atoms, 8-cluster first
 	ref := runJSONL(t, spec)
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.jsonl")
@@ -444,20 +454,21 @@ func TestCoordinateEmptyShardsNotLaunched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.launchCount() != 4 || st.Launches != 4 || st.Empty != 5 {
-		t.Errorf("launches = %d, stats = %+v; want 4 launches and 5 empty shards", l.launchCount(), st)
+	// 9 workers ask for 4 chunks (the atom cap); under the default model
+	// an 8-cluster atom costs about 8× a 2-cluster one, so at least one of
+	// the 3 interior cuts lands on an edge already taken.
+	if st.Tasks < 1 || st.Tasks >= 4 || l.launchCount() != st.Tasks || st.Launches != st.Tasks {
+		t.Errorf("launches = %d, stats = %+v; want 1..3 tasks (a collapsed cut dropped), each launched once",
+			l.launchCount(), st)
 	}
-	for _, s := range poolManifest(t, work).Shards {
-		if s.Lo == s.Hi {
-			if s.Status != shardDone || len(s.History) != 0 {
-				t.Errorf("empty shard %d: status %s, history %v; want done with no attempts",
-					s.Index, s.Status, s.History)
-			}
-			data, err := os.ReadFile(filepath.Join(work, shardFileName(s.Index)))
-			if err != nil || len(data) != 0 {
-				t.Errorf("empty shard %d: output = %d bytes, %v; want an empty committed file",
-					s.Index, len(data), err)
-			}
+	shards := poolManifest(t, work).Shards
+	if len(shards) != st.Tasks {
+		t.Fatalf("manifest records %d tasks, stats say %d", len(shards), st.Tasks)
+	}
+	for _, s := range shards {
+		if s.Lo >= s.Hi || s.Status != shardDone || len(s.History) != 1 {
+			t.Errorf("task %d: range [%d, %d), status %s, %d attempts; want a non-empty range done in one attempt",
+				s.Index, s.Lo, s.Hi, s.Status, len(s.History))
 		}
 	}
 	if got, _ := os.ReadFile(out); !bytes.Equal(got, ref) {

@@ -182,23 +182,17 @@ func splitmix64(x uint64) uint64 {
 }
 
 // backoffDelay is the shared capped-exponential-backoff-with-jitter
-// schedule: step n (0-based) of a base/max pair is min(base<<n, max),
-// jittered deterministically by seed into [d/2, d] so retries spread out
-// but identical (seed, n) inputs always wait identically — reproducible
-// runs stay reproducible. A base <= 0 disables backoff entirely.
-func backoffDelay(base, max time.Duration, n int, seed uint64) time.Duration {
+// schedule: step n (0-based) waits min(base<<n, 32×base), jittered
+// deterministically by seed into [d/2, d] so retries spread out but
+// identical (seed, n) inputs always wait identically — reproducible runs
+// stay reproducible. A base <= 0 disables backoff entirely.
+func backoffDelay(base time.Duration, n int, seed uint64) time.Duration {
 	if base <= 0 {
 		return 0
 	}
-	if max <= 0 {
-		max = 32 * base
-	}
 	d := base
-	for i := 0; i < n && d < max; i++ {
+	for i := 0; i < min(n, 5); i++ { // 2^5: the 32× cap
 		d *= 2
-	}
-	if d > max {
-		d = max
 	}
 	half := d / 2
 	if half <= 0 {

@@ -28,10 +28,10 @@ type ShardTask struct {
 	// (Shard and Output cleared), for launchers that start `ivliw-bench
 	// -spec` processes instead of calling Run directly.
 	SpecPath string
-	// Index is the shard index in [0, CoordinatorOptions.Shards).
+	// Index is the task index in [0, CoordinatorStats.Tasks).
 	Index int
-	// Attempt is the 1-based attempt number at this shard, counting both
-	// retries after failures and straggler backups.
+	// Attempt is the 1-based attempt number at this task: 1 for the first
+	// try, k+1 for the k-th retry after a failure.
 	Attempt int
 	// Assigned, when non-nil, is called by placement-aware launchers (the
 	// Pool) with the name of the worker this attempt was scheduled onto,
@@ -42,14 +42,16 @@ type ShardTask struct {
 }
 
 // Launcher runs one shard attempt to completion. Launch must honor ctx —
-// the coordinator cancels it to stop straggler twins once a winner lands
-// and to tear the run down on SIGINT — and must return non-nil if the
-// shard's output file was not produced. Implementations may run the shard
-// anywhere (goroutine, subprocess, remote host) as long as the output file
-// appears at task.Spec.Output.Path; a remote launcher over ssh is one
-// Launcher implementation away (see Exec, whose Command prefix already
-// composes with `ssh host` given a shared filesystem), and Pool adds
-// health checking across a registry of them.
+// the coordinator cancels it to tear the run down on SIGINT — and must
+// return non-nil if the shard's output file was not produced. The
+// coordinator keeps at most one attempt per task in flight and waits for
+// it, so a launcher whose attempts can hang must detect that itself, as
+// Pool does with heartbeats. Implementations may run the shard anywhere
+// (goroutine, subprocess, remote host) as long as the output file appears
+// at task.Spec.Output.Path; a remote launcher over ssh is one Launcher
+// implementation away (see Exec, whose Command prefix already composes
+// with `ssh host` given a shared filesystem), and Pool adds health
+// checking across a registry of them.
 type Launcher interface {
 	Launch(ctx context.Context, task ShardTask) error
 }
@@ -75,12 +77,12 @@ func (InProcess) Launch(ctx context.Context, task ShardTask) error {
 
 // Exec runs each shard attempt as a subprocess: Command's argv is extended
 // with `-spec <SpecPath> -shard <i>/<n> -out <Output.Path>` (plus
-// `-claim <lo>:<hi>` when the coordinator pinned an explicit row range),
-// the exact per-worker invocation documented for multi-process sweeps, so
-// `ivliw-bench` (or any flag-compatible binary) is a worker with no extra
-// protocol. On
-// cancellation the subprocess gets SIGTERM and a grace period to run its
-// SIGINT-clean teardown (discard staged temps, exit 130) before SIGKILL.
+// `-claim <lo>:<hi>` when the task pins an explicit row range, as every
+// coordinator task does), the exact per-worker invocation documented for
+// multi-process sweeps, so `ivliw-bench` (or any flag-compatible binary) is
+// a worker with no extra protocol. On cancellation the subprocess gets
+// SIGTERM and execGrace to run its SIGINT-clean teardown (discard staged
+// temps, exit 130) before SIGKILL.
 // Prefixing Command with `ssh host` turns it into a remote launcher over a
 // shared filesystem — the interface seam the coordinator leaves open.
 type Exec struct {
@@ -98,10 +100,11 @@ type Exec struct {
 	// the seam the pool uses for `-heartbeat`, `-heartbeat-interval` and
 	// `-workers`.
 	Extra []string
-	// Grace is how long a canceled subprocess gets between SIGTERM and
-	// SIGKILL (0 = 3s).
-	Grace time.Duration
 }
+
+// execGrace is how long a canceled subprocess gets between SIGTERM and
+// SIGKILL.
+const execGrace = 3 * time.Second
 
 // execStderrTail bounds the stderr ring kept for failed-attempt errors.
 const execStderrTail = 4096
@@ -159,9 +162,8 @@ func (e Exec) Launch(ctx context.Context, task ShardTask) error {
 		"-out", task.Spec.Output.Path,
 	)
 	if task.Spec.Shard.Hi > task.Spec.Shard.Lo {
-		// An explicit row range (a cost-balanced cut or a stolen chunk)
-		// rides the -claim protocol; -shard stays for identity and the
-		// count-derived fallback when no range is pinned.
+		// An explicit row range rides the -claim protocol; -shard stays
+		// for identity (fault plans key on its index).
 		args = append(args, "-claim", fmt.Sprintf("%d:%d", task.Spec.Shard.Lo, task.Spec.Shard.Hi))
 	}
 	args = append(args, e.Extra...)
@@ -180,12 +182,8 @@ func (e Exec) Launch(ctx context.Context, task ShardTask) error {
 	// runs its signal-clean exit (discarding staged temps), SIGKILL only
 	// after the grace. CommandContext's default is an immediate SIGKILL,
 	// which could land mid-rename.
-	grace := e.Grace
-	if grace <= 0 {
-		grace = 3 * time.Second
-	}
 	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
-	cmd.WaitDelay = grace
+	cmd.WaitDelay = execGrace
 	if err := cmd.Run(); err != nil {
 		// A kill triggered by cancellation is the context's error, not the
 		// subprocess's: callers must be able to tell teardown from failure.

@@ -117,7 +117,7 @@ func specHash(s Spec) (string, error) {
 // shard count mismatch) or is unreadable. Non-done states are reset to
 // pending with zeroed attempts; done shards whose output file has vanished
 // — or whose recorded row range no longer matches the planned cut (cuts
-// move when the calibration or the balance policy changes between runs) —
+// move when the calibration or the worker count changes between runs) —
 // are demoted back to pending. The normalized manifest is persisted before
 // returning, and the number of shards resumed as done is reported.
 func openManifest(dir, hash string, cuts []rowRange) (*manifest, int, error) {

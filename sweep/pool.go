@@ -54,11 +54,11 @@ type PoolStats struct {
 
 // Pool is a health-checked Launcher: it schedules shard attempts across a
 // registry of Workers, watches each attempt's heartbeat file, kills and
-// fails attempts whose heartbeats go stale (long before the coordinator's
-// StragglerAfter would fire), verifies committed outputs against the
-// checksum carried by the final heartbeat, and quarantines workers that
-// fail repeatedly — requeueing everything in flight on them at once. It is
-// a drop-in CoordinatorOptions.Launcher; retries and requeues remain the
+// fails attempts whose heartbeats go stale — the coordinator's only hang
+// detector — verifies committed outputs against the checksum carried by
+// the final heartbeat, and quarantines workers that fail repeatedly —
+// requeueing everything in flight on them at once. It is a drop-in
+// CoordinatorOptions.Launcher; retries and requeues remain the
 // coordinator's job, the pool only decides where attempts run and when
 // they are dead.
 //
@@ -83,10 +83,9 @@ type Pool struct {
 	QuarantineAfter int
 	// QuarantineBackoff is the base of the capped exponential backoff a
 	// quarantined worker waits before readmission (0 = 1s); successive
-	// quarantines double it up to QuarantineMax (0 = 30s). The actual wait
-	// is jittered deterministically by Seed into [d/2, d].
+	// quarantines double it up to 32× the base. The actual wait is
+	// jittered deterministically by Seed into [d/2, d].
 	QuarantineBackoff time.Duration
-	QuarantineMax     time.Duration
 	// Seed feeds the deterministic jitter (same role as Spec seeds:
 	// identical configuration, identical schedule).
 	Seed uint64
@@ -97,9 +96,6 @@ type Pool struct {
 	// events are the worker process's business, not the pool's.
 	Fault *fault.Plan
 
-	// Grace is the SIGTERM-to-SIGKILL grace subprocess workers get on
-	// cancellation (0 = 3s; see Exec.Grace).
-	Grace time.Duration
 	// Stderr receives subprocess worker stderr (nil discards it).
 	Stderr io.Writer
 	// Log receives health events — stale kills, quarantines, readmissions,
@@ -169,9 +165,6 @@ func (p *Pool) init() error {
 		}
 		if p.QuarantineBackoff <= 0 {
 			p.QuarantineBackoff = time.Second
-		}
-		if p.QuarantineMax <= 0 {
-			p.QuarantineMax = 30 * time.Second
 		}
 		if p.Log == nil {
 			p.Log = func(string, ...any) {}
@@ -376,7 +369,7 @@ func (p *Pool) killWorker(w *poolWorker, reason string) {
 // at once — its shards requeue immediately onto healthy workers instead of
 // each discovering the dead worker on its own schedule. Callers hold p.mu.
 func (p *Pool) quarantineLocked(w *poolWorker, reason string) {
-	d := backoffDelay(p.QuarantineBackoff, p.QuarantineMax, w.quars, splitmix64(p.Seed^nameSeed(w.Name)^uint64(w.quars)))
+	d := backoffDelay(p.QuarantineBackoff, w.quars, splitmix64(p.Seed^nameSeed(w.Name)^uint64(w.quars)))
 	w.quars++
 	w.strikes = 0
 	w.until = time.Now().Add(d)
@@ -433,7 +426,6 @@ func (p *Pool) runAttempt(ctx context.Context, w *poolWorker, att *poolAttempt, 
 			Stderr:  p.Stderr,
 			Env:     append(append([]string(nil), w.Env...), fault.WorkerEnv(w.Name)),
 			Extra:   extra,
-			Grace:   p.Grace,
 		}
 		err = e.Launch(ctx, task)
 	}

@@ -39,13 +39,12 @@ const (
 // JobStats summarizes one completed execution for the status API: the
 // coordinator's launch/retry accounting plus the server-measured wall time.
 type JobStats struct {
-	Shards     int   `json:"shards"`
-	Resumed    int   `json:"resumed"`
-	Launches   int   `json:"launches"`
-	Retries    int   `json:"retries"`
-	Stragglers int   `json:"stragglers"`
-	Rows       int   `json:"rows"`
-	WallMS     int64 `json:"wall_ms"`
+	Shards   int   `json:"shards"`
+	Resumed  int   `json:"resumed"`
+	Launches int   `json:"launches"`
+	Retries  int   `json:"retries"`
+	Rows     int   `json:"rows"`
+	WallMS   int64 `json:"wall_ms"`
 }
 
 // job is the server's in-memory record of one submitted spec. Identity is

@@ -75,9 +75,10 @@ type Options struct {
 	Queue int
 	// MaxBody bounds a submitted spec body in bytes (default 1 MiB).
 	MaxBody int64
-	// Shards is the coordinator shard count each job is executed with
-	// (default 1). Any value produces byte-identical rows; more shards let
-	// one job spread across the launcher's workers.
+	// Shards is the coordinator worker count each job is executed with
+	// (default 1, a single task). Any value produces byte-identical rows;
+	// more workers let one job's cost-ordered chunks spread across the
+	// launcher.
 	Shards int
 	// MaxAttempts caps launch attempts per shard (0 = the coordinator
 	// default).
@@ -310,7 +311,7 @@ func (s *Server) execute(ctx context.Context, j *job) {
 	case err == nil:
 		stats := &JobStats{
 			Shards: st.Shards, Resumed: st.Resumed,
-			Launches: st.Launches, Retries: st.Retries, Stragglers: st.Stragglers,
+			Launches: st.Launches, Retries: st.Retries,
 			Rows: st.Rows, WallMS: wall.Milliseconds(),
 		}
 		terr := j.transition(StateDone, func(j *job) {

@@ -232,8 +232,8 @@ func TestResubmitServedFromStore(t *testing.T) {
 func TestDrainAndResume(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec("resume", 3)
-	// Two grid points so both shards carry a row — an empty shard commits
-	// without launching and the blocking launcher would never be reached.
+	// Two grid points on two compile keys, so the two workers get one
+	// task each and the blocking launcher is reached for task 1.
 	spec.Grid.Clusters = []int{2, 4}
 	body := encode(t, spec)
 

@@ -7,7 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ivliw/internal/experiments"
 )
+
+// These tests drive experiments.StreamCells, the cell pool under both the
+// figure drivers and Run; they sit here beside Run, its streaming caller.
 
 // TestStreamCellsOrdering: emit receives every cell, in ascending order,
 // for a range of worker counts.
@@ -15,7 +20,7 @@ func TestStreamCellsOrdering(t *testing.T) {
 	const n = 200
 	for _, workers := range []int{1, 2, 4, 9} {
 		var got []int
-		err := streamCells(context.Background(), n, workers,
+		err := experiments.StreamCells(context.Background(), n, workers,
 			func(i int) (int, error) { return i * i, nil },
 			func(i, v int) error {
 				if v != i*i {
@@ -43,13 +48,10 @@ func TestStreamCellsOrdering(t *testing.T) {
 // lets sweeps of 10^5+ cells stream in constant space.
 func TestStreamCellsBoundedWindow(t *testing.T) {
 	const n, workers = 500, 4
-	window := 4 * workers
-	if window < 16 {
-		window = 16
-	}
+	window := max(4*workers, 64) // StreamCells' window; n is 500
 	var emitted atomic.Int64
 	var maxAhead atomic.Int64
-	err := streamCells(context.Background(), n, workers,
+	err := experiments.StreamCells(context.Background(), n, workers,
 		func(i int) (int, error) {
 			// emitted only grows, so this observes an upper bound of
 			// the dispatch-time distance.
@@ -85,7 +87,7 @@ func TestStreamCellsEmitsIncrementally(t *testing.T) {
 	const n = 100
 	tenthEmitted := make(chan struct{})
 	var closed atomic.Bool
-	err := streamCells(context.Background(), n, 2,
+	err := experiments.StreamCells(context.Background(), n, 2,
 		func(i int) (int, error) {
 			if i >= n/2 {
 				<-tenthEmitted
@@ -110,7 +112,7 @@ func TestStreamCellsEmitsIncrementally(t *testing.T) {
 // returned, deterministically.
 func TestStreamCellsCellError(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		err := streamCells(context.Background(), 64, workers,
+		err := experiments.StreamCells(context.Background(), 64, workers,
 			func(i int) (int, error) {
 				if i == 3 || i == 7 {
 					return 0, fmt.Errorf("cell %d failed", i)
@@ -129,7 +131,7 @@ func TestStreamCellsEmitError(t *testing.T) {
 	sentinel := errors.New("writer full")
 	for _, workers := range []int{1, 4} {
 		var emitted int
-		err := streamCells(context.Background(), 64, workers,
+		err := experiments.StreamCells(context.Background(), 64, workers,
 			func(i int) (int, error) { return i, nil },
 			func(i, v int) error {
 				if i == 5 {
@@ -157,7 +159,7 @@ func TestStreamCellsTinyN(t *testing.T) {
 		{2, 64}, {5, 3}, {15, 16}, // workers > n clamps to n
 	} {
 		var got []int
-		err := streamCells(context.Background(), tc.n, tc.workers,
+		err := experiments.StreamCells(context.Background(), tc.n, tc.workers,
 			func(i int) (int, error) { return i, nil },
 			func(i, v int) error {
 				if i != v {
@@ -191,7 +193,7 @@ func TestStreamCellsPreCanceled(t *testing.T) {
 	cancel()
 	for _, tc := range []struct{ n, workers int }{{0, 1}, {10, 1}, {64, 8}} {
 		ran := false
-		err := streamCells(ctx, tc.n, tc.workers,
+		err := experiments.StreamCells(ctx, tc.n, tc.workers,
 			func(i int) (int, error) { ran = true; return i, nil },
 			func(i, v int) error { return nil })
 		if !errors.Is(err, context.Canceled) {
@@ -212,7 +214,7 @@ func TestStreamCellsCancelMidStream(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var dispatched atomic.Int64
-		err := streamCells(ctx, n, workers,
+		err := experiments.StreamCells(ctx, n, workers,
 			func(i int) (int, error) {
 				if dispatched.Add(1) == 5 {
 					cancel()

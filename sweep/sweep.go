@@ -157,7 +157,7 @@ func Run(ctx context.Context, spec Spec, sink Sink) (Stats, error) {
 		gc := newCostModel(DefaultCalibration()).gridCosts(points, benches, spec.SimBatch)
 		plan = planBatches(points, benches, lo, hi, spec.SimBatch, gc.rows)
 	}
-	err = streamCells(ctx, hi-lo, spec.Workers,
+	err = experiments.StreamCells(ctx, hi-lo, spec.Workers,
 		func(i int) (Row, error) {
 			if plan != nil {
 				return plan.row(i, mem), nil
