@@ -181,8 +181,11 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduler isolates the modulo scheduler on progressively larger
-// unrolled bodies (an ablation of scheduling cost, not a paper figure).
+// BenchmarkScheduler compiles one synthetic loop through the whole pipeline
+// (Program.Compile: unrolling, profiling, latency assignment, ordering and
+// scheduling) on progressively larger unrolled bodies: an ablation of
+// compile cost, not a paper figure. BenchmarkRun in internal/sched times
+// the scheduler alone.
 func BenchmarkScheduler(b *testing.B) {
 	for _, unroll := range []ivliw.UnrollMode{ivliw.NoUnroll, ivliw.UnrollxN} {
 		b.Run(fmt.Sprintf("unroll=%v", unroll), func(b *testing.B) {

@@ -23,7 +23,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ivliw/internal/arch"
 	"ivliw/internal/ir"
@@ -111,18 +111,6 @@ type Schedule struct {
 	MII int
 }
 
-// Clusters returns the number of clusters used (max cluster index + 1 is not
-// meaningful; this returns the config value captured at scheduling time).
-func (s *Schedule) clusterCount() int {
-	max := 0
-	for _, p := range s.Place {
-		if p.Cluster > max {
-			max = p.Cluster
-		}
-	}
-	return max + 1
-}
-
 // WorkloadBalance returns the §5.2 balance metric of the schedule:
 // instructions in the most loaded cluster over total instructions, a value
 // in [1/N, 1] where 1/N is perfect balance.
@@ -163,7 +151,9 @@ func (s *Schedule) ConsumerSlack(id int) (int, bool) {
 	return slack, found
 }
 
-// Scheduler carries the per-attempt state.
+// scheduler carries the state of one Run. flow is built once; the
+// reservation tables and scratch buffers are reset per II attempt and
+// reused, so placing a node allocates nothing once they have grown.
 type scheduler struct {
 	loop     *ir.Loop
 	g        *ir.Graph
@@ -171,14 +161,22 @@ type scheduler struct {
 	assigned []int
 	order    []int
 	opt      Options
+	// flow[v] lists v's non-self register-flow edges as indices into
+	// loop.Edges, ascending: the order copies are planned in.
+	flow [][]int
 
 	ii           int
 	place        []Placement
 	placed       []bool
-	fu           [][]int // [cluster][fuKind*ii + slot] usage count
-	bus          []int   // [slot] register-bus usage count
+	fu           []int // [(cluster*NumFUKinds + fuKind)*ii + slot] usage count
+	bus          []int // [slot] register-bus usage count
 	copies       []Copy
 	chainCluster map[int]int
+	load         []int // [cluster] instructions placed in the cluster
+
+	near     []int // [cluster] placed flow neighbours of the node in the cluster
+	cands    []int // candidate clusters of the node, most preferred first
+	reserved []int // bus slots taken by the copies planned so far
 }
 
 // Run schedules the loop: the node order must come from sms.Order over the
@@ -196,11 +194,9 @@ func Run(l *ir.Loop, g *ir.Graph, cfg arch.Config, assigned []int, order []int, 
 	if maxII <= 0 {
 		maxII = mii + 256
 	}
+	s := newScheduler(l, g, cfg, assigned, order, opt)
 	for ii := mii; ii <= maxII; ii++ {
-		s := &scheduler{
-			loop: l, g: g, cfg: cfg, assigned: assigned, order: order, opt: opt, ii: ii,
-		}
-		if sched, ok := s.attempt(); ok {
+		if sched, ok := s.attempt(ii); ok {
 			sched.MII = mii
 			return sched, nil
 		}
@@ -208,18 +204,57 @@ func Run(l *ir.Loop, g *ir.Graph, cfg arch.Config, assigned []int, order []int, 
 	return nil, fmt.Errorf("sched: no schedule for %s within II %d..%d", l.Name, mii, maxII)
 }
 
-// attempt tries to schedule every node at the current II.
-func (s *scheduler) attempt() (*Schedule, bool) {
-	n := len(s.loop.Instrs)
-	s.place = make([]Placement, n)
-	s.placed = make([]bool, n)
-	s.fu = make([][]int, s.cfg.Clusters)
-	for c := range s.fu {
-		s.fu[c] = make([]int, int(arch.NumFUKinds)*s.ii)
+func newScheduler(l *ir.Loop, g *ir.Graph, cfg arch.Config, assigned []int, order []int, opt Options) *scheduler {
+	n := len(l.Instrs)
+	s := &scheduler{
+		loop: l, g: g, cfg: cfg, assigned: assigned, order: order, opt: opt,
+		flow:         make([][]int, n),
+		place:        make([]Placement, n),
+		placed:       make([]bool, n),
+		chainCluster: map[int]int{},
+		load:         make([]int, cfg.Clusters),
+		near:         make([]int, cfg.Clusters),
+		cands:        make([]int, 0, cfg.Clusters),
 	}
-	s.bus = make([]int, s.ii)
-	s.copies = nil
-	s.chainCluster = map[int]int{}
+	// A non-self edge is in exactly one of In[v] and Out[v], both ascending;
+	// merging them yields v's flow edges in global edge order. Each flow
+	// edge is listed at both of its endpoints.
+	flows := 0
+	for _, e := range l.Edges {
+		if e.Kind == ir.RegFlow && e.From != e.To {
+			flows++
+		}
+	}
+	buf := make([]int, 0, 2*flows)
+	for v := range n {
+		start := len(buf)
+		in, out := g.In[v], g.Out[v]
+		for len(in) > 0 || len(out) > 0 {
+			var ei int
+			if len(out) == 0 || len(in) > 0 && in[0] < out[0] {
+				ei, in = in[0], in[1:]
+			} else {
+				ei, out = out[0], out[1:]
+			}
+			if e := &l.Edges[ei]; e.Kind == ir.RegFlow && e.From != e.To {
+				buf = append(buf, ei)
+			}
+		}
+		s.flow[v] = buf[start:len(buf):len(buf)]
+	}
+	return s
+}
+
+// attempt tries to schedule every node at the given II.
+func (s *scheduler) attempt(ii int) (*Schedule, bool) {
+	s.ii = ii
+	clear(s.place)
+	clear(s.placed)
+	s.fu = zeroed(s.fu, s.cfg.Clusters*int(arch.NumFUKinds)*ii)
+	s.bus = zeroed(s.bus, ii)
+	s.copies = s.copies[:0]
+	clear(s.chainCluster)
+	clear(s.load)
 
 	for _, v := range s.order {
 		if !s.scheduleNode(v) {
@@ -251,6 +286,9 @@ func (s *scheduler) attempt() (*Schedule, bool) {
 		}
 		maxCycle += shift
 	}
+	if len(s.copies) == 0 {
+		s.copies = nil // a schedule without copies has nil Copies
+	}
 	return &Schedule{
 		Loop:     s.loop,
 		Assigned: s.assigned,
@@ -261,39 +299,41 @@ func (s *scheduler) attempt() (*Schedule, bool) {
 	}, true
 }
 
+// zeroed returns buf resized to n zero entries. It grows the capacity as
+// append does, so the attempts of one Run, whose sizes rise with the II,
+// reallocate only a few times.
+func zeroed(buf []int, n int) []int {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
 // scheduleNode places one instruction, trying candidate clusters in
 // preference order and cycles within an II-wide window: upward from the
-// earliest start when predecessors are placed, downward from the latest
-// start when only successors are (bottom-up sweeps of the swing order), and
-// upward from cycle 0 for seeds.
+// earliest start when predecessors are placed (capped by the latest start
+// when successors are too), downward from the latest start when only
+// successors are (bottom-up sweeps of the swing order), and upward from
+// cycle 0 for seeds.
 func (s *scheduler) scheduleNode(v int) bool {
-	for _, c := range s.candidateClusters(v) {
+	ch := s.chainID(v)
+	for _, c := range s.candidateClusters(v, ch) {
 		est, lst, hasPred, hasSucc, ok := s.window(v, c)
 		if !ok {
 			continue
 		}
-		var cycles []int
+		first, step, tries := 0, 1, s.ii
 		switch {
 		case hasPred:
-			hi := est + s.ii - 1
-			if hasSucc && lst < hi {
-				hi = lst
-			}
-			for t := est; t <= hi; t++ {
-				cycles = append(cycles, t)
+			first = est
+			if hasSucc && lst-est+1 < tries {
+				tries = lst - est + 1
 			}
 		case hasSucc:
-			for t := lst; t > lst-s.ii; t-- {
-				cycles = append(cycles, t)
-			}
-		default:
-			for t := 0; t < s.ii; t++ {
-				cycles = append(cycles, t)
-			}
+			first, step = lst, -1
 		}
-		for _, t := range cycles {
-			if s.tryPlace(v, c, t) {
-				if ch := s.chainID(v); ch >= 0 {
+		for k := 0; k < tries; k++ {
+			if s.tryPlace(v, c, first+step*k) {
+				if ch >= 0 {
 					if _, bound := s.chainCluster[ch]; !bound {
 						s.chainCluster[ch] = c
 					}
@@ -313,65 +353,58 @@ func (s *scheduler) chainID(v int) int {
 	return s.opt.ChainOf(v)
 }
 
-// candidateClusters returns the clusters to try for v, most preferred first.
-func (s *scheduler) candidateClusters(v int) []int {
-	in := s.loop.Instrs[v]
-
+// candidateClusters returns the clusters to try for v (whose chain is ch),
+// most preferred first. The slice is reused by the next call.
+func (s *scheduler) candidateClusters(v, ch int) []int {
+	cands := s.cands[:0]
 	// Chain-bound memory instructions have no choice.
-	if ch := s.chainID(v); ch >= 0 {
+	if ch >= 0 {
 		if c, bound := s.chainCluster[ch]; bound {
-			return []int{c}
+			return append(cands, c)
 		}
 		if s.opt.Heuristic == IPBC {
-			return []int{s.opt.Preferred(v)}
+			return append(cands, s.opt.Preferred(v))
 		}
-	} else if in.IsMem() && s.opt.Heuristic == IPBC {
+	} else if s.loop.Instrs[v].IsMem() && s.opt.Heuristic == IPBC {
 		// NoChains ablation: free scheduling in the preferred cluster.
-		return []int{s.opt.Preferred(v)}
+		return append(cands, s.opt.Preferred(v))
 	}
 
-	// Order all clusters by (fewest new communications, best balance).
-	type cand struct {
-		c    int
-		comm int // register-flow neighbors placed in other clusters
-		load int // instructions already placed in c
-	}
-	cands := make([]cand, s.cfg.Clusters)
-	loads := make([]int, s.cfg.Clusters)
-	for i, p := range s.place {
-		if s.placed[i] {
-			loads[p.Cluster]++
+	// Order all clusters by (fewest new communications, best balance,
+	// index). The communications of cluster c are v's flow edges to placed
+	// neighbours outside c, so fewest communications is most near[c].
+	clear(s.near)
+	for _, ei := range s.flow[v] {
+		e := &s.loop.Edges[ei]
+		u := e.From
+		if u == v {
+			u = e.To
+		}
+		if s.placed[u] {
+			s.near[s.place[u].Cluster]++
 		}
 	}
 	for c := 0; c < s.cfg.Clusters; c++ {
-		comm := 0
-		for _, e := range s.loop.Edges {
-			if e.Kind != ir.RegFlow {
-				continue
-			}
-			switch {
-			case e.From == v && e.To != v && s.placed[e.To] && s.place[e.To].Cluster != c:
-				comm++
-			case e.To == v && e.From != v && s.placed[e.From] && s.place[e.From].Cluster != c:
-				comm++
-			}
+		i := len(cands)
+		cands = append(cands, c)
+		for ; i > 0 && s.preferred(c, cands[i-1]); i-- {
+			cands[i] = cands[i-1]
 		}
-		cands[c] = cand{c: c, comm: comm, load: loads[c]}
+		cands[i] = c
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].comm != cands[j].comm {
-			return cands[i].comm < cands[j].comm
-		}
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		return cands[i].c < cands[j].c
-	})
-	out := make([]int, len(cands))
-	for i, cd := range cands {
-		out[i] = cd.c
+	return cands
+}
+
+// preferred reports whether cluster a orders before cluster b: more placed
+// flow neighbours, then fewer instructions, then the lower index.
+func (s *scheduler) preferred(a, b int) bool {
+	if s.near[a] != s.near[b] {
+		return s.near[a] > s.near[b]
 	}
-	return out
+	if s.load[a] != s.load[b] {
+		return s.load[a] < s.load[b]
+	}
+	return a < b
 }
 
 // window computes the earliest and latest feasible issue cycle of v in
@@ -381,111 +414,118 @@ func (s *scheduler) candidateClusters(v int) []int {
 func (s *scheduler) window(v, c int) (est, lst int, hasPred, hasSucc, ok bool) {
 	const inf = 1 << 30
 	est, lst = -inf, inf
-	for _, e := range s.loop.Edges {
-		if e.To == v && e.From != v && s.placed[e.From] {
-			if e.Kind == ir.RegAnti && s.place[e.From].Cluster != c {
-				continue // different register files: no constraint
-			}
-			lat := s.loop.EdgeLatency(e, s.assigned)
-			if e.Kind == ir.RegFlow && s.place[e.From].Cluster != c {
-				lat += s.cfg.CommLatency()
-			}
-			if t := s.place[e.From].Cycle + lat - s.ii*e.Distance; t > est {
-				est = t
-			}
-			hasPred = true
+	for _, ei := range s.g.In[v] {
+		e := s.loop.Edges[ei]
+		if e.From == v || !s.placed[e.From] {
+			continue
 		}
-		if e.From == v && e.To != v && s.placed[e.To] {
-			if e.Kind == ir.RegAnti && s.place[e.To].Cluster != c {
-				continue
-			}
-			lat := s.loop.EdgeLatency(e, s.assigned)
-			if e.Kind == ir.RegFlow && s.place[e.To].Cluster != c {
-				lat += s.cfg.CommLatency()
-			}
-			if t := s.place[e.To].Cycle - lat + s.ii*e.Distance; t < lst {
-				lst = t
-			}
-			hasSucc = true
+		cross := s.place[e.From].Cluster != c
+		if e.Kind == ir.RegAnti && cross {
+			continue // different register files: no constraint
 		}
+		lat := s.loop.EdgeLatency(e, s.assigned)
+		if e.Kind == ir.RegFlow && cross {
+			lat += s.cfg.CommLatency()
+		}
+		est = max(est, s.place[e.From].Cycle+lat-s.ii*e.Distance)
+		hasPred = true
+	}
+	for _, ei := range s.g.Out[v] {
+		e := s.loop.Edges[ei]
+		if e.To == v || !s.placed[e.To] {
+			continue
+		}
+		cross := s.place[e.To].Cluster != c
+		if e.Kind == ir.RegAnti && cross {
+			continue
+		}
+		lat := s.loop.EdgeLatency(e, s.assigned)
+		if e.Kind == ir.RegFlow && cross {
+			lat += s.cfg.CommLatency()
+		}
+		lst = min(lst, s.place[e.To].Cycle-lat+s.ii*e.Distance)
+		hasSucc = true
 	}
 	return est, lst, hasPred, hasSucc, !(hasPred && hasSucc && est > lst)
 }
 
 // tryPlace attempts to commit v to (cluster c, cycle t): the functional unit
 // must be free and every cross-cluster register-flow edge to an
-// already-placed neighbor must find a bus slot. On success all reservations
-// are made.
+// already-placed neighbor must find a bus slot. Copies are planned in edge
+// order, each reserving its bus slots before the next is planned; on
+// success all reservations stand, on failure all are undone.
 func (s *scheduler) tryPlace(v, c, t int) bool {
 	kind := ir.FUFor(s.loop.Instrs[v].Class)
-	slot := int(kind)*s.ii + mod(t, s.ii)
-	if s.fu[c][slot] >= s.cfg.FUsPerCluster[kind] {
+	slot := (c*int(arch.NumFUKinds)+int(kind))*s.ii + mod(t, s.ii)
+	if s.fu[slot] >= s.cfg.FUsPerCluster[kind] {
 		return false
 	}
 
-	// Plan the copies this placement needs.
-	type plan struct{ copyOp Copy }
-	var plans []plan
-	busDelta := make(map[int]int)
-	reserveBus := func(from, lo, hi int) (int, bool) {
-		// Find the earliest start in [lo, hi] with a free bus for
-		// BusCycleRatio consecutive modulo slots.
-		for tc := lo; tc <= hi; tc++ {
-			free := true
-			for k := 0; k < s.cfg.BusCycleRatio; k++ {
-				sl := mod(tc+k, s.ii)
-				if s.bus[sl]+busDelta[sl] >= s.cfg.RegBuses {
-					free = false
-					break
-				}
-			}
-			if free {
-				for k := 0; k < s.cfg.BusCycleRatio; k++ {
-					busDelta[mod(tc+k, s.ii)]++
-				}
-				return tc, true
-			}
-		}
-		return 0, false
-	}
-
-	for _, e := range s.loop.Edges {
-		if e.Kind != ir.RegFlow {
-			continue
-		}
-		switch {
-		case e.To == v && e.From != v && s.placed[e.From] && s.place[e.From].Cluster != c:
+	s.reserved = s.reserved[:0]
+	planned := len(s.copies)
+	for _, ei := range s.flow[v] {
+		e := &s.loop.Edges[ei]
+		var cp Copy
+		var lo, hi int
+		if e.To == v {
 			p := e.From
-			lo := s.place[p].Cycle + s.assigned[p] - s.ii*e.Distance
-			hi := t - s.cfg.CommLatency()
-			tc, ok := reserveBus(p, lo, hi)
-			if !ok {
-				return false
+			if !s.placed[p] || s.place[p].Cluster == c {
+				continue
 			}
-			plans = append(plans, plan{Copy{From: p, To: v, FromCluster: s.place[p].Cluster, ToCluster: c, Cycle: tc}})
-		case e.From == v && e.To != v && s.placed[e.To] && s.place[e.To].Cluster != c:
+			cp = Copy{From: p, To: v, FromCluster: s.place[p].Cluster, ToCluster: c}
+			lo = s.place[p].Cycle + s.assigned[p] - s.ii*e.Distance
+			hi = t - s.cfg.CommLatency()
+		} else {
 			cons := e.To
-			lo := t + s.assigned[v]
-			hi := s.place[cons].Cycle + s.ii*e.Distance - s.cfg.CommLatency()
-			tc, ok := reserveBus(v, lo, hi)
-			if !ok {
-				return false
+			if !s.placed[cons] || s.place[cons].Cluster == c {
+				continue
 			}
-			plans = append(plans, plan{Copy{From: v, To: cons, FromCluster: c, ToCluster: s.place[cons].Cluster, Cycle: tc}})
+			cp = Copy{From: v, To: cons, FromCluster: c, ToCluster: s.place[cons].Cluster}
+			lo = t + s.assigned[v]
+			hi = s.place[cons].Cycle + s.ii*e.Distance - s.cfg.CommLatency()
 		}
+		tc, ok := s.reserveBus(lo, hi)
+		if !ok {
+			for _, sl := range s.reserved {
+				s.bus[sl]--
+			}
+			s.copies = s.copies[:planned]
+			return false
+		}
+		cp.Cycle = tc
+		s.copies = append(s.copies, cp)
 	}
 
-	// Commit.
-	s.fu[c][slot]++
-	for sl, d := range busDelta {
-		s.bus[sl] += d
-	}
-	for _, p := range plans {
-		s.copies = append(s.copies, p.copyOp)
-	}
+	s.fu[slot]++
 	s.place[v] = Placement{Cycle: t, Cluster: c}
 	s.placed[v] = true
+	s.load[c]++
 	return true
+}
+
+// reserveBus takes the earliest start in [lo, hi] with a free register bus
+// for BusCycleRatio consecutive modulo slots and records the slots in
+// s.reserved. Bus occupancy repeats every II cycles, so no start past
+// lo+II-1 can be free when none before it is.
+func (s *scheduler) reserveBus(lo, hi int) (int, bool) {
+	for tc := lo; tc <= min(hi, lo+s.ii-1); tc++ {
+		free := true
+		for k := 0; k < s.cfg.BusCycleRatio; k++ {
+			if s.bus[mod(tc+k, s.ii)] >= s.cfg.RegBuses {
+				free = false
+				break
+			}
+		}
+		if free {
+			for k := 0; k < s.cfg.BusCycleRatio; k++ {
+				sl := mod(tc+k, s.ii)
+				s.bus[sl]++
+				s.reserved = append(s.reserved, sl)
+			}
+			return tc, true
+		}
+	}
+	return 0, false
 }
 
 func mod(a, m int) int {

@@ -11,15 +11,27 @@ import (
 	"ivliw/internal/sms"
 )
 
-// verify checks every structural invariant of a schedule: all instructions
-// placed, modulo FU capacity respected, dependence constraints met (with
-// communication latency on cross-cluster flow edges), one copy per
-// cross-cluster flow pair, and register-bus capacity respected.
+// verify checks every structural invariant of a schedule: II at least MII,
+// all instructions placed, modulo FU capacity respected, dependence
+// constraints met (with communication latency on cross-cluster flow edges),
+// exactly one copy per cross-cluster flow edge, and register-bus capacity
+// respected.
 func verify(t *testing.T, s *Schedule, cfg arch.Config) {
+	t.Helper()
+	verifyPlacement(t, s, cfg)
+	verifyBuses(t, s, cfg)
+}
+
+// verifyPlacement checks every invariant verify does except register-bus
+// capacity.
+func verifyPlacement(t *testing.T, s *Schedule, cfg arch.Config) {
 	t.Helper()
 	l := s.Loop
 	if s.II < 1 || s.SC < 1 {
 		t.Fatalf("II=%d SC=%d", s.II, s.SC)
+	}
+	if s.II < s.MII {
+		t.Errorf("II %d below MII %d", s.II, s.MII)
 	}
 	// FU capacity per modulo slot.
 	type key struct{ cluster, kind, slot int }
@@ -34,10 +46,12 @@ func verify(t *testing.T, s *Schedule, cfg arch.Config) {
 			t.Errorf("FU overuse at %+v", k)
 		}
 	}
-	// Dependences.
-	copyFor := map[[2]int]Copy{}
+	// Dependences. The copies of one producer/consumer pair serve the
+	// pair's cross-cluster flow edges in edge order, one copy per edge.
+	copiesOf := map[[2]int][]Copy{}
 	for _, c := range s.Copies {
-		copyFor[[2]int{c.From, c.To}] = c
+		k := [2]int{c.From, c.To}
+		copiesOf[k] = append(copiesOf[k], c)
 	}
 	for _, e := range l.Edges {
 		from, to := s.Place[e.From], s.Place[e.To]
@@ -49,10 +63,15 @@ func verify(t *testing.T, s *Schedule, cfg arch.Config) {
 		need := lat
 		if e.Kind == ir.RegFlow && cross && e.From != e.To {
 			need += cfg.CommLatency()
-			c, ok := copyFor[[2]int{e.From, e.To}]
-			if !ok {
+			k := [2]int{e.From, e.To}
+			if len(copiesOf[k]) == 0 {
 				t.Errorf("missing copy for cross-cluster flow edge %d→%d", e.From, e.To)
 				continue
+			}
+			c := copiesOf[k][0]
+			copiesOf[k] = copiesOf[k][1:]
+			if c.FromCluster != from.Cluster || c.ToCluster != to.Cluster {
+				t.Errorf("copy %d→%d runs cluster %d→%d, want %d→%d", e.From, e.To, c.FromCluster, c.ToCluster, from.Cluster, to.Cluster)
 			}
 			if c.Cycle < from.Cycle+s.Assigned[e.From]-s.II*e.Distance {
 				t.Errorf("copy %d→%d starts at %d before value ready", e.From, e.To, c.Cycle)
@@ -72,7 +91,17 @@ func verify(t *testing.T, s *Schedule, cfg arch.Config) {
 				e.From, e.To, e.Kind, e.Distance, to.Cycle-from.Cycle+s.II*e.Distance, need)
 		}
 	}
-	// Bus capacity.
+	for k, cs := range copiesOf {
+		if len(cs) > 0 {
+			t.Errorf("%d copies %d→%d serve no cross-cluster flow edge", len(cs), k[0], k[1])
+		}
+	}
+}
+
+// verifyBuses checks that no modulo slot carries more copies than there are
+// register buses.
+func verifyBuses(t *testing.T, s *Schedule, cfg arch.Config) {
+	t.Helper()
 	bus := make([]int, s.II)
 	for _, c := range s.Copies {
 		for k := 0; k < cfg.BusCycleRatio; k++ {

@@ -67,21 +67,21 @@ const defaultBatchDiscount = 0.5
 
 // DefaultCalibration is the uncalibrated cost model: the median of five
 // `ivliw-bench -sweep -sweep-clusters 2,4,8 -sweep-bench jpegenc
-// -calibrate` runs on a 2-vCPU x86-64 host (compile ~1.5ms/2.9ms/17.6ms
-// and simulate ~0.35ms/0.58ms/0.71ms at 2/4/8 clusters; see
+// -calibrate` runs on a 2-vCPU x86-64 host (compile ~2.0ms/2.7ms/14.5ms
+// and simulate ~0.53ms/0.61ms/0.66ms at 2/4/8 clusters; see
 // PERFORMANCE.md). jpegenc's compile curve has the shape of the suite's
-// mean (~1.2ms/3.1ms/18ms per benchmark), which one-benchmark probes of
+// mean (~1.0ms/2.2ms/12ms per benchmark), which one-benchmark probes of
 // the lighter (gsmdec) or heavier (epicdec) compiles do not. Relative
 // shape is what matters — on a machine twice as fast the cuts are
 // identical — so the default is useful without ever running Calibrate; a
 // calibration file just sharpens it.
 func DefaultCalibration() Calibration {
 	return Calibration{
-		CellsPerSec: 2830,
+		CellsPerSec: 1890,
 		Clusters: []ClusterCost{
-			{Clusters: 2, CompileMS: 1.5, SimMS: 0.35},
-			{Clusters: 4, CompileMS: 2.9, SimMS: 0.58},
-			{Clusters: 8, CompileMS: 17.6, SimMS: 0.71},
+			{Clusters: 2, CompileMS: 2.0, SimMS: 0.53},
+			{Clusters: 4, CompileMS: 2.7, SimMS: 0.61},
+			{Clusters: 8, CompileMS: 14.5, SimMS: 0.66},
 		},
 		BatchDiscount: defaultBatchDiscount,
 	}
