@@ -14,13 +14,23 @@ import (
 	"ivliw/sweep"
 )
 
-// The benchmarks below regenerate every table and figure of the paper's
-// evaluation section. Each figure benchmark runs the full 14-benchmark
-// synthetic Mediabench suite through compilation and cycle-level simulation
-// for every variant the figure compares, and reports the headline metric of
-// that figure via b.ReportMetric. Run with:
+// The table and figure benchmarks below call the functions that produce
+// every table and figure of the paper's evaluation section, and each figure
+// benchmark reports the headline metric of its figure via b.ReportMetric.
+// Run with:
 //
 //	go test -bench=. -benchmem
+//
+// The figure functions keep a compile cache and a table of simulated cells
+// for the life of the process. A (benchmark × variant) cell is compiled and
+// simulated by the first figure call that needs it, which is the first
+// iteration of a figure benchmark unless an earlier benchmark in the same
+// run already produced the cell (Figure 7's cells are Figure 4's); every
+// later iteration reads all of its cells from the table. A figure
+// benchmark's ns/op is therefore dominated by cell lookups and the
+// figure's own aggregation over the 14-benchmark synthetic Mediabench
+// suite. BenchmarkCompile, BenchmarkSimulate and BenchmarkRunSuite time
+// the compile and simulate stages.
 //
 // The absolute cycle counts are not expected to match the paper (the
 // workloads are synthetic); the comparisons between bars are.
@@ -43,9 +53,11 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure4 regenerates the memory-access classification: 14
-// benchmarks × 4 IPBC variants. Reported metric: AMEAN local-hit share of
-// the OUF+alignment bar (the paper's headline configuration).
+// BenchmarkFigure4 times Figure4, the memory-access classification over 14
+// benchmarks × 4 IPBC variants, whose cells the first iteration simulates
+// and later ones read from the cell table. Reported metric: AMEAN
+// local-hit share of the OUF+alignment bar (the paper's headline
+// configuration).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure4(context.Background())
@@ -58,8 +70,9 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5 regenerates the stall-cause classification (IBC and
-// IPBC under selective unrolling).
+// BenchmarkFigure5 times Figure5, the stall-cause classification (IBC and
+// IPBC under selective unrolling), whose cells the first iteration
+// simulates and later ones read from the cell table.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure5(context.Background())
@@ -72,10 +85,12 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6 regenerates stall time by access type for IBC/IPBC with
-// and without Attraction Buffers. Reported metrics: the AMEAN normalized
-// stall of the two +AB bars (the paper reports 0.66 and 0.71 relative to
-// each heuristic's own no-AB stall).
+// BenchmarkFigure6 times Figure6, stall time by access type for IBC/IPBC
+// with and without Attraction Buffers. Its no-AB cells are Figure 5's, so
+// after BenchmarkFigure5 only the first iteration's +AB cells are
+// simulated. Reported metrics: the AMEAN normalized stall of the two +AB
+// bars (the paper reports 0.66 and 0.71 relative to each heuristic's own
+// no-AB stall).
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure6(context.Background())
@@ -90,7 +105,9 @@ func BenchmarkFigure6(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure7 regenerates the workload-balance study.
+// BenchmarkFigure7 times Figure7, the workload-balance study. Its cells are
+// Figure 4's bars (i), (iii) and (iv), so after BenchmarkFigure4 every
+// iteration reads them from the cell table.
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure7(context.Background())
@@ -105,9 +122,11 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure8 regenerates the cross-architecture cycle counts.
-// Reported metrics: AMEAN normalized cycles of each bar (baseline
-// Unified(L=1) = 1.0).
+// BenchmarkFigure8 times Figure8, the cross-architecture cycle counts.
+// Its interleaved bars are Figure 6's +AB cells; the first iteration
+// simulates the multiVLIW and unified cells, later ones read every cell
+// from the cell table. Reported metrics: AMEAN normalized cycles of each
+// bar (baseline Unified(L=1) = 1.0).
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Figure8(context.Background())
@@ -141,6 +160,8 @@ func BenchmarkRunSuite(b *testing.B) {
 // no simulation) over every benchmark of the suite under IPBC + selective
 // unrolling, at 2, 4 and 8 clusters. The cluster count sets the unroll
 // factor, so the sub-benchmarks show how compile time grows with it.
+// profile.Run's memo serves every profile after the first iteration, so
+// the time per op leaves out profiling.
 func BenchmarkCompile(b *testing.B) {
 	for _, clusters := range []int{2, 4, 8} {
 		v := experiments.Interleaved("IPBC", ivliw.IPBC, ivliw.Selective, true, false, false)

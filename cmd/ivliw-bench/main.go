@@ -87,6 +87,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -475,78 +476,88 @@ func main() {
 		}
 	}
 
-	runners := map[string]func() error{
-		"table1": func() error {
-			fmt.Println("Table 1: benchmarks and inputs")
-			fmt.Println()
-			fmt.Print(experiments.Table1())
-			return nil
-		},
-		"table2": func() error {
-			fmt.Println("Table 2: configuration parameters")
-			fmt.Println()
-			fmt.Print(experiments.Table2())
-			return nil
-		},
-		"fig4":      fig4,
-		"fig5":      fig5,
-		"fig6":      fig6,
-		"fig7":      fig7,
-		"fig8":      fig8,
-		"headlines": headlines,
-	}
-	order := []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "headlines"}
-
-	name := strings.ToLower(*exp)
-	if name == "all" {
-		for _, n := range order {
-			if err := runners[n](); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
-		}
-		return
-	}
-	r, ok := runners[name]
-	if !ok {
-		log.Fatalf("unknown experiment %q", *exp)
-	}
-	if err := r(); err != nil {
+	if err := runExperiment(os.Stdout, *exp); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func fig4() error {
+// experimentOrder is the order `-exp all` runs the experiments in.
+var experimentOrder = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "headlines"}
+
+// experimentRunners write each experiment's section of the transcript.
+var experimentRunners = map[string]func(w io.Writer) error{
+	"table1": func(w io.Writer) error {
+		fmt.Fprintln(w, "Table 1: benchmarks and inputs")
+		fmt.Fprintln(w)
+		fmt.Fprint(w, experiments.Table1())
+		return nil
+	},
+	"table2": func(w io.Writer) error {
+		fmt.Fprintln(w, "Table 2: configuration parameters")
+		fmt.Fprintln(w)
+		fmt.Fprint(w, experiments.Table2())
+		return nil
+	},
+	"fig4":      fig4,
+	"fig5":      fig5,
+	"fig6":      fig6,
+	"fig7":      fig7,
+	"fig8":      fig8,
+	"headlines": headlines,
+}
+
+// runExperiment writes the report of one -exp value to w: one section, or
+// for "all" every section in experimentOrder, each followed by a blank
+// line.
+func runExperiment(w io.Writer, exp string) error {
+	name := strings.ToLower(exp)
+	if name == "all" {
+		for _, n := range experimentOrder {
+			if err := experimentRunners[n](w); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	}
+	r, ok := experimentRunners[name]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	return r(w)
+}
+
+func fig4(w io.Writer) error {
 	rows, err := experiments.Figure4(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 4: memory access classification under IPBC")
-	fmt.Println("bars: (i) no-unroll+align (ii) OUF,no-align (iii) OUF+align (iv) OUF+align,no-chains")
-	fmt.Println("columns: local hits / remote hits / local misses / remote misses / combined")
-	fmt.Println()
+	fmt.Fprintln(w, "Figure 4: memory access classification under IPBC")
+	fmt.Fprintln(w, "bars: (i) no-unroll+align (ii) OUF,no-align (iii) OUF+align (iv) OUF+align,no-chains")
+	fmt.Fprintln(w, "columns: local hits / remote hits / local misses / remote misses / combined")
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Printf("%-11s", r.Bench)
+		fmt.Fprintf(w, "%-11s", r.Bench)
 		for _, b := range r.Bars {
 			s := b.Shares
-			fmt.Printf("  | %4.2f %4.2f %4.2f %4.2f %4.2f", s[0], s[1], s[2], s[3], s[4])
+			fmt.Fprintf(w, "  | %4.2f %4.2f %4.2f %4.2f %4.2f", s[0], s[1], s[2], s[3], s[4])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func fig5() error {
+func fig5(w io.Writer) error {
 	rows, err := experiments.Figure5(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 5: classification of accesses that generate stall time (remote-hit stall shares)")
-	fmt.Println("columns: more-than-one-cluster / unclear-preferred / not-in-preferred / granularity")
-	fmt.Println("(factors are not mutually exclusive; shares may sum above 1)")
-	fmt.Println()
+	fmt.Fprintln(w, "Figure 5: classification of accesses that generate stall time (remote-hit stall shares)")
+	fmt.Fprintln(w, "columns: more-than-one-cluster / unclear-preferred / not-in-preferred / granularity")
+	fmt.Fprintln(w, "(factors are not mutually exclusive; shares may sum above 1)")
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Printf("%-11s IBC  %4.2f %4.2f %4.2f %4.2f   IPBC %4.2f %4.2f %4.2f %4.2f\n",
+		fmt.Fprintf(w, "%-11s IBC  %4.2f %4.2f %4.2f %4.2f   IPBC %4.2f %4.2f %4.2f %4.2f\n",
 			r.Bench,
 			r.IBC[0], r.IBC[1], r.IBC[2], r.IBC[3],
 			r.IPBC[0], r.IPBC[1], r.IPBC[2], r.IPBC[3])
@@ -554,57 +565,57 @@ func fig5() error {
 	return nil
 }
 
-func fig6() error {
+func fig6(w io.Writer) error {
 	rows, err := experiments.Figure6(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 6: stall time by access type, normalized to IBC without Attraction Buffers")
-	fmt.Println("bars: IBC / IBC+AB / IPBC / IPBC+AB")
-	fmt.Println()
+	fmt.Fprintln(w, "Figure 6: stall time by access type, normalized to IBC without Attraction Buffers")
+	fmt.Fprintln(w, "bars: IBC / IBC+AB / IPBC / IPBC+AB")
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Printf("%-11s", r.Bench)
+		fmt.Fprintf(w, "%-11s", r.Bench)
 		for _, b := range r.Bars {
-			fmt.Printf("  %s=%.2f", b.Variant, b.Normalized)
+			fmt.Fprintf(w, "  %s=%.2f", b.Variant, b.Normalized)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func fig7() error {
+func fig7(w io.Writer) error {
 	rows, err := experiments.Figure7(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 7: workload balance under IPBC (0.25 = perfect, 1 = fully unbalanced)")
-	fmt.Println()
-	fmt.Printf("%-11s %-10s %-10s %s\n", "benchmark", "no-unroll", "OUF", "OUF,no-chains")
+	fmt.Fprintln(w, "Figure 7: workload balance under IPBC (0.25 = perfect, 1 = fully unbalanced)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-11s %-10s %-10s %s\n", "benchmark", "no-unroll", "OUF", "OUF,no-chains")
 	for _, r := range rows {
-		fmt.Printf("%-11s %-10.2f %-10.2f %.2f\n", r.Bench, r.NoUnroll, r.OUF, r.OUFNoChains)
+		fmt.Fprintf(w, "%-11s %-10.2f %-10.2f %.2f\n", r.Bench, r.NoUnroll, r.OUF, r.OUFNoChains)
 	}
 	return nil
 }
 
-func fig8() error {
+func fig8(w io.Writer) error {
 	rows, err := experiments.Figure8(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 8: cycle counts normalized to a unified cache with 1-cycle latency")
-	fmt.Println("bars: interleaved IPBC+AB / interleaved IBC+AB / multiVLIW / Unified(L=5); (s ...) = stall part")
-	fmt.Println()
+	fmt.Fprintln(w, "Figure 8: cycle counts normalized to a unified cache with 1-cycle latency")
+	fmt.Fprintln(w, "bars: interleaved IPBC+AB / interleaved IBC+AB / multiVLIW / Unified(L=5); (s ...) = stall part")
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Printf("%-11s", r.Bench)
+		fmt.Fprintf(w, "%-11s", r.Bench)
 		for _, b := range r.Bars {
-			fmt.Printf("  %s=%.3f(s%.3f)", b.Variant, b.Compute+b.Stall, b.Stall)
+			fmt.Fprintf(w, "  %s=%.3f(s%.3f)", b.Variant, b.Compute+b.Stall, b.Stall)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func headlines() error {
+func headlines(w io.Writer) error {
 	fig4, err := experiments.Figure4(context.Background())
 	if err != nil {
 		return err
@@ -618,14 +629,14 @@ func headlines() error {
 		return err
 	}
 	h := experiments.ComputeHeadlines(fig4, fig6, fig8)
-	fmt.Println("Headline numbers (paper value in parentheses):")
-	fmt.Printf("  local-hit-ratio gain from variable alignment:  %+.1f points (paper: ~+20%%)\n", 100*h.LocalHitGainAlignment)
-	fmt.Printf("  local-hit-ratio gain from OUF unrolling:       %+.1f points (paper: ~+27%%)\n", 100*h.LocalHitGainUnrolling)
-	fmt.Printf("  stall reduction from Attraction Buffers (IBC):  %.1f%% (paper: 34%%)\n", 100*h.StallReductionIBC)
-	fmt.Printf("  stall reduction from Attraction Buffers (IPBC): %.1f%% (paper: 29%%)\n", 100*h.StallReductionIPBC)
-	fmt.Printf("  speedup over Unified(L=5), IBC+AB:              %+.1f%% (paper: +10%%)\n", 100*h.SpeedupIBC)
-	fmt.Printf("  speedup over Unified(L=5), IPBC+AB:             %+.1f%% (paper: +5%%)\n", 100*h.SpeedupIPBC)
-	fmt.Printf("  interleaved(IBC+AB) vs multiVLIW cycle ratio:   %+.1f%% (paper: ~+7%% degradation)\n", 100*h.VsMultiVLIW)
+	fmt.Fprintln(w, "Headline numbers (paper value in parentheses):")
+	fmt.Fprintf(w, "  local-hit-ratio gain from variable alignment:  %+.1f points (paper: ~+20%%)\n", 100*h.LocalHitGainAlignment)
+	fmt.Fprintf(w, "  local-hit-ratio gain from OUF unrolling:       %+.1f points (paper: ~+27%%)\n", 100*h.LocalHitGainUnrolling)
+	fmt.Fprintf(w, "  stall reduction from Attraction Buffers (IBC):  %.1f%% (paper: 34%%)\n", 100*h.StallReductionIBC)
+	fmt.Fprintf(w, "  stall reduction from Attraction Buffers (IPBC): %.1f%% (paper: 29%%)\n", 100*h.StallReductionIPBC)
+	fmt.Fprintf(w, "  speedup over Unified(L=5), IBC+AB:              %+.1f%% (paper: +10%%)\n", 100*h.SpeedupIBC)
+	fmt.Fprintf(w, "  speedup over Unified(L=5), IPBC+AB:             %+.1f%% (paper: +5%%)\n", 100*h.SpeedupIPBC)
+	fmt.Fprintf(w, "  interleaved(IBC+AB) vs multiVLIW cycle ratio:   %+.1f%% (paper: ~+7%% degradation)\n", 100*h.VsMultiVLIW)
 	return nil
 }
 

@@ -295,7 +295,18 @@
 //   - internal/experiments fans the (benchmark × variant) grid of every
 //     figure across a bounded worker pool (GOMAXPROCS workers) with
 //     deterministic result ordering, so cmd/ivliw-bench scales with cores
-//     while emitting byte-identical reports.
+//     while emitting byte-identical reports. Each distinct cell is
+//     computed once per process: a bounded table keyed by benchmark name
+//     and the variant's full configuration, compiler options and
+//     alignment (never its label) holds every simulated cell, so the
+//     figures that reuse another figure's bars (Figure 5's are Figure 6's
+//     no-AB bars, Figure 7's are Figure 4's) and the headline
+//     recomputation simulate nothing, and `-exp all` simulates 154 cells
+//     instead of 434. Underneath, internal/profile memoizes Run by exactly
+//     the inputs it reads, so the IPBC, IBC, no-chains, multiVLIW and
+//     unified compiles of one benchmark share their profiles (175
+//     profiling passes for `-exp all` instead of 965). Both tables hand
+//     out shared values that callers treat as read-only.
 //
 // # Static analysis
 //

@@ -74,12 +74,13 @@ func NewCacheOver(capacity int, next Store) *Cache {
 }
 
 // fill produces an artifact on a memory miss: from the backing store when
-// layered, by compiling otherwise.
-func (c *Cache) fill(s CompileSpec) (*Artifact, error) {
+// layered, by compiling otherwise. key is s.Key(), passed down so one
+// lookup chain fingerprints its spec once.
+func (c *Cache) fill(s CompileSpec, key string) (*Artifact, error) {
 	if c.next != nil {
-		return c.next.Get(s)
+		return getKeyed(c.next, s, key)
 	}
-	return Compile(s)
+	return compileKeyed(s, key)
 }
 
 // Capacity returns the configured bound (0 when disabled).
@@ -104,8 +105,13 @@ func (c *Cache) Stats() CacheStats {
 // while it stays resident. The returned artifact is shared: callers must
 // treat it as read-only (Simulate does).
 func (c *Cache) Get(s CompileSpec) (*Artifact, error) {
+	return c.get(s, s.Key())
+}
+
+// get is Get with the spec's key already computed.
+func (c *Cache) get(s CompileSpec, key string) (*Artifact, error) {
 	if c == nil {
-		return Compile(s)
+		return compileKeyed(s, key)
 	}
 	if c.capacity <= 0 {
 		c.mu.Lock()
@@ -115,13 +121,12 @@ func (c *Cache) Get(s CompileSpec) (*Artifact, error) {
 			// against.
 			c.misses++
 			c.mu.Unlock()
-			return Compile(s)
+			return compileKeyed(s, key)
 		}
 		// Pass-through over a backing store: nothing is retained, but
 		// concurrent Gets of one key still share a single fill so a cold
 		// disk store is not compiled once per worker. Joining an in-flight
 		// fill counts as a hit, like the LRU path.
-		key := s.Key()
 		if e, ok := c.inflight[key]; ok {
 			c.hits++
 			c.mu.Unlock()
@@ -135,14 +140,13 @@ func (c *Cache) Get(s CompileSpec) (*Artifact, error) {
 		}
 		c.inflight[key] = e
 		c.mu.Unlock()
-		e.art, e.err = c.next.Get(s)
+		e.art, e.err = getKeyed(c.next, s, key)
 		c.mu.Lock()
 		delete(c.inflight, key)
 		c.mu.Unlock()
 		close(e.ready)
 		return e.art, e.err
 	}
-	key := s.Key()
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
@@ -166,7 +170,7 @@ func (c *Cache) Get(s CompileSpec) (*Artifact, error) {
 	}
 	c.mu.Unlock()
 
-	e.art, e.err = c.fill(s)
+	e.art, e.err = c.fill(s, key)
 	close(e.ready)
 	return e.art, e.err
 }

@@ -88,13 +88,17 @@ func (d *DiskStore) path(key string) string {
 // Get returns the stored artifact for the spec's key, or compiles it and
 // persists the result. Unreadable and corrupt files are misses.
 func (d *DiskStore) Get(s CompileSpec) (*Artifact, error) {
-	key := s.Key()
+	return d.get(s, s.Key())
+}
+
+// get is Get with the spec's key already computed.
+func (d *DiskStore) get(s CompileSpec, key string) (*Artifact, error) {
 	if art := d.load(key); art != nil {
 		d.hits.Add(1)
 		return art, nil
 	}
 	d.misses.Add(1)
-	art, err := Compile(s)
+	art, err := compileKeyed(s, key)
 	if err != nil {
 		return nil, err
 	}

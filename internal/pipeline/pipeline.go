@@ -219,12 +219,17 @@ func CompileLoop(l *ir.Loop, cfg arch.Config, profLay *addrspace.Layout, profDS 
 // pipeline (unroll → latency assignment → order → cluster assignment and
 // schedule) and returns the content-addressed artifact.
 func Compile(s CompileSpec) (*Artifact, error) {
+	return compileKeyed(s, s.Key())
+}
+
+// compileKeyed is Compile with the spec's key already computed.
+func compileKeyed(s CompileSpec, key string) (*Artifact, error) {
 	if err := s.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", s.Bench.Name, err)
 	}
 	profDS := addrspace.Dataset{Seed: s.Bench.ProfileSeed, Aligned: s.Aligned}
 	profLay := addrspace.NewLayout(s.Bench.AllLoops(), s.Cfg, profDS)
-	art := &Artifact{Key: s.Key(), Bench: s.Bench.Name, Loops: make([]LoopArtifact, 0, len(s.Bench.Loops))}
+	art := &Artifact{Key: key, Bench: s.Bench.Name, Loops: make([]LoopArtifact, 0, len(s.Bench.Loops))}
 	for _, ls := range s.Bench.Loops {
 		la, err := CompileLoop(ls.Loop, s.Cfg, profLay, profDS, s.Opt)
 		if err != nil {

@@ -28,3 +28,18 @@ func Lookup(st Store, s CompileSpec) (*Artifact, error) {
 	}
 	return st.Get(s)
 }
+
+// keyedStore is a Store that can take the spec's key from its caller, so a
+// layered lookup (memory over disk, then a compile) fingerprints the spec
+// once instead of once per tier.
+type keyedStore interface {
+	get(s CompileSpec, key string) (*Artifact, error)
+}
+
+// getKeyed resolves s through st, handing key down when st accepts it.
+func getKeyed(st Store, s CompileSpec, key string) (*Artifact, error) {
+	if ks, ok := st.(keyedStore); ok {
+		return ks.get(s, key)
+	}
+	return st.Get(s)
+}

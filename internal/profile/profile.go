@@ -13,10 +13,14 @@
 package profile
 
 import (
+	"encoding/binary"
+	"sync/atomic"
+
 	"ivliw/internal/addrspace"
 	"ivliw/internal/arch"
 	"ivliw/internal/cache"
 	"ivliw/internal/ir"
+	"ivliw/internal/lru"
 )
 
 // MemStats accumulates profile counters for one memory instruction.
@@ -97,16 +101,81 @@ func (p *Profile) Stats(id int) *MemStats {
 // HitRate returns the hit rate of one instruction (0 when unknown).
 func (p *Profile) HitRate(id int) float64 { return p.Stats(id).HitRate() }
 
+// memoSize bounds Run's memo. One `ivliw-bench -exp all` profiles 175
+// distinct inputs; the rest leaves room for sweeps over several cluster
+// counts and cache geometries. A profile is one small histogram per memory
+// instruction.
+const memoSize = 1024
+
+// memo maps memoKey encodings to the profiles Run computed for them.
+var memo = lru.New[string, *Profile](memoSize)
+
+// bodies counts executions of Run's profiling loop (memo misses).
+var bodies atomic.Int64
+
 // Run profiles the loop over `iters` iterations of the given data set. The
 // tag store is warmed with one extra leading pass fraction so cold misses do
 // not dominate short loops; accesses execute in instruction order within
 // each iteration, matching the sequential semantics of the original loop.
+//
+// Run is memoized: results live in a bounded, mutex-guarded LRU keyed by
+// exactly the inputs the profiling loop reads (see memoKey), never by a
+// loop's name or pointer. Variants of one benchmark that differ only in
+// heuristic, chains or cache organization, and the unroll-by-1 candidate
+// that re-profiles the loop unroll selection just profiled, therefore share
+// one computation. The returned profile may be shared with other callers:
+// treat it as read-only, as every consumer in this module does.
 func Run(l *ir.Loop, lay *addrspace.Layout, ds addrspace.Dataset, cfg arch.Config, iters int) *Profile {
-	p := &Profile{Per: map[int]*MemStats{}, Clusters: cfg.Clusters}
 	mems := l.MemInstrs()
 	if len(mems) == 0 || iters <= 0 {
+		return &Profile{Per: map[int]*MemStats{}, Clusters: cfg.Clusters}
+	}
+	key := memoKey(l, mems, lay, ds, cfg, iters)
+	if p, ok := memo.Get(key); ok {
 		return p
 	}
+	p := run(l, mems, lay, ds, cfg, iters)
+	memo.Add(key, p)
+	return p
+}
+
+// memoKey encodes every input run reads: per memory instruction, in mems
+// order, its ID, symbol name, resolved base address and the address-shaping
+// fields of its descriptor; the data-set seed (it drives indirect
+// addresses); the trip count; and the cluster, interleave and cache
+// geometry. The alignment policy, allocation kind and whole layout reach
+// the profile only through the resolved bases, which are keyed directly.
+func memoKey(l *ir.Loop, mems []int, lay *addrspace.Layout, ds addrspace.Dataset, cfg arch.Config, iters int) string {
+	b := make([]byte, 0, 32+24*len(mems))
+	for _, v := range [...]int{iters, cfg.Clusters, cfg.Interleave, cfg.CacheBytes, cfg.BlockBytes, cfg.Assoc} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = binary.AppendUvarint(b, ds.Seed)
+	for _, id := range mems {
+		in := l.Instrs[id]
+		m := in.Mem
+		b = binary.AppendVarint(b, int64(in.ID))
+		b = binary.AppendUvarint(b, uint64(len(m.Sym)))
+		b = append(b, m.Sym...)
+		b = binary.AppendVarint(b, lay.Base(m.Sym))
+		b = binary.AppendVarint(b, m.Offset)
+		b = binary.AppendVarint(b, m.Stride)
+		b = binary.AppendVarint(b, int64(m.Gran))
+		if m.Indirect {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.AppendVarint(b, m.IndirectSpan)
+		b = binary.AppendVarint(b, m.SymBytes)
+	}
+	return string(b)
+}
+
+// run is Run's profiling loop, executed on a memo miss.
+func run(l *ir.Loop, mems []int, lay *addrspace.Layout, ds addrspace.Dataset, cfg arch.Config, iters int) *Profile {
+	bodies.Add(1)
+	p := &Profile{Per: make(map[int]*MemStats, len(mems)), Clusters: cfg.Clusters}
 	for _, id := range mems {
 		p.Per[id] = &MemStats{Hist: make([]int64, cfg.Clusters)}
 	}

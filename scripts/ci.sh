@@ -6,9 +6,12 @@
 #   2. go vet ./...
 #   3. go test -race ./...       (includes the StreamCells determinism and
 #                                 compile-key property tests)
-#   4. byte-identity of `ivliw-bench -exp all` against the committed golden
-#      transcript (cmd/ivliw-bench/testdata/exp_all.golden), so any drift in
-#      the paper reproduction is caught before it lands
+#   4. byte-identity of `ivliw-bench -exp all` at 1 and 2 workers against
+#      the committed golden transcript (cmd/ivliw-bench/testdata/
+#      exp_all.golden), so any drift in the paper reproduction is caught
+#      before it lands; `-exp fig5`, `-exp fig7` and `-exp headlines`, each
+#      in a fresh process, must equal their sections of it (inside `-exp
+#      all` those sections reuse cells the earlier figures simulated)
 #   5. sweep determinism: `ivliw-bench -sweep` must emit identical JSON
 #      across worker counts (1 vs 8) AND across the compiled-schedule cache
 #      being disabled (-compile-cache 0) vs enabled — the staged pipeline's
@@ -42,7 +45,7 @@
 #  10. cost-balanced chunks + work stealing: on a skewed mixed-cluster
 #      grid (its 2-cluster half compiles in tens of milliseconds, its
 #      8-cluster half in hundreds), `-calibrate` must
-#      round-trip through CALIBRATION.json; `-coordinate 2` must stitch
+#      round-trip through a calibration file; `-coordinate 2` must stitch
 #      byte-identically through the inproc, exec and pool launchers —
 #      including a run with an injected chunk crash — and a corrupt
 #      calibration file must degrade to the default model with a warning,
@@ -69,6 +72,10 @@
 #      silently broken analyzer can never fake a clean repo. The analyzer
 #      wall time per KLoC lands in BENCH_10.json
 #
+# The BENCH_6-10.json snapshots and the step-10 calibration file are written
+# under the run's temporary directory, never into the tree; each snapshot's
+# path and contents are printed when it is written.
+#
 # Usage: scripts/ci.sh
 # To refresh the golden transcript after an *intentional* output change:
 #   go run ./cmd/ivliw-bench -exp all > cmd/ivliw-bench/testdata/exp_all.golden
@@ -88,15 +95,40 @@ go vet ./...
 echo "== 3/12 go test -race ./... =="
 go test -race ./...
 
-echo "== 4/12 paper-output byte identity (ivliw-bench -exp all) =="
+echo "== 4/12 paper-output byte identity (ivliw-bench -exp all, fig5, fig7, headlines) =="
 go build -o "$tmp/ivliw-bench" ./cmd/ivliw-bench
-"$tmp/ivliw-bench" -exp all > "$tmp/exp_all.txt"
-if ! cmp -s cmd/ivliw-bench/testdata/exp_all.golden "$tmp/exp_all.txt"; then
-  echo "FAIL: ivliw-bench -exp all drifted from the golden transcript:" >&2
-  diff cmd/ivliw-bench/testdata/exp_all.golden "$tmp/exp_all.txt" | head -40 >&2
-  exit 1
-fi
-echo "byte-identical"
+golden=cmd/ivliw-bench/testdata/exp_all.golden
+for w in 1 2; do
+  "$tmp/ivliw-bench" -exp all -workers "$w" > "$tmp/exp_all_w$w.txt"
+  if ! cmp -s "$golden" "$tmp/exp_all_w$w.txt"; then
+    echo "FAIL: ivliw-bench -exp all -workers $w drifted from the golden transcript:" >&2
+    diff "$golden" "$tmp/exp_all_w$w.txt" | head -40 >&2
+    exit 1
+  fi
+done
+# golden_section prints the golden section whose first line starts with $1,
+# up to the next line starting with $2 (to the end when $2 is empty),
+# without the blank line `-exp all` writes after each section.
+golden_section() { # first_line_prefix next_section_prefix
+  awk -v start="$1" -v stop="$2" '
+    index($0, start) == 1 { on = 1 }
+    on && stop != "" && index($0, stop) == 1 { exit }
+    on { lines[n++] = $0 }
+    END { for (i = 0; i < n - 1; i++) print lines[i] }' "$golden"
+}
+# Inside -exp all these sections read cells the earlier figures left in the
+# figure functions' tables; alone, in a fresh process, they start cold.
+for section in "fig5|Figure 5:|Figure 6:" "fig7|Figure 7:|Figure 8:" "headlines|Headline numbers|"; do
+  IFS='|' read -r exp start stop <<< "$section"
+  golden_section "$start" "$stop" > "$tmp/golden_$exp.txt"
+  "$tmp/ivliw-bench" -exp "$exp" > "$tmp/exp_$exp.txt"
+  if [ ! -s "$tmp/golden_$exp.txt" ] || ! cmp -s "$tmp/golden_$exp.txt" "$tmp/exp_$exp.txt"; then
+    echo "FAIL: ivliw-bench -exp $exp differs from its section of the golden transcript:" >&2
+    diff "$tmp/golden_$exp.txt" "$tmp/exp_$exp.txt" | head -40 >&2
+    exit 1
+  fi
+done
+echo "byte-identical (-exp all at 1 and 2 workers; fig5, fig7, headlines alone)"
 
 echo "== 5/12 sweep determinism across workers and compile cache =="
 # run_sweep keeps stderr (cache-stats noise, but also any crash) in a log
@@ -322,10 +354,10 @@ awk -v exec_ns="$exec_ns" -v pool_ns="$pool_ns" -v fault_ns="$pool_fault_ns" \
   printf "  \"pool_overhead_pct\": %.1f,\n", (pool_ns - exec_ns) * 100.0 / exec_ns
   printf "  \"pool_fault_recovery_seconds\": %.3f\n", fault_ns / 1e9
   printf "}\n"
-}' > BENCH_6.json
+}' > "$tmp/BENCH_6.json"
 echo "pool byte-identical (plain, dead-worker+hang fault plan); manifest attributes workers"
-echo "snapshot written to BENCH_6.json:"
-cat BENCH_6.json
+echo "snapshot written to $tmp/BENCH_6.json:"
+cat "$tmp/BENCH_6.json"
 
 echo "== 9/12 batched simulation: -sim-batch byte-identity and scaling curve =="
 # The default grid's AB axis (0 vs 16 entries) is simulate-only, so every
@@ -392,14 +424,14 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" '
     printf "  \"batch8_cells_per_s\": %s,\n", rate["8"]
     printf "  \"batch4_off_cells_per_s\": %s\n", rate["4Off"]
     printf "}\n"
-  }' "$tmp/bench_batch.txt" > BENCH_7.json
-if grep -q ': ,' BENCH_7.json; then
+  }' "$tmp/bench_batch.txt" > "$tmp/BENCH_7.json"
+if grep -q ': ,' "$tmp/BENCH_7.json"; then
   echo "FAIL: BENCH_7.json has missing rates — benchmark output not parsed:" >&2
   cat "$tmp/bench_batch.txt" >&2
   exit 1
 fi
-echo "snapshot written to BENCH_7.json:"
-cat BENCH_7.json
+echo "snapshot written to $tmp/BENCH_7.json:"
+cat "$tmp/BENCH_7.json"
 
 echo "== 10/12 cost-balanced chunks + work stealing =="
 # The skew grid: the 2-cluster half compiles in tens of milliseconds, the
@@ -413,8 +445,9 @@ echo "== 10/12 cost-balanced chunks + work stealing =="
 run_sweep "$tmp/skew_ref.jsonl" -spec "$tmp/skew.json"
 # Calibration round-trip: measure this machine, persist next to the BENCH
 # snapshots, and prove the coordinator actually loads the file back.
+calibration="$tmp/CALIBRATION.json"
 t0=$(now_ns)
-if ! "$tmp/ivliw-bench" -spec "$tmp/skew.json" -calibrate CALIBRATION.json \
+if ! "$tmp/ivliw-bench" -spec "$tmp/skew.json" -calibrate "$calibration" \
     2> "$tmp/calibrate_stderr.log"; then
   echo "FAIL: ivliw-bench -calibrate crashed:" >&2
   cat "$tmp/calibrate_stderr.log" >&2
@@ -445,9 +478,9 @@ for launch in inproc exec pool; do
   extra=()
   if [ "$launch" = pool ]; then extra=(-pool-workers 2 -pool-stale 5s); fi
   coord_skew "$tmp/skew_$launch" "$tmp/skew_$launch.jsonl" \
-    -coordinate-launch "$launch" -coordinate-calibration CALIBRATION.json "${extra[@]}"
+    -coordinate-launch "$launch" -coordinate-calibration "$calibration" "${extra[@]}"
 done
-if ! grep -q 'calibration loaded from CALIBRATION.json' "$tmp/skew_stderr.log"; then
+if ! grep -qF "calibration loaded from $calibration" "$tmp/skew_stderr.log"; then
   echo "FAIL: the coordinator never loaded CALIBRATION.json back (round trip broken):" >&2
   cat "$tmp/skew_stderr.log" >&2
   exit 1
@@ -460,7 +493,7 @@ echo '{"events":[{"op":"crash","shard":1,"attempt":1}]}' > "$tmp/skew_crash.json
 (
   export IVLIW_FAULT_PLAN="$tmp/skew_crash.json"
   coord_skew "$tmp/skew_crash" "$tmp/skew_crash.jsonl" \
-    -coordinate-launch exec -coordinate-calibration CALIBRATION.json -coordinate-backoff 50ms
+    -coordinate-launch exec -coordinate-calibration "$calibration" -coordinate-backoff 50ms
 )
 if ! grep -q 'fault: crash' "$tmp/skew_stderr.log"; then
   echo "FAIL: the skew crash plan never fired:" >&2
@@ -521,7 +554,7 @@ if ! cmp -s "$tmp/skew_ref.jsonl" "$tmp/skew_count.jsonl"; then
   exit 1
 fi
 coord_skew "$tmp/skew_t_steal" "$tmp/skew_t_steal.jsonl" -workers 1 \
-  -coordinate-launch exec -coordinate-parallel 1 -coordinate-calibration CALIBRATION.json
+  -coordinate-launch exec -coordinate-parallel 1 -coordinate-calibration "$calibration"
 steal_ms=$(makespan "$tmp/skew_t_steal/manifest.json" 2)
 # The gate below only means something while the grid is skewed: count
 # balancing must leave one half with real work.
@@ -547,9 +580,9 @@ awk -v count_ms="$count_ms" -v steal_ms="$steal_ms" -v calibrate_ns="$calibrate_
   printf "  \"steal_vs_count_speedup\": %.2f,\n", count_ms / steal_ms
   printf "  \"calibrate_seconds\": %.3f\n", calibrate_ns / 1e9
   printf "}\n"
-}' > BENCH_8.json
-echo "snapshot written to BENCH_8.json:"
-cat BENCH_8.json
+}' > "$tmp/BENCH_8.json"
+echo "snapshot written to $tmp/BENCH_8.json:"
+cat "$tmp/BENCH_8.json"
 
 echo "== 11/12 sweep as a service: ivliw-served + ivliw-load =="
 go build -o "$tmp/ivliw-served" ./cmd/ivliw-served
@@ -635,7 +668,7 @@ fi
   printf '{\n  "snapshot": 9,\n  "date": "%s",\n  "go": "%s",\n' \
     "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(go env GOVERSION)"
   tail -n +2 "$tmp/load.json"
-} > BENCH_9.json
+} > "$tmp/BENCH_9.json"
 # Graceful drain: SIGTERM must stop the daemon cleanly (exit 0).
 kill -TERM "$served_pid"
 rc=0
@@ -652,8 +685,8 @@ if ! grep -q 'drained' "$tmp/served_stderr.log"; then
   exit 1
 fi
 echo "replay clean (1000 submissions, 12 executions); SIGTERM drained exit 0"
-echo "snapshot written to BENCH_9.json:"
-cat BENCH_9.json
+echo "snapshot written to $tmp/BENCH_9.json:"
+cat "$tmp/BENCH_9.json"
 
 echo "== 12/12 static analysis: ivliw-vet clean gate + seeded-violation smoke =="
 go build -o "$tmp/ivliw-vet" ./cmd/ivliw-vet
@@ -744,8 +777,8 @@ loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/lintchec
   -exec cat {} + | wc -l)
 ms_per_kloc=$(awk "BEGIN { printf \"%.2f\", $vet_wall_ms * 1000 / $loc }")
 printf '{\n  "snapshot": 10,\n  "date": "%s",\n  "go": "%s",\n  "analyzers": ["atomicwrite", "strictjson", "determinism", "ctxplumb", "nopanic", "annotation"],\n  "repo_findings": 0,\n  "non_test_loc": %s,\n  "wall_ms": %s,\n  "ms_per_kloc": %s\n}\n' \
-  "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(go env GOVERSION)" "$loc" "$vet_wall_ms" "$ms_per_kloc" > BENCH_10.json
-echo "snapshot written to BENCH_10.json:"
-cat BENCH_10.json
+  "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(go env GOVERSION)" "$loc" "$vet_wall_ms" "$ms_per_kloc" > "$tmp/BENCH_10.json"
+echo "snapshot written to $tmp/BENCH_10.json:"
+cat "$tmp/BENCH_10.json"
 
 echo "CI PASS"
