@@ -273,20 +273,22 @@
 // simulate-side access stream — are engineered for throughput (see
 // PERFORMANCE.md for design notes and measured numbers):
 //
-//   - internal/ir compiles each cyclic SCC into a RecEngine once per graph:
-//     endpoints re-indexed, per-edge latency split into a fixed part plus a
-//     reference to the owning instruction's assigned latency, and scratch
-//     buffers reused, so the latency-assignment pass evaluates single-load
-//     perturbations incrementally (IIWithChange) with warm binary-search
-//     bounds instead of re-running Bellman-Ford over [1, ΣL] from scratch.
-//     A probe reports an II infeasible as soon as the relaxation's
-//     predecessor graph closes a cycle, which under strict improvement is
-//     always a positive cycle, so a long unrolled recurrence one cycle
-//     short of feasibility is rejected after one pass instead of |V|+1.
-//     internal/latassign probes only the candidates that can still win a
-//     step: that positive cycle at curII−1 names the loads that can lower
-//     the II at all, lowering a load by δ cycles lowers the II by at most
-//     δ, and that caps each candidate's benefit, so the scan runs in
+//   - internal/ir compiles each cyclic SCC into a RecEngine once per graph
+//     and condenses it onto its k loop-carried edges. Its distance-0 edges
+//     form a DAG, so one longest-path pass from the head of each carried
+//     edge weighs a k-node carried graph. Each cycle of that graph is a
+//     closed walk of the component with the same latency and distance
+//     sums, and the two have positive cycles at exactly the same IIs. A
+//     query then costs O(k·|E|), and its II probes relax at most k² arcs
+//     instead of every edge of a component that has hundreds at unroll ×8
+//     (every suite recurrence has k = 1 or 2). Single-load perturbations
+//     (IIWithChange) keep warm binary-search bounds, and a probe reports
+//     an II infeasible as soon as the relaxation's predecessor graph
+//     closes a cycle, which under strict improvement is always a positive
+//     cycle. internal/latassign probes only the candidates that can still
+//     win a step: that positive cycle at curII−1 names the loads that can
+//     lower the II at all, lowering a load by δ cycles lowers the II by at
+//     most δ, and that caps each candidate's benefit, so the scan runs in
 //     descending order of the cap and stops once the cap falls below the
 //     best benefit found;
 //   - internal/sim streams memory accesses through a k-way merge over the

@@ -121,6 +121,9 @@ func Compile(l *ir.Loop, cfg arch.Config, profLay *addrspace.Layout, profDS addr
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Org == arch.Unified {
 		opt.Heuristic = sched.Base
 	}

@@ -51,12 +51,17 @@ func naiveHasCycle(g *ir.Graph, comp []int) bool {
 // suiteGraphs yields every loop of the workload suite at unroll factors 1,
 // 4 and 8, as (label, loop, graph). ×8 is the 8-cluster unroll factor: its
 // long unrolled recurrences are one cycle short at curII−1, the probes
-// that feasible's predecessor-cycle exit ends early.
+// that feasible's predecessor-cycle exit ends early. Every unrolled loop
+// must pass Validate: in particular its distance-0 edges stay acyclic, the
+// precondition of the RecEngine's carried graph.
 func suiteGraphs(t testing.TB) (labels []string, loops []*ir.Loop, graphs []*ir.Graph) {
 	for _, spec := range workload.Suite() {
 		for _, ls := range spec.Loops {
 			for _, u := range []int{1, 4, 8} {
 				ul := unroll.Unroll(ls.Loop, u)
+				if err := ul.Validate(); err != nil {
+					t.Fatalf("%s/%s/u%d: %v", spec.Name, ls.Loop.Name, u, err)
+				}
 				labels = append(labels, fmt.Sprintf("%s/%s/u%d", spec.Name, ls.Loop.Name, u))
 				loops = append(loops, ul)
 				graphs = append(graphs, ir.NewGraph(ul))

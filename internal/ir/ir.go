@@ -10,7 +10,10 @@
 // conservative (an unresolved reference pair carries a dependence).
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // OpClass classifies an instruction by the functional unit it needs and the
 // default latency of its result.
@@ -226,10 +229,53 @@ func (l *Loop) Validate() error {
 			return fmt.Errorf("ir: loop %s: memory edge %v between non-memory instructions", l.Name, e)
 		}
 	}
+	if v := zeroDistanceCycle(l); v >= 0 {
+		return fmt.Errorf("ir: loop %s: instruction %q lies on a dependence cycle of distance 0, which no II satisfies", l.Name, l.Instrs[v].Name)
+	}
 	if l.AvgIters < 0 {
 		return fmt.Errorf("ir: loop %s: negative AvgIters %d", l.Name, l.AvgIters)
 	}
 	return nil
+}
+
+// zeroDistanceCycle returns an instruction on a cycle of the loop's
+// distance-0 edges, or -1 if they are acyclic. When every distance-0 edge
+// points to a later instruction, body order is a topological order. The
+// workload suite's loops and their unrolled copies are of that kind, so
+// Validate usually allocates nothing here. Otherwise every node the
+// topological sort leaves out keeps an in-edge from another such node, so
+// walking those edges back |Instrs| times ends on a cycle.
+func zeroDistanceCycle(l *Loop) int {
+	if !slices.ContainsFunc(l.Edges, func(e Edge) bool { return e.Distance == 0 && e.From >= e.To }) {
+		return -1
+	}
+	var arcs [][2]int
+	for _, e := range l.Edges {
+		if e.Distance == 0 {
+			arcs = append(arcs, [2]int{e.From, e.To})
+		}
+	}
+	n := len(l.Instrs)
+	order := topoOrder(n, arcs)
+	if len(order) == n {
+		return -1
+	}
+	sorted := make([]bool, n)
+	for _, v := range order {
+		sorted[v] = true
+	}
+	back := make([]int, n)
+	v := -1
+	for _, a := range arcs {
+		if !sorted[a[0]] {
+			back[a[1]] = a[0]
+			v = a[1]
+		}
+	}
+	for range n {
+		v = back[v]
+	}
+	return v
 }
 
 // MemInstrs returns the IDs of all memory instructions in body order.

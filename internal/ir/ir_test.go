@@ -299,6 +299,12 @@ func TestValidateNegativeCases(t *testing.T) {
 			Instrs: []*Instr{{ID: 0, Class: OpIntALU}},
 			Edges:  []Edge{{From: 0, To: 0, Kind: RegFlow, Distance: -1}}},
 		"negative AvgIters": {Name: "x", AvgIters: -1},
+		"distance-0 two-node cycle": {Name: "x",
+			Instrs: []*Instr{{ID: 0, Class: OpIntALU}, {ID: 1, Class: OpIntALU}},
+			Edges:  []Edge{{From: 0, To: 1, Kind: RegFlow}, {From: 1, To: 0, Kind: RegAnti}}},
+		"distance-0 self edge": {Name: "x",
+			Instrs: []*Instr{{ID: 0, Class: OpIntALU}},
+			Edges:  []Edge{{From: 0, To: 0, Kind: RegFlow}}},
 	}
 	for name, l := range cases {
 		if err := l.Validate(); err == nil {

@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"ivliw/internal/ir"
+	"ivliw/internal/unroll"
 )
 
 // The property test below pins the RecEngine to the naive Graph.RecII on
 // seeded random loops rather than the workload suite, so that the shapes
 // the suite happens not to contain are covered too: zero-latency anti
-// edges, distance-0 edges, self edges, overlapping cycles, and single long
+// edges, distance-0 edges, self edges, overlapping cycles, single long
 // cycles that are short by exactly one cycle at curII−1 (the probe that
-// feasible's predecessor-cycle exit cuts from |V|+1 rounds to one).
+// feasible's predecessor-cycle exit cuts from |V|+1 rounds to one), and
+// components with many loop-carried edges, some pairs of which no
+// distance-0 path joins (carried graphs with k ≥ 2 nodes and missing arcs).
 
 // randClasses are the opcode classes drawn for random loop bodies.
 var randClasses = []ir.OpClass{ir.OpIntALU, ir.OpMul, ir.OpDiv, ir.OpFPALU, ir.OpLoad, ir.OpLoad, ir.OpStore}
@@ -59,22 +62,31 @@ func randKind(rng *rand.Rand, classes []ir.OpClass, from, to int) ir.DepKind {
 //   - "ring": one long cycle — a distance-0 chain closed by a single
 //     distance-1 back edge;
 //   - "rings": a ring plus chords in both directions, so cycles overlap;
-//   - "random": random forward, backward and self edges of every kind.
+//   - "random": random forward, backward and self edges of every kind;
+//   - "unrolled": a ring closed by a distance-2 or distance-3 back edge,
+//     plus chords, unrolled ×2 or ×4. Its components have several carried
+//     edges, and the copies' rings join only through some of them.
 func randLoop(rng *rand.Rand, shape string, id int) *ir.Loop {
 	var n int
 	switch shape {
 	case "ring":
 		n = 2 + rng.IntN(80)
+	case "unrolled":
+		n = 2 + rng.IntN(24)
 	default:
 		n = 1 + rng.IntN(24)
 	}
 	b := ir.NewBuilder(fmt.Sprintf("%s%d", shape, id), 64, 1)
 	classes := randBody(rng, b, n)
-	if shape == "ring" || shape == "rings" {
+	if shape != "random" {
 		for i := 0; i+1 < n; i++ {
 			b.Flow(i, i+1)
 		}
-		b.FlowD(n-1, 0, 1)
+		back := 1
+		if shape == "unrolled" {
+			back = 2 + rng.IntN(2)
+		}
+		b.FlowD(n-1, 0, back)
 	}
 	extra := 0
 	switch shape {
@@ -82,6 +94,8 @@ func randLoop(rng *rand.Rand, shape string, id int) *ir.Loop {
 		extra = 1 + rng.IntN(2*n)
 	case "random":
 		extra = rng.IntN(3 * n)
+	case "unrolled":
+		extra = 1 + rng.IntN(3)
 	}
 	for k := 0; k < extra; k++ {
 		from, to := rng.IntN(n), rng.IntN(n)
@@ -90,6 +104,9 @@ func randLoop(rng *rand.Rand, shape string, id int) *ir.Loop {
 			dist = 0
 		}
 		b.Dep(from, to, randKind(rng, classes, from, to), dist)
+	}
+	if shape == "unrolled" {
+		return unroll.Unroll(b.MustBuild(), 2<<rng.IntN(2))
 	}
 	return b.MustBuild()
 }
@@ -110,7 +127,7 @@ func naiveWithChange(g *ir.Graph, nodes, assigned []int, instr, lat int) int {
 // A lowering by δ must never take the II below curII − δ.
 func TestRecEngineMatchesNaiveOnRandomLoops(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2002, 35))
-	for _, shape := range []string{"ring", "rings", "random"} {
+	for _, shape := range []string{"ring", "rings", "random", "unrolled"} {
 		for id := 0; id < 100; id++ {
 			l := randLoop(rng, shape, id)
 			g := ir.NewGraph(l)
@@ -195,7 +212,7 @@ func TestWitnessCycleIsSound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(2002, 36))
 	found, probed := 0, 0
-	for _, shape := range []string{"ring", "rings", "random"} {
+	for _, shape := range []string{"ring", "rings", "random", "unrolled"} {
 		for id := 0; id < 100; id++ {
 			l := randLoop(rng, shape, id)
 			g := ir.NewGraph(l)

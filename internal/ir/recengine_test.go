@@ -6,8 +6,8 @@ import "testing"
 // (including chains that merge) have none; a self loop, a two-node cycle and
 // a tail leading into a cycle each have one, and the node returned must lie
 // on it. Each case lists every node's predecessor node; the test turns it
-// into one edge per node, recorded in pred. The calls share one engine, so
-// the walk stamps carried between calls are exercised too.
+// into one carried-graph arc per node, recorded in pred. The calls share
+// one engine, so the walk stamps carried between calls are exercised too.
 func TestPredCycle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,12 +26,12 @@ func TestPredCycle(t *testing.T) {
 	}
 	e := &RecEngine{pred: make([]int, 5), mark: make([]int, 5)}
 	for _, c := range cases {
-		e.edges = e.edges[:0]
+		e.arcs = e.arcs[:0]
 		for v, u := range c.pred {
 			e.pred[v] = -1
 			if u >= 0 {
-				e.pred[v] = len(e.edges)
-				e.edges = append(e.edges, recEdge{from: u, to: v})
+				e.pred[v] = len(e.arcs)
+				e.arcs = append(e.arcs, arc{from: u, to: v})
 			}
 		}
 		u := e.predCycle()

@@ -191,7 +191,8 @@ func synthProfiles(l *ir.Loop) map[int]latassign.MemProfile {
 // ×8 runs the synthetic profiles only and skips epicdec, to keep the naive
 // reference's time in check: at ×8 it needs about 13 s for epicdec's
 // synthetic profiles and about 19 s for the other benchmarks' worst-case
-// profiles, against 2 s for the cases kept.
+// profiles, against 2 s for the cases kept. Each case is a parallel
+// subtest with its own graph, since a graph's engines keep scratch state.
 func TestGoldenAssign(t *testing.T) {
 	icfg := arch.Default()
 	ucfg := arch.UnifiedConfig(5)
@@ -209,15 +210,21 @@ func TestGoldenAssign(t *testing.T) {
 				if u == 8 && spec.Name == "epicdec" {
 					continue
 				}
-				ul := unroll.Unroll(ls.Loop, u)
-				g := ir.NewGraph(ul)
 				for _, c := range cases {
-					for _, prof := range []map[int]latassign.MemProfile{synthProfiles(ul), nil} {
-						if u == 8 && prof == nil {
+					for _, synth := range []bool{true, false} {
+						if u == 8 && !synth {
 							continue
 						}
-						label := fmt.Sprintf("%s/%s/u%d/%s/prof=%v", spec.Name, ls.Loop.Name, u, c.name, prof != nil)
-						checkAssign(t, label, ul, g, c.cfg, c.ld, prof)
+						label := fmt.Sprintf("%s/%s/u%d/%s/prof=%v", spec.Name, ls.Loop.Name, u, c.name, synth)
+						t.Run(label, func(t *testing.T) {
+							t.Parallel()
+							ul := unroll.Unroll(ls.Loop, u)
+							var prof map[int]latassign.MemProfile
+							if synth {
+								prof = synthProfiles(ul)
+							}
+							checkAssign(t, label, ul, ir.NewGraph(ul), c.cfg, c.ld, prof)
+						})
 					}
 				}
 			}
@@ -246,7 +253,9 @@ func checkAssign(t *testing.T, label string, l *ir.Loop, g *ir.Graph, cfg arch.C
 // drawn from {0, 0.5, 1}, so zero stall increases (B = +Inf) are common, and
 // the unrolled copies of an instruction share its profile, so equal B values
 // across copies are too. Only the tie-break order of better can then pick
-// the winner, whatever order bestStep evaluates its candidates in.
+// the winner, whatever order bestStep evaluates its candidates in. The
+// loops and profiles are drawn serially, in one seeded sequence; each loop
+// is then checked in a parallel subtest.
 func TestAssignMatchesReferenceOnTiedLoops(t *testing.T) {
 	icfg := arch.Default()
 	ucfg := arch.UnifiedConfig(5)
@@ -259,23 +268,31 @@ func TestAssignMatchesReferenceOnTiedLoops(t *testing.T) {
 	}
 	thirds := []float64{0, 0.5, 1}
 	rng := rand.New(rand.NewPCG(2002, 13))
-	for id := 0; id < 100; id++ {
+	loops := make([]*ir.Loop, 100)
+	bases := make([]map[int]latassign.MemProfile, len(loops))
+	for id := range loops {
 		l := tiedLoop(rng, id)
 		base := map[int]latassign.MemProfile{}
 		for _, v := range l.MemInstrs() {
 			base[v] = latassign.MemProfile{Hit: thirds[rng.IntN(3)], Local: thirds[rng.IntN(3)]}
 		}
-		for _, u := range []int{1, 2, 4} {
-			ul := unroll.Unroll(l, u)
-			g := ir.NewGraph(ul)
-			prof := map[int]latassign.MemProfile{}
-			for _, v := range ul.MemInstrs() {
-				prof[v] = base[v%len(l.Instrs)]
+		loops[id], bases[id] = l, base
+	}
+	for id, l := range loops {
+		t.Run(l.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, u := range []int{1, 2, 4} {
+				ul := unroll.Unroll(l, u)
+				g := ir.NewGraph(ul)
+				prof := map[int]latassign.MemProfile{}
+				for _, v := range ul.MemInstrs() {
+					prof[v] = bases[id][v%len(l.Instrs)]
+				}
+				for li, c := range ladders {
+					checkAssign(t, fmt.Sprintf("%s/u%d/ladder%d", l.Name, u, li), ul, g, c.cfg, c.ld, prof)
+				}
 			}
-			for li, c := range ladders {
-				checkAssign(t, fmt.Sprintf("%s/u%d/ladder%d", l.Name, u, li), ul, g, c.cfg, c.ld, prof)
-			}
-		}
+		})
 	}
 }
 
@@ -314,27 +331,31 @@ func tiedLoop(rng *rand.Rand, id int) *ir.Loop {
 // TestGoldenAssignNonAscendingLadder: arch.Config.Validate permits machines
 // whose remote-hit latency exceeds the local-miss latency, giving a ladder
 // that is not ascending. bestStep must not depend on the ladder's order and
-// must still match the order-insensitive naive reference.
+// must still match the order-insensitive naive reference. Each unrolled
+// loop is a parallel subtest with its own graph.
 func TestGoldenAssignNonAscendingLadder(t *testing.T) {
 	cfg := arch.Default()
 	ld := latassign.Ladder{1, 11, 10, 21}
 	for _, spec := range workload.Suite() {
 		for _, ls := range spec.Loops {
 			for _, u := range []int{1, 4} {
-				ul := unroll.Unroll(ls.Loop, u)
-				g := ir.NewGraph(ul)
 				label := fmt.Sprintf("%s/%s/u%d", spec.Name, ls.Loop.Name, u)
-				want := referenceAssign(ul, g, cfg, ld, synthProfiles(ul))
-				got := latassign.Assign(ul, g, cfg, ld, synthProfiles(ul))
-				if got.TargetMII != want.TargetMII {
-					t.Errorf("%s: TargetMII = %d, want %d", label, got.TargetMII, want.TargetMII)
-				}
-				if !reflect.DeepEqual(got.Assigned, want.Assigned) {
-					t.Errorf("%s: Assigned = %v, want %v", label, got.Assigned, want.Assigned)
-				}
-				if !reflect.DeepEqual(got.Steps, want.Steps) {
-					t.Errorf("%s: Steps = %+v, want %+v", label, got.Steps, want.Steps)
-				}
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					ul := unroll.Unroll(ls.Loop, u)
+					g := ir.NewGraph(ul)
+					want := referenceAssign(ul, g, cfg, ld, synthProfiles(ul))
+					got := latassign.Assign(ul, g, cfg, ld, synthProfiles(ul))
+					if got.TargetMII != want.TargetMII {
+						t.Errorf("%s: TargetMII = %d, want %d", label, got.TargetMII, want.TargetMII)
+					}
+					if !reflect.DeepEqual(got.Assigned, want.Assigned) {
+						t.Errorf("%s: Assigned = %v, want %v", label, got.Assigned, want.Assigned)
+					}
+					if !reflect.DeepEqual(got.Steps, want.Steps) {
+						t.Errorf("%s: Steps = %+v, want %+v", label, got.Steps, want.Steps)
+					}
+				})
 			}
 		}
 	}
