@@ -23,14 +23,10 @@
 //	ivliw-bench -spec run.json -calibrate calibration.json
 //	ivliw-bench -spec run.json -spec-hash
 //	ivliw-bench -spec run.json -coordinate 3 [-coordinate-dir DIR]
-//	            [-coordinate-launch exec|inproc|pool] [-coordinate-attempts 3]
-//	            [-coordinate-backoff 250ms] [-coordinate-seed 1]
-//	            [-coordinate-parallel 0]
-//	            [-coordinate-calibration calibration.json] [-out sweep.jsonl]
-//	ivliw-bench -spec run.json -coordinate 3 -coordinate-launch pool
-//	            [-pool-workers 3] [-pool-slots 1] [-pool-capacity 0]
-//	            [-pool-stale 2s] [-pool-heartbeat 500ms]
-//	            [-pool-quarantine 2] [-pool-backoff 1s]
+//	            [-coordinate-attempts 3] [-coordinate-backoff 250ms]
+//	            [-coordinate-seed 1] [-coordinate-parallel 0]
+//	            [-coordinate-calibration calibration.json]
+//	            [-pool-stale 2s] [-pool-backoff 1s] [-out sweep.jsonl]
 //
 // The sweep flags are a thin front end over the public ivliw/sweep package:
 // they parse into a declarative, serializable sweep.Spec. -spec-out writes
@@ -44,32 +40,32 @@
 // -coordinate n runs the whole sharded workflow in one command with n
 // workers: the grid is cut into up to 4n never-empty chunks of equal
 // predicted cost, on compile-key atom boundaries (one chunk when n is 1),
-// and idle workers claim the next chunk, heaviest first, through a
-// launcher (exec: worker subprocesses of this binary, whose Command prefix
-// is also the ssh seam; inproc: goroutines). Failed attempts are retried
-// within -coordinate-attempts, and the chunk outputs are stitched into -out
-// byte-identical to the unsharded run. The cost model can be calibrated to
-// this machine (-calibrate writes the file, -coordinate-calibration loads
-// it; a missing or corrupt file degrades to the built-in model with a
-// warning). Workers receive their ranges through the -claim lo:hi
-// protocol; byte-identity holds by construction, because rows stay keyed
-// by grid index and the stitcher concatenates ranges in index order.
+// and idle workers claim the next chunk, heaviest first. The workers, w0
+// to w(n-1), are subprocesses of this binary in a health-checked pool
+// (sweep.Pool). Failed attempts are retried within -coordinate-attempts,
+// and the chunk outputs are stitched into -out byte-identical to the
+// unsharded run. The cost model can be calibrated to this machine
+// (-calibrate writes the file, -coordinate-calibration loads it; a missing
+// or corrupt file degrades to the built-in model with a warning). Workers
+// receive their ranges through the -claim lo:hi protocol; byte-identity
+// holds by construction, because rows stay keyed by grid index and the
+// stitcher concatenates ranges in index order.
 // Chunk outputs and the manifest live in -coordinate-dir; every state
 // transition is committed atomically (temp+rename), so a coordinator
 // killed mid-run resumes its completed chunks when rerun over the same
 // directory. SIGINT/SIGTERM cancel sweep and coordinator runs cleanly —
 // staged output files are discarded, never truncated — and exit 130.
 //
-// -coordinate-launch pool schedules the chunk attempts across a
-// health-checked pool of worker subprocesses (sweep.Pool): each attempt
-// writes heartbeats (-heartbeat under the hood), attempts whose heartbeat
-// goes stale for -pool-stale are killed and retried — the only hang
-// detection a coordinated run has — and workers that fail repeatedly are
-// quarantined with backoff. The IVLIW_FAULT_PLAN environment
-// variable may name a JSON fault plan (see ivliw/sweep/fault) that
-// deterministically crashes, hangs or wedges specific shard attempts and
-// kills specific pool workers — the harness scripts/ci.sh uses to prove
-// byte-identity survives worker failure.
+// Each chunk attempt writes heartbeats (-heartbeat under the hood): an
+// attempt whose heartbeat goes stale for -pool-stale is killed and retried
+// — the only hang detection a coordinated run has; 0 turns heartbeats off
+// — and a finished attempt's output must hash to the checksum its final
+// heartbeat carries. A worker that fails twice in a row is quarantined for
+// up to -pool-backoff (jittered, doubled per quarantine). The
+// IVLIW_FAULT_PLAN environment variable may name a JSON fault plan (see
+// ivliw/sweep/fault) that deterministically crashes, hangs or wedges
+// specific shard attempts and kills specific pool workers — the harness
+// scripts/ci.sh uses to prove byte-identity survives worker failure.
 //
 // Sweeps run as a two-stage streaming pipeline: distinct compile keys are
 // compiled once into the artifact store (-compile-cache memory artifacts, 0
@@ -139,7 +135,6 @@ func main() {
 	out := flag.String("out", "", "write sweep JSONL rows to this file instead of stdout")
 	coordinate := flag.Int("coordinate", 0, "run the sweep coordinated over this many workers: cut, launch, retry, resume, stitch (0: off)")
 	coordDir := flag.String("coordinate-dir", "", "coordinator work dir (manifest + shard outputs); reuse it to resume a killed run (default: fresh temp dir)")
-	coordLaunch := flag.String("coordinate-launch", "exec", "chunk launcher: exec (worker subprocesses), inproc (goroutines) or pool (health-checked worker pool)")
 	coordAttempts := flag.Int("coordinate-attempts", 3, "max attempts per chunk (first try + retries)")
 	coordBackoff := flag.Duration("coordinate-backoff", 0, "base delay before retrying a failed chunk attempt, doubled per retry with deterministic jitter (0: retry immediately)")
 	coordSeed := flag.Uint64("coordinate-seed", 0, "seed of the deterministic retry and quarantine jitter")
@@ -147,13 +142,8 @@ func main() {
 	coordCalibration := flag.String("coordinate-calibration", "", "calibration JSON for the cost model that sizes and orders chunks (see -calibrate); a missing or corrupt file degrades to the built-in default with a warning")
 	heartbeat := flag.String("heartbeat", "", "write liveness heartbeats to this file while the sweep runs (sweep/spec runs)")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 0, "heartbeat period (0: 500ms; needs -heartbeat)")
-	poolWorkers := flag.Int("pool-workers", 3, "pool size for -coordinate-launch pool: worker subprocesses of this binary")
-	poolCapacity := flag.Int("pool-capacity", 0, "per-attempt -workers each pool worker advertises (0: worker default)")
-	poolSlots := flag.Int("pool-slots", 1, "concurrent shard attempts per pool worker")
-	poolStale := flag.Duration("pool-stale", 2*time.Second, "kill a pool attempt whose heartbeat is older than this (0: no heartbeat monitoring)")
-	poolHeartbeat := flag.Duration("pool-heartbeat", 0, "heartbeat period requested from pool workers (0: pool-stale/4)")
-	poolQuarantine := flag.Int("pool-quarantine", 2, "quarantine a pool worker after this many consecutive failures (-1: never)")
-	poolBackoff := flag.Duration("pool-backoff", time.Second, "base quarantine backoff, doubled per quarantine with deterministic jitter")
+	poolStale := flag.Duration("pool-stale", 2*time.Second, "kill a coordinated chunk attempt whose heartbeat is older than this (0: no heartbeat monitoring)")
+	poolBackoff := flag.Duration("pool-backoff", time.Second, "base quarantine backoff of a coordinated worker that failed twice in a row, doubled per quarantine with deterministic jitter")
 	flag.Parse()
 	usageErr := func(format string, args ...any) {
 		fmt.Fprintf(flag.CommandLine.Output(), "ivliw-bench: "+format+"\n", args...)
@@ -186,7 +176,7 @@ func main() {
 	}
 	if *coordinate == 0 {
 		for _, name := range sortedNames(set) {
-			if name != "coordinate" && strings.HasPrefix(name, "coordinate-") {
+			if strings.HasPrefix(name, "coordinate-") || strings.HasPrefix(name, "pool-") {
 				usageErr("-%s only applies with -coordinate n", name)
 			}
 		}
@@ -197,9 +187,6 @@ func main() {
 		if set["claim"] {
 			usageErr("-claim cannot be combined with -coordinate (the coordinator owns sharding)")
 		}
-		if *coordLaunch != "exec" && *coordLaunch != "inproc" && *coordLaunch != "pool" {
-			usageErr("-coordinate-launch must be exec, inproc or pool, got %q", *coordLaunch)
-		}
 		if *coordAttempts < 1 {
 			usageErr("-coordinate-attempts must be >= 1, got %d", *coordAttempts)
 		}
@@ -207,21 +194,7 @@ func main() {
 			usageErr("-coordinate-parallel must be >= 0, got %d", *coordParallel)
 		}
 		if set["heartbeat"] || set["heartbeat-interval"] {
-			usageErr("-heartbeat is a per-worker knob; coordinated runs assign heartbeats through -coordinate-launch pool")
-		}
-	}
-	if !(*coordinate > 0 && *coordLaunch == "pool") {
-		for _, name := range sortedNames(set) {
-			if strings.HasPrefix(name, "pool-") {
-				usageErr("-%s only applies with -coordinate-launch pool", name)
-			}
-		}
-	} else {
-		if *poolWorkers < 1 {
-			usageErr("-pool-workers must be >= 1, got %d", *poolWorkers)
-		}
-		if *poolSlots < 1 {
-			usageErr("-pool-slots must be >= 1, got %d", *poolSlots)
+			usageErr("-heartbeat is a per-worker knob; coordinated runs assign heartbeats to their workers (see -pool-stale)")
 		}
 	}
 	if set["heartbeat-interval"] && !set["heartbeat"] {
@@ -406,21 +379,15 @@ func main() {
 		}
 		if *coordinate > 0 {
 			err = runCoordinated(ctx, spec, coordinatorCLI{
-				shards:         *coordinate,
-				dir:            *coordDir,
-				launch:         *coordLaunch,
-				attempts:       *coordAttempts,
-				backoff:        *coordBackoff,
-				seed:           *coordSeed,
-				parallel:       *coordParallel,
-				calibration:    *coordCalibration,
-				poolWorkers:    *poolWorkers,
-				poolCapacity:   *poolCapacity,
-				poolSlots:      *poolSlots,
-				poolStale:      *poolStale,
-				poolHeartbeat:  *poolHeartbeat,
-				poolQuarantine: *poolQuarantine,
-				poolBackoff:    *poolBackoff,
+				shards:      *coordinate,
+				dir:         *coordDir,
+				attempts:    *coordAttempts,
+				backoff:     *coordBackoff,
+				seed:        *coordSeed,
+				parallel:    *coordParallel,
+				calibration: *coordCalibration,
+				poolStale:   *poolStale,
+				poolBackoff: *poolBackoff,
 			})
 		} else {
 			// A scripted fault plan (armed via IVLIW_FAULT_PLAN, inherited
@@ -824,75 +791,47 @@ func runSweep(ctx context.Context, spec sweep.Spec) error {
 type coordinatorCLI struct {
 	shards      int
 	dir         string
-	launch      string
 	attempts    int
 	backoff     time.Duration
 	seed        uint64
 	parallel    int
 	calibration string
-
-	poolWorkers    int
-	poolCapacity   int
-	poolSlots      int
-	poolStale      time.Duration
-	poolHeartbeat  time.Duration
-	poolQuarantine int
-	poolBackoff    time.Duration
+	poolStale   time.Duration
+	poolBackoff time.Duration
 }
 
 // runCoordinated cuts the spec's grid into chunks for o.shards workers,
-// executes them through the selected launcher with retries, and stitches
-// the chunk outputs into the spec's output path (stdout by default) —
-// byte-identical to the unsharded run. Reusing -coordinate-dir resumes
-// completed chunks from the manifest after a kill.
+// executes them on a pool of as many subprocess workers of this binary
+// with retries, and stitches the chunk outputs into the spec's output path
+// (stdout by default) — byte-identical to the unsharded run. Reusing
+// -coordinate-dir resumes completed chunks from the manifest after a kill.
 func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) error {
-	var launcher sweep.Launcher
-	var pool *sweep.Pool
-	switch o.launch {
-	case "inproc":
-		launcher = sweep.InProcess{}
-	case "pool":
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("resolving own binary for the pool launcher: %w", err)
-		}
-		// The pool consumes dead-worker events itself; shard-scoped events
-		// fire inside the worker subprocesses, which inherit the env.
-		plan, err := fault.FromEnv()
-		if err != nil {
-			return err
-		}
-		var workers []sweep.Worker
-		for i := 0; i < o.poolWorkers; i++ {
-			workers = append(workers, sweep.Worker{
-				Name:     fmt.Sprintf("w%d", i),
-				Command:  []string{exe},
-				Capacity: o.poolCapacity,
-				Slots:    o.poolSlots,
-			})
-		}
-		pool = &sweep.Pool{
-			Workers:           workers,
-			StaleAfter:        o.poolStale,
-			HeartbeatInterval: o.poolHeartbeat,
-			QuarantineAfter:   o.poolQuarantine,
-			QuarantineBackoff: o.poolBackoff,
-			Seed:              o.seed,
-			Fault:             plan,
-			Stderr:            os.Stderr,
-			Log:               log.Printf,
-		}
-		launcher = pool
-	default: // "exec", validated in main
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("resolving own binary for the exec launcher: %w", err)
-		}
-		launcher = sweep.Exec{Command: []string{exe}, Stderr: os.Stderr}
+	exe, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("resolving own binary for the worker pool: %w", err)
+	}
+	// The pool consumes dead-worker events itself; shard-scoped events
+	// fire inside the worker subprocesses, which inherit the env.
+	plan, err := fault.FromEnv()
+	if err != nil {
+		return err
+	}
+	workers := make([]sweep.Worker, o.shards)
+	for i := range workers {
+		workers[i] = sweep.Worker{Name: fmt.Sprintf("w%d", i), Command: []string{exe}}
+	}
+	pool := &sweep.Pool{
+		Workers:           workers,
+		StaleAfter:        o.poolStale,
+		QuarantineBackoff: o.poolBackoff,
+		Seed:              o.seed,
+		Fault:             plan,
+		Stderr:            os.Stderr,
+		Log:               log.Printf,
 	}
 	st, err := sweep.Coordinate(ctx, spec, sweep.CoordinatorOptions{
 		Shards:       o.shards,
-		Launcher:     launcher,
+		Launcher:     pool,
 		Dir:          o.dir,
 		MaxAttempts:  o.attempts,
 		RetryBackoff: o.backoff,
@@ -901,11 +840,9 @@ func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) erro
 		Calibration:  o.calibration,
 		Log:          log.Printf,
 	})
-	if pool != nil {
-		ps := pool.Stats()
-		log.Printf("pool: %d launches, %d stale kills, %d worker deaths, %d checksum failures, %d quarantines (%d readmissions)",
-			ps.Launches, ps.StaleKills, ps.WorkerDeaths, ps.ChecksumFailures, ps.Quarantines, ps.Readmissions)
-	}
+	ps := pool.Stats()
+	log.Printf("pool: %d launches, %d stale kills, %d worker deaths, %d checksum failures, %d quarantines (%d readmissions)",
+		ps.Launches, ps.StaleKills, ps.WorkerDeaths, ps.ChecksumFailures, ps.Quarantines, ps.Readmissions)
 	if err != nil {
 		return err
 	}

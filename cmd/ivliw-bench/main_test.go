@@ -4,11 +4,27 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ivliw/internal/experiments"
+	"ivliw/sweep"
 )
+
+// asMainEnv, set to 1, makes this test binary run main() instead of the
+// tests, so the coordinated-run test can start it as an ivliw-bench
+// coordinator whose pool starts it again as every worker.
+const asMainEnv = "IVLIW_BENCH_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestExpAllMatchesGolden renders the `-exp all` transcript in-process and
 // compares it with testdata/exp_all.golden byte for byte: first at two
@@ -68,4 +84,122 @@ func firstDiff(want, got []byte) string {
 		}
 	}
 	return "no line differs"
+}
+
+// TestCoordinatedCLI drives `ivliw-bench -coordinate 2` end to end, with
+// real worker subprocesses: the stitched output equals the unsharded run's
+// bytes, a crashed chunk attempt from a fault plan is retried, and a rerun
+// over the same coordinator directory resumes with 0 launches.
+func TestCoordinatedCLI(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	// run starts this binary as ivliw-bench with an armed (or, for "", an
+	// unarmed) fault plan and returns its stderr.
+	run := func(plan string, args ...string) string {
+		t.Helper()
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), asMainEnv+"=1", "IVLIW_FAULT_PLAN="+plan)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("ivliw-bench %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		}
+		return stderr.String()
+	}
+	same := func(name string) {
+		t.Helper()
+		want, err := os.ReadFile(path("ref.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path(name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the unsharded run (err %v)", name, err)
+		}
+	}
+	wantLog := func(stderr string, lines ...string) {
+		t.Helper()
+		for _, l := range lines {
+			if !strings.Contains(stderr, l) {
+				t.Errorf("stderr lacks %q:\n%s", l, stderr)
+			}
+		}
+	}
+
+	// Two cache capacities make two compile-key atoms, so two chunks.
+	run("", "-sweep", "-sweep-clusters", "2", "-sweep-cache-kb", "4,8", "-sweep-ab", "0",
+		"-sweep-bench", "gsmdec", "-spec-out", path("spec.json"))
+	run("", "-spec", path("spec.json"), "-out", path("ref.jsonl"))
+
+	coordinate := func(plan, work, out string) string {
+		return run(plan, "-spec", path("spec.json"), "-coordinate", "2",
+			"-coordinate-dir", path(work), "-out", path(out))
+	}
+	wantLog(coordinate("", "work", "coord.jsonl"), "2 workers, 2 tasks, 0 resumed, 2 launches, 0 retries")
+	same("coord.jsonl")
+
+	plan := path("crash.json")
+	if err := os.WriteFile(plan, []byte(`{"events":[{"op":"crash","shard":1,"attempt":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantLog(coordinate(plan, "work_crash", "crash.jsonl"), "fault: crash (shard 1, attempt 1)", "3 launches, 1 retries")
+	same("crash.jsonl")
+
+	wantLog(coordinate("", "work", "resume.jsonl"), "2 resumed, 0 launches")
+	same("resume.jsonl")
+}
+
+// FuzzParseShard: no input panics the -shard parser, and an accepted value
+// formats as the `-shard i/n` argument a pool worker receives (empty for
+// no shard), which parses to the same shard and formats identically.
+func FuzzParseShard(f *testing.F) {
+	format := func(s sweep.Shard) string {
+		if s == (sweep.Shard{}) {
+			return ""
+		}
+		return fmt.Sprintf("%d/%d", s.Index, s.Count)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := parseShard(in)
+		if err != nil {
+			return
+		}
+		enc := format(s)
+		s2, err := parseShard(enc)
+		if err != nil {
+			t.Fatalf("parsing the formatted shard %q: %v", enc, err)
+		}
+		if s2 != s || format(s2) != enc {
+			t.Fatalf("round trip changed the shard: %q -> %+v -> %q -> %+v", in, s, enc, s2)
+		}
+	})
+}
+
+// FuzzParseClaim: no input panics the -claim parser, and an accepted range
+// formats as the `-claim lo:hi` argument a pool worker receives (empty for
+// no claim), which parses to the same range and formats identically.
+func FuzzParseClaim(f *testing.F) {
+	format := func(lo, hi int) string {
+		if lo == 0 && hi == 0 {
+			return ""
+		}
+		return fmt.Sprintf("%d:%d", lo, hi)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		lo, hi, err := parseClaim(in)
+		if err != nil {
+			return
+		}
+		enc := format(lo, hi)
+		lo2, hi2, err := parseClaim(enc)
+		if err != nil {
+			t.Fatalf("parsing the formatted claim %q: %v", enc, err)
+		}
+		if lo2 != lo || hi2 != hi || format(lo2, hi2) != enc {
+			t.Fatalf("round trip changed the claim: %q -> %d:%d -> %q -> %d:%d", in, lo, hi, enc, lo2, hi2)
+		}
+	})
 }

@@ -9,8 +9,7 @@
 //
 //	ivliw-served -dir DIR [-addr 127.0.0.1:8372] [-addr-file FILE]
 //	             [-executors 2] [-queue 64] [-max-body 1048576]
-//	             [-shards 1] [-attempts 3]
-//	             [-launch inproc|exec|pool] [-worker-bin ivliw-bench]
+//	             [-shards 1] [-attempts 3] [-worker-bin ivliw-bench]
 //	             [-pool-workers 2] [-pool-slots 1] [-pool-stale 2s]
 //	             [-workers N] [-sim-batch K] [-retry-after 1s]
 //
@@ -33,12 +32,14 @@
 // jobs interrupted mid-run re-enter the queue and resume completed shards
 // from their coordinator manifests.
 //
-// -launch selects where shard attempts run: inproc (goroutines), exec
-// (worker subprocesses of -worker-bin, the `ivliw-bench -spec` protocol),
-// or pool (a health-checked sweep.Pool of -pool-workers subprocess workers
-// with heartbeat monitoring). -shards is each job's coordinator worker
-// count: 1 runs a job as one task, more cut it into cost-ordered chunks the
-// workers claim; any value produces byte-identical rows.
+// Without -worker-bin, shard attempts run as goroutines in the daemon
+// (sweep.InProcess), with no hang detection. With it, they run on a
+// health-checked sweep.Pool of -pool-workers subprocesses of -worker-bin
+// (the `ivliw-bench -spec` protocol), each running up to -pool-slots
+// attempts, killed and retried when their heartbeats go stale for
+// -pool-stale (0 turns heartbeats off). -shards is each job's coordinator
+// worker count: 1 runs a job as one task, more cut it into cost-ordered
+// chunks the workers claim; any value produces byte-identical rows.
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight HTTP requests finish,
 // running jobs tear down through context cancellation (staged outputs
@@ -78,11 +79,10 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "maximum spec body bytes")
 	shards := flag.Int("shards", 1, "coordinator workers per job (1: each job runs as one task)")
 	attempts := flag.Int("attempts", 3, "launch attempts per shard")
-	launch := flag.String("launch", "inproc", "shard launcher: inproc, exec or pool")
-	workerBin := flag.String("worker-bin", "", "worker binary for -launch exec|pool (the ivliw-bench -spec protocol)")
-	poolWorkers := flag.Int("pool-workers", 2, "pool launcher: worker count")
-	poolSlots := flag.Int("pool-slots", 1, "pool launcher: concurrent attempts per worker")
-	poolStale := flag.Duration("pool-stale", 2*time.Second, "pool launcher: heartbeat staleness threshold (0 disables)")
+	workerBin := flag.String("worker-bin", "", "run shard attempts on a worker pool of subprocesses of this binary (the ivliw-bench -spec protocol) instead of in-process")
+	poolWorkers := flag.Int("pool-workers", 2, "worker pool (-worker-bin): worker count")
+	poolSlots := flag.Int("pool-slots", 1, "worker pool (-worker-bin): concurrent attempts per worker")
+	poolStale := flag.Duration("pool-stale", 2*time.Second, "worker pool (-worker-bin): heartbeat staleness threshold (0 disables)")
 	workers := flag.Int("workers", 0, "override every job's per-process worker count (0 = respect the spec)")
 	simBatch := flag.Int("sim-batch", 0, "override every job's simulate-batch lane cap (0 = respect the spec)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 503 rejections")
@@ -91,8 +91,7 @@ func main() {
 	if err := run(options{
 		addr: *addr, addrFile: *addrFile, dir: *dir,
 		executors: *executors, queue: *queue, maxBody: *maxBody,
-		shards: *shards, attempts: *attempts,
-		launch: *launch, workerBin: *workerBin,
+		shards: *shards, attempts: *attempts, workerBin: *workerBin,
 		poolWorkers: *poolWorkers, poolSlots: *poolSlots, poolStale: *poolStale,
 		workers: *workers, simBatch: *simBatch, retryAfter: *retryAfter,
 	}); err != nil {
@@ -105,7 +104,7 @@ type options struct {
 	executors, queue    int
 	maxBody             int64
 	shards, attempts    int
-	launch, workerBin   string
+	workerBin           string
 	poolWorkers         int
 	poolSlots           int
 	poolStale           time.Duration
@@ -113,40 +112,25 @@ type options struct {
 	retryAfter          time.Duration
 }
 
-// launcher builds the configured shard launcher.
+// launcher builds the shard launcher: a worker pool of -worker-bin
+// subprocesses when it is set, goroutines otherwise.
 func launcher(o options) (sweep.Launcher, error) {
-	switch o.launch {
-	case "inproc":
+	if o.workerBin == "" {
 		return sweep.InProcess{}, nil
-	case "exec":
-		if o.workerBin == "" {
-			return nil, fmt.Errorf("-launch exec requires -worker-bin")
-		}
-		return sweep.Exec{Command: []string{o.workerBin}, Stderr: os.Stderr}, nil
-	case "pool":
-		if o.workerBin == "" {
-			return nil, fmt.Errorf("-launch pool requires -worker-bin")
-		}
-		if o.poolWorkers < 1 {
-			return nil, fmt.Errorf("-pool-workers must be >= 1, got %d", o.poolWorkers)
-		}
-		var ws []sweep.Worker
-		for i := 0; i < o.poolWorkers; i++ {
-			ws = append(ws, sweep.Worker{
-				Name:    fmt.Sprintf("w%d", i),
-				Command: []string{o.workerBin},
-				Slots:   o.poolSlots,
-			})
-		}
-		return &sweep.Pool{
-			Workers:    ws,
-			StaleAfter: o.poolStale,
-			Stderr:     os.Stderr,
-			Log:        log.Printf,
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown -launch %q (want inproc, exec or pool)", o.launch)
 	}
+	if o.poolWorkers < 1 {
+		return nil, fmt.Errorf("-pool-workers must be >= 1, got %d", o.poolWorkers)
+	}
+	ws := make([]sweep.Worker, o.poolWorkers)
+	for i := range ws {
+		ws[i] = sweep.Worker{Name: fmt.Sprintf("w%d", i), Command: []string{o.workerBin}, Slots: o.poolSlots}
+	}
+	return &sweep.Pool{
+		Workers:    ws,
+		StaleAfter: o.poolStale,
+		Stderr:     os.Stderr,
+		Log:        log.Printf,
+	}, nil
 }
 
 func run(o options) error {
@@ -187,8 +171,12 @@ func run(o options) error {
 			return err
 		}
 	}
+	launch := "inproc"
+	if o.workerBin != "" {
+		launch = "pool"
+	}
 	log.Printf("listening on %s (dir %s, %d executors, queue %d, launch %s, %d shards/job)",
-		bound, o.dir, o.executors, o.queue, o.launch, o.shards)
+		bound, o.dir, o.executors, o.queue, launch, o.shards)
 
 	hs := &http.Server{Handler: srv}
 	httpDone := make(chan error, 1)

@@ -83,13 +83,13 @@
 // run every shard, cat the outputs") into one crash-safe call over n
 // workers (CoordinatorOptions.Shards). It cuts the grid into range tasks
 // (see "Cost-balanced coordination" below), runs them through a pluggable
-// sweep.Launcher — sweep.InProcess (goroutines), sweep.Exec (worker
-// subprocesses running `ivliw-bench -spec F -shard i/n -claim lo:hi -out
-// O`; prefixing the command with `ssh host` is the multi-host seam over a
-// shared filesystem) or sweep.Pool — retries failed attempts within a
-// per-task attempt cap, one attempt in flight at a time, and stitches the
-// per-task JSONL files into the final output byte-identical to the
-// unsharded run (gated by scripts/ci.sh).
+// sweep.Launcher — sweep.InProcess (goroutines) or sweep.Pool, the one
+// launcher that starts worker subprocesses (`ivliw-bench -spec F -shard
+// i/n -out O -claim lo:hi`; prefixing a worker's command with `ssh host`
+// is the multi-host seam over a shared filesystem) — retries failed
+// attempts within a per-task attempt cap, one attempt in flight at a time,
+// and stitches the per-task JSONL files into the final output
+// byte-identical to the unsharded run (gated by scripts/ci.sh).
 //
 // The coordinator is built on an all-or-nothing file discipline: task
 // outputs, the manifest and the stitched result only ever appear via
@@ -102,25 +102,26 @@
 // dead tasks' compilations). Canceling the context (SIGINT/SIGTERM in
 // `ivliw-bench`, which then exits 130) tears attempts down promptly and
 // leaves only committed state behind. `ivliw-bench -coordinate n` wraps
-// the whole workflow as a CLI; examples/coordinated-sweep exercises
-// failure injection, stitching and resume against the public package.
+// the whole workflow as a CLI over a pool of n subprocess workers;
+// examples/coordinated-sweep exercises failure injection, stitching and
+// resume against the public package.
 //
 // # Worker pools and health
 //
 // sweep.Pool is the health-checked Launcher: it schedules task attempts
 // across a registry of sweep.Worker entries (each a command prefix — the
-// ssh seam again — plus advertised capacity, used to size the per-task
-// `-workers`, and a slot count bounding concurrent attempts). It is also
-// the coordinator's only hang detector: the coordinator waits for each
-// attempt it launches, and liveness is heartbeat-based. Every attempt
+// ssh seam again, or empty for in-process goroutines — and a slot count
+// bounding concurrent attempts). It is also the coordinator's only hang
+// detector: the coordinator waits for each attempt it launches, and
+// liveness is heartbeat-based. With Pool.StaleAfter set, every attempt
 // writes an atomically renamed beat file (`ivliw-bench -heartbeat`, or
 // Spec.Heartbeat via sweep.Run), the final beat carries the row count and
 // the sha256 of the committed output, and the pool kills any attempt whose
-// beats go stale for Pool.StaleAfter, failing it back to the coordinator
-// for a retry. The done-beat checksum is re-verified against the task file
+// beats go stale for StaleAfter, failing it back to the coordinator for a
+// retry. The done-beat checksum is re-verified against the task file
 // before the attempt counts as complete, so a corrupted output is retried
-// instead of stitched. Plain InProcess and Exec runs have no hang
-// detection.
+// instead of stitched. InProcess runs, and pools with StaleAfter 0, have
+// no hang detection.
 //
 // Failure domains are per worker: consecutive failures quarantine the
 // worker under capped exponential backoff with deterministic jitter
@@ -130,9 +131,10 @@
 // deterministic fault harness (ivliw/sweep/fault, armed via the
 // IVLIW_FAULT_PLAN env var) scripts crashes, hangs, stale heartbeats,
 // corrupt outputs and dead workers by task/attempt/worker, which is how
-// scripts/ci.sh step 8 gates that task outputs stay byte-identical under
-// every recovery path. `ivliw-bench -coordinate n -coordinate-launch pool`
-// wraps it; examples/worker-pool drives a faulted pool end to end.
+// scripts/ci.sh step 7 gates that task outputs stay byte-identical under
+// every recovery path. `ivliw-bench -coordinate n` wraps it (stale after
+// -pool-stale, 2s by default); examples/worker-pool drives a faulted pool
+// end to end.
 //
 // # Cost-balanced coordination
 //
@@ -161,8 +163,8 @@
 // -spec F -claim lo:hi`), and byte-identity holds by construction: rows
 // are keyed by grid index, tasks tile the grid exactly, and the stitcher
 // concatenates committed task files in index order (gated by scripts/ci.sh
-// step 10 across the in-process, exec and pool launchers, including an
-// injected chunk crash). The manifest records per-attempt wall time and
+// step 9 through `ivliw-bench -coordinate`, including an injected chunk
+// crash). The manifest records per-attempt wall time and
 // cells/s, which is both the coordinator's slowest-task stats line and the
 // raw material for recalibration.
 //
@@ -172,7 +174,8 @@
 // `ivliw-served` is an HTTP/JSON daemon that accepts sweep.Spec
 // submissions (POST /v1/jobs, strict-parsed with a bounded body), executes
 // them through sweep.Coordinate on a bounded job queue with configurable
-// executor slots and launcher (inproc/exec/pool), and serves job status
+// executor slots — in-process, or on a worker pool of subprocesses when
+// -worker-bin is set — and serves job status
 // (GET /v1/jobs/{job}: state, coordinator stats, per-shard attempt history
 // from the manifest) and result rows (GET /v1/jobs/{job}/rows) — the
 // streamed JSONL is byte-identical to the unsharded CLI run of the same
@@ -203,7 +206,7 @@
 // duplicate/distinct submissions against the daemon and reports p50/p99
 // submit-to-done latency, throughput and dedup hit rate (BENCH_9.json;
 // gated with byte-identity and zero-execution dedup by scripts/ci.sh
-// step 11).
+// step 10).
 //
 // # Pipeline stages
 //
@@ -259,7 +262,7 @@
 // flow through the same reorder window in grid order and every row's
 // bytes are identical with batching on or off — the per-lane simulation
 // is exactly the serial simulation, only the event iteration is shared
-// (gated by scripts/ci.sh step 9, including the coordinator pool path;
+// (gated by scripts/ci.sh step 8, including the coordinator pool path;
 // the -sim-batch flag travels to pool workers through the shared base
 // spec). A batch that fails as a whole falls back to simulating its
 // lanes serially, so one infeasible sibling cannot smear an error over
@@ -316,7 +319,7 @@
 // workers/shards/caches/coordination, and temp+rename atomicity for every
 // committed file — are proven, not just tested, by a custom analysis pass:
 // internal/lintcheck, run as `ivliw-vet ./...` (cmd/ivliw-vet; gated clean
-// by scripts/ci.sh step 12). Five analyzers, stdlib-only (go/parser +
+// by scripts/ci.sh step 11). Five analyzers, stdlib-only (go/parser +
 // go/types over `go list -deps -export`):
 //
 //   - atomicwrite: os.Create / os.WriteFile / os.OpenFile-for-write are

@@ -14,10 +14,11 @@
 //   - resume: a second Coordinate over the same directory launches zero
 //     chunks and still reproduces the identical output.
 //
-// The in-process launcher keeps the example self-contained; substituting
-// sweep.Exec{Command: []string{"ivliw-bench"}} (or []string{"ssh", "host",
-// "ivliw-bench"} over a shared filesystem) is the multi-process/multi-host
-// deployment, which `ivliw-bench -coordinate n` wraps as a CLI.
+// The in-process launcher keeps the example self-contained; substituting a
+// sweep.Pool whose Workers carry Command []string{"ivliw-bench"} (or
+// []string{"ssh", "host", "ivliw-bench"} over a shared filesystem) is the
+// multi-process/multi-host deployment, which `ivliw-bench -coordinate n`
+// wraps as a CLI.
 package main
 
 import (

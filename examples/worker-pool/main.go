@@ -15,9 +15,10 @@
 //
 // The in-process workers (empty Command) keep the example self-contained;
 // giving each Worker a command prefix like []string{"ssh", "hostN",
-// "ivliw-bench"} over a shared filesystem is the multi-host deployment,
-// which `ivliw-bench -coordinate n -coordinate-launch pool` wraps as a
-// CLI (arm the same fault plan via the IVLIW_FAULT_PLAN env var).
+// "ivliw-bench"} over a shared filesystem is the multi-host deployment.
+// `ivliw-bench -coordinate n` wraps the same pool as a CLI, with n local
+// subprocess workers (arm the same fault plan via the IVLIW_FAULT_PLAN env
+// var).
 package main
 
 import (
@@ -74,7 +75,7 @@ func main() {
 	// the event fires deterministically even when in-process shards run too
 	// fast to overlap.) The plan is scripted data, not a code seam — the
 	// same JSON armed through IVLIW_FAULT_PLAN drives subprocess pools in
-	// scripts/ci.sh step 8.
+	// scripts/ci.sh step 7.
 	plan := &fault.Plan{Events: []fault.Event{
 		{Op: fault.DeadWorker, Worker: "w0"},
 	}}
@@ -175,6 +176,5 @@ func main() {
 
 	fmt.Println("\nEquivalent CLI:")
 	fmt.Println("  IVLIW_FAULT_PLAN=plan.json ivliw-bench -spec run.json \\")
-	fmt.Println("      -coordinate 3 -coordinate-launch pool -pool-workers 3 \\")
-	fmt.Println("      -pool-stale 2s -coordinate-dir work -out sweep.jsonl")
+	fmt.Println("      -coordinate 3 -pool-stale 2s -coordinate-dir work -out sweep.jsonl")
 }

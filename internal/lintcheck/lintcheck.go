@@ -37,7 +37,7 @@
 // flagged line or the line directly above it; the reason is mandatory, and
 // unknown verbs or missing reasons are themselves diagnostics. cmd/ivliw-vet
 // is the CLI: `ivliw-vet ./...` exits nonzero on any finding, and
-// scripts/ci.sh step 12 gates the repo clean.
+// scripts/ci.sh step 11 gates the repo clean.
 package lintcheck
 
 import (

@@ -128,7 +128,7 @@ func TestDiagnosticsSorted(t *testing.T) {
 
 // TestRepoIsClean is the self-check: the module that ships the analyzers
 // must satisfy them. Any new violation in the repo fails this test before
-// it fails ci.sh step 12.
+// it fails ci.sh step 11.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")

@@ -5,7 +5,11 @@
 #   1. go build ./...
 #   2. go vet ./...
 #   3. go test -race ./...       (includes the StreamCells determinism and
-#                                 compile-key property tests)
+#                                 compile-key property tests, and replays
+#                                 the committed fuzz seed corpora), then a
+#                                 time-boxed -fuzz run of each fuzz target:
+#                                 the beat decoder, the fault-plan parser
+#                                 and ivliw-bench's -shard/-claim parsers
 #   4. byte-identity of `ivliw-bench -exp all` at 1 and 2 workers against
 #      the committed golden transcript (cmd/ivliw-bench/testdata/
 #      exp_all.golden), so any drift in the paper reproduction is caught
@@ -21,50 +25,47 @@
 #      slices over a fresh -artifact-dir, and re-run against the then-warm
 #      store must all be byte-identical to the cache-disabled single-process
 #      reference; malformed -shard values must exit 2
-#   7. the distributed sweep coordinator: `-coordinate 3` (exec launcher,
-#      real worker subprocesses; 3 workers sharing the default grid's 2
+#   7. coordinated runs over a health-checked pool of worker subprocesses:
+#      `-coordinate 3` (3 workers sharing the default grid's 2
 #      cost-balanced tasks) must stitch output byte-identical to the
-#      unsharded reference — including a run where one task's first attempt
-#      is crashed by a scripted fault plan (IVLIW_FAULT_PLAN, see
-#      ivliw/sweep/fault) and retried — and rerunning over the same
-#      -coordinate-dir must resume all tasks from the manifest with zero
-#      launches
-#   8. the health-checked worker pool: `-coordinate-launch pool` over 3
-#      worker subprocesses must stitch byte-identical output and record the
-#      serving worker per task in the manifest — including under a fault
-#      plan, on a grid the coordinator cuts into 3 tasks, that kills one
-#      worker and hangs one attempt (caught by the stale-heartbeat monitor,
-#      the only hang detector) — and the run snapshot (pool overhead vs
-#      plain exec, fault recovery time) is written to BENCH_6.json
-#   9. batched simulation: `-sim-batch 8` (sibling cells sharing one
+#      unsharded reference and record the serving worker per task in the
+#      manifest — including a run where one task's first attempt is crashed
+#      by a scripted fault plan (IVLIW_FAULT_PLAN, see ivliw/sweep/fault)
+#      and retried — and rerunning over the same -coordinate-dir must
+#      resume all tasks from the manifest with zero launches; on a grid the
+#      coordinator cuts into 3 tasks, a fault plan that kills one worker and
+#      hangs one task (caught by the stale-heartbeat monitor, the only hang
+#      detector) must still stitch identical bytes; the run snapshot (pool
+#      wall time, fault recovery time) is written to BENCH_6.json
+#   8. batched simulation: `-sim-batch 8` (sibling cells sharing one
 #      event-merge pass) must emit bytes identical to the batch-off
 #      reference — serial, parallel, and through the coordinator's worker
 #      pool — and must actually engage (the "sim batches:" stderr line);
 #      the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the batch-off
 #      4-sibling baseline) is written to BENCH_7.json
-#  10. cost-balanced chunks + work stealing: on a skewed mixed-cluster
+#   9. cost-balanced chunks + work stealing: on a skewed mixed-cluster
 #      grid (its 2-cluster half compiles in tens of milliseconds, its
 #      8-cluster half in hundreds), `-calibrate` must
 #      round-trip through a calibration file; `-coordinate 2` must stitch
-#      byte-identically through the inproc, exec and pool launchers —
-#      including a run with an injected chunk crash — and a corrupt
-#      calibration file must degrade to the default model with a warning,
-#      never a failure. The grid must stay skewed (the heavier of the two
-#      count-balanced `-shard i/2` runs takes >= 200ms). The hard perf
-#      gate: the 2-worker makespan of the coordinator's chunks (from
-#      contention-free serialized per-chunk wall times, scheduled exactly
-#      as the claim queue does) must beat those two count-balanced shards
-#      by >= 1.5x; the measured makespans land in BENCH_8.json
-#  11. sweep as a service: start `ivliw-served` (exec launcher, worker
-#      subprocesses), submit the default spec over HTTP with `ivliw-load
-#      -submit`, gate the streamed JSONL byte-identical to the direct CLI
-#      run, gate dedup (a second identical submission reports cached=true
-#      and the server's execution counter does not move), replay >= 1000
-#      overlapping seeded submissions with `ivliw-load` (every duplicate
-#      must dedup: executions == distinct specs, zero failures), gate the
-#      SIGTERM drain, and write the p50/p99/throughput/dedup-rate snapshot
-#      to BENCH_9.json
-#  12. static analysis: build `ivliw-vet` (internal/lintcheck) and gate the
+#      byte-identically — including a run with an injected chunk crash —
+#      and a corrupt calibration file must degrade to the default model
+#      with a warning, never a failure. The grid must stay skewed (the
+#      heavier of the two count-balanced `-shard i/2` runs takes >= 200ms).
+#      The hard perf gate: the 2-worker makespan of the coordinator's
+#      chunks (from contention-free serialized per-chunk wall times,
+#      scheduled exactly as the claim queue does) must beat those two
+#      count-balanced shards by >= 1.5x; the measured makespans land in
+#      BENCH_8.json
+#  10. sweep as a service: start `ivliw-served` (a worker pool of
+#      ivliw-bench subprocesses), submit the default spec over HTTP with
+#      `ivliw-load -submit`, gate the streamed JSONL byte-identical to the
+#      direct CLI run, gate dedup (a second identical submission reports
+#      cached=true and the server's execution counter does not move),
+#      replay >= 1000 overlapping seeded submissions with `ivliw-load`
+#      (every duplicate must dedup: executions == distinct specs, zero
+#      failures), gate the SIGTERM drain, and write the
+#      p50/p99/throughput/dedup-rate snapshot to BENCH_9.json
+#  11. static analysis: build `ivliw-vet` (internal/lintcheck) and gate the
 #      repo clean under all five analyzers (atomicwrite, strictjson,
 #      determinism, ctxplumb, nopanic) plus annotation validation; then a
 #      seeded-violation smoke module must fail with exit 1 and the expected
@@ -86,16 +87,24 @@ tmp="$(mktemp -d)"
 served_pid=""
 trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 
-echo "== 1/12 go build ./... =="
+echo "== 1/11 go build ./... =="
 go build ./...
 
-echo "== 2/12 go vet ./... =="
+echo "== 2/11 go vet ./... =="
 go vet ./...
 
-echo "== 3/12 go test -race ./... =="
+echo "== 3/11 go test -race ./... and time-boxed fuzzing =="
 go test -race ./...
+# Fuzz the parsers of input that crosses a process boundary: beat files,
+# fault plans, and the -shard/-claim arguments a pool worker receives. Their
+# committed seed corpora (testdata/fuzz) already ran in the line above.
+for target in "FuzzReadBeat ./sweep" "FuzzParse ./sweep/fault" \
+    "FuzzParseShard ./cmd/ivliw-bench" "FuzzParseClaim ./cmd/ivliw-bench"; do
+  read -r name pkg <<< "$target"
+  go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -parallel 2 "$pkg"
+done
 
-echo "== 4/12 paper-output byte identity (ivliw-bench -exp all, fig5, fig7, headlines) =="
+echo "== 4/11 paper-output byte identity (ivliw-bench -exp all, fig5, fig7, headlines) =="
 go build -o "$tmp/ivliw-bench" ./cmd/ivliw-bench
 golden=cmd/ivliw-bench/testdata/exp_all.golden
 for w in 1 2; do
@@ -130,7 +139,7 @@ for section in "fig5|Figure 5:|Figure 6:" "fig7|Figure 7:|Figure 8:" "headlines|
 done
 echo "byte-identical (-exp all at 1 and 2 workers; fig5, fig7, headlines alone)"
 
-echo "== 5/12 sweep determinism across workers and compile cache =="
+echo "== 5/11 sweep determinism across workers and compile cache =="
 # run_sweep keeps stderr (cache-stats noise, but also any crash) in a log
 # that is replayed if the invocation fails.
 run_sweep() { # out_file, args...
@@ -170,7 +179,7 @@ if [ "$rows" -lt 12 ]; then
 fi
 echo "deterministic ($rows rows; workers 1/8 × cache on/off × stdout/-out)"
 
-echo "== 6/12 declarative specs, sharding and the disk artifact store =="
+echo "== 6/11 declarative specs, sharding and the disk artifact store =="
 # Capture the default flag grid as a spec file; running the file must be
 # byte-identical to the cache-disabled reference of step 5.
 "$tmp/ivliw-bench" -sweep -spec-out "$tmp/spec.json"
@@ -218,18 +227,28 @@ for bad in "3/3" "-1/3" "x/3" "1x3" "0/0"; do
 done
 echo "spec/shard/store byte-identical (3 shards; warm store compiles nothing)"
 
-echo "== 7/12 distributed sweep coordinator: stitch, retry, resume =="
-# Plain coordinated run over worker subprocesses: the stitched output must
-# reproduce the cache-disabled single-process reference byte for byte.
+echo "== 7/11 coordinated runs over a worker pool: stitch, retry, resume, dead worker, hang =="
+now_ns() { date +%s%N; }
+# Plain coordinated run: 3 worker subprocesses of ivliw-bench with
+# heartbeat monitoring on. The stitched output must reproduce the
+# cache-disabled single-process reference byte for byte, and the manifest
+# must attribute every task to the worker that served it.
 coord="$tmp/coord"
+t0=$(now_ns)
 if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$coord" \
     -out "$tmp/coord.jsonl" 2> "$tmp/coord_stderr.log"; then
   echo "FAIL: ivliw-bench -coordinate 3 crashed:" >&2
   cat "$tmp/coord_stderr.log" >&2
   exit 1
 fi
+pool_ns=$(( $(now_ns) - t0 ))
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/coord.jsonl"; then
   echo "FAIL: coordinated output differs from the unsharded reference" >&2
+  exit 1
+fi
+if ! grep -q '"worker": "w' "$coord/manifest.json"; then
+  echo "FAIL: coordinator manifest does not attribute tasks to workers:" >&2
+  cat "$coord/manifest.json" >&2
   exit 1
 fi
 # Forced failure: a scripted fault plan crashes shard 1's first attempt
@@ -274,92 +293,59 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/coord_resume.jsonl"; then
   echo "FAIL: resumed coordinator output differs from the reference" >&2
   exit 1
 fi
-echo "coordinator byte-identical (3 workers, 2 tasks; 1 injected failure retried; resume launches 0)"
-
-echo "== 8/12 health-checked worker pool: heartbeats, failure domains, fault plan =="
-now_ns() { date +%s%N; }
-# Timed plain-exec reference (fresh work dir so nothing resumes) for the
-# pool-overhead snapshot.
-t0=$(now_ns)
-if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$tmp/exec_ref" \
-    -out "$tmp/exec_ref.jsonl" 2> "$tmp/exec_ref_stderr.log"; then
-  echo "FAIL: exec reference run crashed:" >&2
-  cat "$tmp/exec_ref_stderr.log" >&2
-  exit 1
-fi
-exec_ns=$(( $(now_ns) - t0 ))
-# Plain pool run: 3 worker subprocesses, heartbeat monitoring on. Must be
-# byte-identical and attribute every task to a worker in the manifest.
-t0=$(now_ns)
-if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-launch pool \
-    -pool-workers 3 -pool-stale 2s -coordinate-dir "$tmp/pool" \
-    -out "$tmp/pool.jsonl" 2> "$tmp/pool_stderr.log"; then
-  echo "FAIL: pool run crashed:" >&2
-  cat "$tmp/pool_stderr.log" >&2
-  exit 1
-fi
-pool_ns=$(( $(now_ns) - t0 ))
-if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/pool.jsonl"; then
-  echo "FAIL: pool output differs from the unsharded reference" >&2
-  exit 1
-fi
-if ! grep -q '"worker": "w' "$tmp/pool/manifest.json"; then
-  echo "FAIL: pool manifest does not attribute tasks to workers:" >&2
-  cat "$tmp/pool/manifest.json" >&2
-  exit 1
-fi
 # Fault plan: worker w1 dies on its first launch (its in-flight task must
-# requeue and the worker quarantine) and task 2's first attempt hangs
-# without heartbeating (the stale monitor must kill and retry it). The
-# stitched bytes must still be identical. The plan needs a task 2, and the
-# default grid's 8-cluster atom outweighs its other two together, so
-# -coordinate 3 cuts it into only 2 tasks. This grid has 3 compile-key
-# atoms (one per cache capacity) of equal cost, which it cuts into 3.
+# requeue and the worker quarantine) and task 2's first two attempts hang
+# without heartbeating (the stale monitor must kill and retry them). Two
+# hanging attempts pin the hang: when task 2's first attempt is w1's first
+# launch, it dies before it can hang, and its retry hangs instead; a third
+# attempt finishes within -coordinate-attempts 4. The stitched bytes must
+# still be identical. The plan needs a task 2, and the default grid's
+# 8-cluster atom outweighs its other two together, so -coordinate 3 cuts
+# it into only 2 tasks. This grid has 3 compile-key atoms (one per cache
+# capacity) of equal cost, which it cuts into 3.
 "$tmp/ivliw-bench" -sweep -sweep-clusters 2 -sweep-cache-kb 4,8,16 -spec-out "$tmp/tri.json"
 run_sweep "$tmp/tri_ref.jsonl" -spec "$tmp/tri.json" -workers 1 -compile-cache 0
-echo '{"events":[{"op":"dead-worker","worker":"w1"},{"op":"hang","shard":2,"attempt":1}]}' \
+echo '{"events":[{"op":"dead-worker","worker":"w1"},{"op":"hang","shard":2,"attempt":1},{"op":"hang","shard":2,"attempt":2}]}' \
   > "$tmp/pool_plan.json"
 t0=$(now_ns)
 if ! IVLIW_FAULT_PLAN="$tmp/pool_plan.json" \
-    "$tmp/ivliw-bench" -spec "$tmp/tri.json" -coordinate 3 -coordinate-launch pool \
-    -pool-workers 3 -pool-stale 1s -pool-backoff 100ms -coordinate-backoff 50ms \
+    "$tmp/ivliw-bench" -spec "$tmp/tri.json" -coordinate 3 \
+    -pool-stale 1s -pool-backoff 100ms -coordinate-backoff 50ms \
     -coordinate-attempts 4 -coordinate-seed 7 -coordinate-dir "$tmp/pool_fault" \
     -out "$tmp/pool_fault.jsonl" 2> "$tmp/pool_fault_stderr.log"; then
-  echo "FAIL: pool run did not survive the fault plan:" >&2
+  echo "FAIL: coordinated run did not survive the fault plan:" >&2
   cat "$tmp/pool_fault_stderr.log" >&2
   exit 1
 fi
 pool_fault_ns=$(( $(now_ns) - t0 ))
 if ! cmp -s "$tmp/tri_ref.jsonl" "$tmp/pool_fault.jsonl"; then
-  echo "FAIL: pool output under the fault plan differs from the reference" >&2
+  echo "FAIL: coordinated output under the fault plan differs from the reference" >&2
   exit 1
 fi
 for want in '3 workers, 3 tasks' 'worker w1 died' 'quarantined' 'heartbeat stale'; do
   if ! grep -q "$want" "$tmp/pool_fault_stderr.log"; then
-    echo "FAIL: faulted pool run never reported '$want':" >&2
+    echo "FAIL: faulted coordinated run never reported '$want':" >&2
     cat "$tmp/pool_fault_stderr.log" >&2
     exit 1
   fi
 done
 # Snapshot for PERFORMANCE.md. Byte-identity above is the hard gate; the
 # timings are recorded, not thresholded (sub-second runs are noisy).
-awk -v exec_ns="$exec_ns" -v pool_ns="$pool_ns" -v fault_ns="$pool_fault_ns" \
+awk -v pool_ns="$pool_ns" -v fault_ns="$pool_fault_ns" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" 'BEGIN {
   printf "{\n"
   printf "  \"snapshot\": 6,\n"
   printf "  \"date\": \"%s\",\n", date
   printf "  \"go\": \"%s\",\n", gover
-  printf "  \"plain_exec_seconds\": %.3f,\n", exec_ns / 1e9
   printf "  \"pool_seconds\": %.3f,\n", pool_ns / 1e9
-  printf "  \"pool_overhead_pct\": %.1f,\n", (pool_ns - exec_ns) * 100.0 / exec_ns
   printf "  \"pool_fault_recovery_seconds\": %.3f\n", fault_ns / 1e9
   printf "}\n"
 }' > "$tmp/BENCH_6.json"
-echo "pool byte-identical (plain, dead-worker+hang fault plan); manifest attributes workers"
+echo "coordinated runs byte-identical (3 workers, 2 tasks; 1 injected failure retried; resume launches 0; dead-worker+hang fault plan); manifest attributes workers"
 echo "snapshot written to $tmp/BENCH_6.json:"
 cat "$tmp/BENCH_6.json"
 
-echo "== 9/12 batched simulation: -sim-batch byte-identity and scaling curve =="
+echo "== 8/11 batched simulation: -sim-batch byte-identity and scaling curve =="
 # The default grid's AB axis (0 vs 16 entries) is simulate-only, so every
 # compile key owns 2 sibling cells — batching has real lanes to merge.
 # Serial batched run: must be byte-identical to the batch-off reference.
@@ -386,7 +372,6 @@ fi
 # the shared base spec, so every shard simulates in batches and the
 # stitched output must still be byte-identical.
 if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -sim-batch 8 -coordinate 3 \
-    -coordinate-launch pool -pool-workers 3 -pool-stale 2s \
     -coordinate-dir "$tmp/pool_batch" -out "$tmp/pool_batch.jsonl" \
     2> "$tmp/pool_batch_stderr.log"; then
   echo "FAIL: pool run with -sim-batch 8 crashed:" >&2
@@ -433,7 +418,7 @@ fi
 echo "snapshot written to $tmp/BENCH_7.json:"
 cat "$tmp/BENCH_7.json"
 
-echo "== 10/12 cost-balanced chunks + work stealing =="
+echo "== 9/11 cost-balanced chunks + work stealing =="
 # The skew grid: the 2-cluster half compiles in tens of milliseconds, the
 # 8-cluster half in hundreds — the workload shape cost-balanced cuts exist
 # for. Its two benchmarks have the suite's steepest compile curves (epicdec
@@ -459,8 +444,7 @@ if ! grep -q 'calibration written to' "$tmp/calibrate_stderr.log"; then
   cat "$tmp/calibrate_stderr.log" >&2
   exit 1
 fi
-# Byte-identity of the coordinator's cost-balanced chunks across every
-# launcher path.
+# Byte-identity of the coordinator's cost-balanced chunks.
 coord_skew() { # work_dir out_file extra_args...
   local work="$1" out="$2"; shift 2
   if ! "$tmp/ivliw-bench" -spec "$tmp/skew.json" -coordinate 2 \
@@ -474,12 +458,8 @@ coord_skew() { # work_dir out_file extra_args...
     exit 1
   fi
 }
-for launch in inproc exec pool; do
-  extra=()
-  if [ "$launch" = pool ]; then extra=(-pool-workers 2 -pool-stale 5s); fi
-  coord_skew "$tmp/skew_$launch" "$tmp/skew_$launch.jsonl" \
-    -coordinate-launch "$launch" -coordinate-calibration "$calibration" "${extra[@]}"
-done
+coord_skew "$tmp/skew_pool" "$tmp/skew_pool.jsonl" \
+  -coordinate-calibration "$calibration" -pool-stale 5s
 if ! grep -qF "calibration loaded from $calibration" "$tmp/skew_stderr.log"; then
   echo "FAIL: the coordinator never loaded CALIBRATION.json back (round trip broken):" >&2
   cat "$tmp/skew_stderr.log" >&2
@@ -493,7 +473,7 @@ echo '{"events":[{"op":"crash","shard":1,"attempt":1}]}' > "$tmp/skew_crash.json
 (
   export IVLIW_FAULT_PLAN="$tmp/skew_crash.json"
   coord_skew "$tmp/skew_crash" "$tmp/skew_crash.jsonl" \
-    -coordinate-launch exec -coordinate-calibration "$calibration" -coordinate-backoff 50ms
+    -coordinate-calibration "$calibration" -coordinate-backoff 50ms
 )
 if ! grep -q 'fault: crash' "$tmp/skew_stderr.log"; then
   echo "FAIL: the skew crash plan never fired:" >&2
@@ -504,7 +484,7 @@ fi
 # and still stitch identical bytes.
 echo '{"clusters": [], "broken' > "$tmp/corrupt_cal.json"
 coord_skew "$tmp/skew_corrupt" "$tmp/skew_corrupt.jsonl" \
-  -coordinate-launch inproc -coordinate-calibration "$tmp/corrupt_cal.json"
+  -coordinate-calibration "$tmp/corrupt_cal.json"
 if ! grep -q 'unusable.*default cost model' "$tmp/skew_stderr.log"; then
   echo "FAIL: corrupt calibration did not degrade with a warning:" >&2
   cat "$tmp/skew_stderr.log" >&2
@@ -554,7 +534,7 @@ if ! cmp -s "$tmp/skew_ref.jsonl" "$tmp/skew_count.jsonl"; then
   exit 1
 fi
 coord_skew "$tmp/skew_t_steal" "$tmp/skew_t_steal.jsonl" -workers 1 \
-  -coordinate-launch exec -coordinate-parallel 1 -coordinate-calibration "$calibration"
+  -coordinate-parallel 1 -coordinate-calibration "$calibration"
 steal_ms=$(makespan "$tmp/skew_t_steal/manifest.json" 2)
 # The gate below only means something while the grid is skewed: count
 # balancing must leave one half with real work.
@@ -566,7 +546,7 @@ if [ "$(( count_ms * 10 ))" -lt "$(( steal_ms * 15 ))" ]; then
   echo "FAIL: cost+stealing makespan ${steal_ms}ms is not >= 1.5x better than count-balanced ${count_ms}ms" >&2
   exit 1
 fi
-echo "cost+steal byte-identical (inproc/exec/pool; 1 injected crash; corrupt calibration degraded)"
+echo "cost+steal byte-identical (1 injected crash; corrupt calibration degraded)"
 echo "2-worker makespan: count ${count_ms}ms, cost+steal ${steal_ms}ms"
 awk -v count_ms="$count_ms" -v steal_ms="$steal_ms" -v calibrate_ns="$calibrate_ns" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" 'BEGIN {
@@ -584,13 +564,13 @@ awk -v count_ms="$count_ms" -v steal_ms="$steal_ms" -v calibrate_ns="$calibrate_
 echo "snapshot written to $tmp/BENCH_8.json:"
 cat "$tmp/BENCH_8.json"
 
-echo "== 11/12 sweep as a service: ivliw-served + ivliw-load =="
+echo "== 10/11 sweep as a service: ivliw-served + ivliw-load =="
 go build -o "$tmp/ivliw-served" ./cmd/ivliw-served
 go build -o "$tmp/ivliw-load" ./cmd/ivliw-load
-# Start the daemon on an ephemeral port: exec launcher over real worker
+# Start the daemon on an ephemeral port: a worker pool of real
 # subprocesses of the step-4 ivliw-bench, durable state under $tmp/served.
 "$tmp/ivliw-served" -addr 127.0.0.1:0 -addr-file "$tmp/served.addr" \
-  -dir "$tmp/served" -executors 2 -launch exec -worker-bin "$tmp/ivliw-bench" \
+  -dir "$tmp/served" -executors 2 -worker-bin "$tmp/ivliw-bench" \
   2> "$tmp/served_stderr.log" &
 served_pid=$!
 for _ in $(seq 1 100); do
@@ -688,7 +668,7 @@ echo "replay clean (1000 submissions, 12 executions); SIGTERM drained exit 0"
 echo "snapshot written to $tmp/BENCH_9.json:"
 cat "$tmp/BENCH_9.json"
 
-echo "== 12/12 static analysis: ivliw-vet clean gate + seeded-violation smoke =="
+echo "== 11/11 static analysis: ivliw-vet clean gate + seeded-violation smoke =="
 go build -o "$tmp/ivliw-vet" ./cmd/ivliw-vet
 # Clean gate, timed: the repo must satisfy its own analyzers. A warm-up run
 # first so the measurement is the analysis, not `go list` compiling export

@@ -27,9 +27,10 @@ type CoordinatorOptions struct {
 	// worker the grid is cut into up to chunksPerWorker×Shards cost-ordered
 	// chunks that idle workers claim; with one it runs as a single task.
 	Shards int
-	// Launcher runs task attempts; nil selects InProcess. An Exec launcher
-	// turns the coordinator into a multi-process (or, prefixed with ssh, a
-	// multi-host) run, and a Pool adds heartbeat-based hang detection.
+	// Launcher runs task attempts; nil selects InProcess, which has no
+	// hang detection. A Pool of workers with a Command turns the
+	// coordinator into a multi-process (or, prefixed with ssh, a
+	// multi-host) run with heartbeat-based hang detection.
 	Launcher Launcher
 	// Dir is the coordinator's work directory: the shared base spec file,
 	// the per-task output files and the manifest live there. Reusing a Dir
@@ -249,8 +250,8 @@ func (c *coordinator) count(fn func(*CoordinatorStats)) {
 }
 
 // shardSpec derives task i's spec: the base run, pinned to its explicit
-// row range (which Exec forwards as -claim) and to its canonical output
-// file in the coordinator directory.
+// row range (which the Pool forwards to worker subprocesses as -claim)
+// and to its canonical output file in the coordinator directory.
 func (c *coordinator) shardSpec(i int) Spec {
 	s := c.spec
 	s.Shard = Shard{Index: i, Count: len(c.tasks), Lo: c.tasks[i].lo, Hi: c.tasks[i].hi}

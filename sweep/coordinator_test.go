@@ -323,10 +323,10 @@ func TestCoordinateRejectsPinnedShard(t *testing.T) {
 	}
 }
 
-// TestExecLauncherWiring: the exec launcher invokes its command with the
-// documented worker flags (-spec, -shard i/n, -out) appended to the argv
-// prefix — the contract that makes ivliw-bench (or `ssh host ivliw-bench`)
-// a worker with no extra protocol.
+// TestExecLauncherWiring: a pool worker with a command prefix invokes it
+// with the documented worker flags (-spec, -shard i/n, -out) appended to
+// the argv prefix — the contract that makes ivliw-bench (or `ssh host
+// ivliw-bench`) a worker with no extra protocol.
 func TestExecLauncherWiring(t *testing.T) {
 	if _, err := exec.LookPath("sh"); err != nil {
 		t.Skip("no sh on PATH")
@@ -347,7 +347,7 @@ while [ $# -gt 1 ]; do [ "$1" = -out ] && : > "$2"; shift; done
 		Index:    1,
 		Attempt:  1,
 	}
-	if err := (Exec{Command: []string{script}}).Launch(context.Background(), task); err != nil {
+	if err := (&Pool{Workers: []Worker{{Command: []string{script}}}}).Launch(context.Background(), task); err != nil {
 		t.Fatal(err)
 	}
 	argv, err := os.ReadFile(filepath.Join(dir, "argv.log"))
@@ -362,11 +362,8 @@ while [ $# -gt 1 ]; do [ "$1" = -out ] && : > "$2"; shift; done
 		t.Fatalf("fake worker produced no output: %v", err)
 	}
 
-	// Failure and misconfiguration surface as errors.
-	if err := (Exec{}).Launch(context.Background(), task); err == nil {
-		t.Error("empty command must fail")
-	}
-	if err := (Exec{Command: []string{"false"}}).Launch(context.Background(), task); err == nil {
+	// A failing worker surfaces as an error.
+	if err := (&Pool{Workers: []Worker{{Command: []string{"false"}}}}).Launch(context.Background(), task); err == nil {
 		t.Error("a failing worker must surface its exit status")
 	}
 }

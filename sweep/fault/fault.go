@@ -8,9 +8,9 @@
 // A plan is a list of events. Shard-scoped events (crash, hang,
 // stale-heartbeat, corrupt-output) match one attempt of one shard: the
 // worker process identifies its shard from the spec it runs and its
-// attempt number from the IVLIW_ATTEMPT environment variable the exec
-// launcher exports, so "crash shard 1, attempt 1" fires on the first
-// attempt and never on the retry. Worker-scoped events (dead-worker)
+// attempt number from the IVLIW_ATTEMPT environment variable that
+// sweep.Pool exports to every worker subprocess, so "crash shard 1,
+// attempt 1" fires on the first attempt and never on the retry. Worker-scoped events (dead-worker)
 // match a launch ordinal on a named pool worker and are applied by the
 // pool itself: the worker dies, taking every in-flight attempt on it down
 // at once.
@@ -32,16 +32,16 @@ import (
 
 // Environment variables of the fault protocol. EnvPlan is set by the
 // operator (or ci.sh) and inherited by every subprocess; EnvAttempt and
-// EnvWorker are exported by the launchers so a worker process can match
+// EnvWorker are exported by sweep.Pool so a worker process can match
 // shard-scoped events deterministically.
 const (
 	// EnvPlan names the JSON fault-plan file. Unset means no faults.
 	EnvPlan = "IVLIW_FAULT_PLAN"
 	// EnvAttempt carries the 1-based attempt number of a worker
-	// subprocess (set by the exec launcher).
+	// subprocess (set by sweep.Pool).
 	EnvAttempt = "IVLIW_ATTEMPT"
 	// EnvWorker carries the pool worker name an attempt was scheduled
-	// onto (set by the pool's exec path; informational).
+	// onto (set by sweep.Pool; informational).
 	EnvWorker = "IVLIW_WORKER"
 )
 
@@ -204,10 +204,10 @@ func (p *Plan) ForLaunch(worker string, launch int) *Event {
 }
 
 // Environ assembles the environment of one worker-subprocess attempt: the
-// parent's environment (which forwards EnvPlan for free when armed),
-// launcher-specific extra entries, and the EnvAttempt export that lets the
-// worker match shard-scoped events. Every launcher that starts worker
-// subprocesses (sweep.Exec, and sweep.Pool through it) builds its
+// parent's environment (which forwards EnvPlan for free when armed), the
+// caller's extra entries (the pool passes WorkerEnv), and the EnvAttempt
+// export that lets the worker match shard-scoped events. sweep.Pool, the
+// one launcher that starts worker subprocesses, builds every attempt's
 // environment here, so the fault protocol's env contract lives in exactly
 // one place.
 func Environ(extra []string, attempt int) []string {

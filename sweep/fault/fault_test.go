@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -168,4 +171,30 @@ func TestAttemptFromEnv(t *testing.T) {
 	if n := AttemptFromEnv(); n != 1 {
 		t.Errorf("unparsable attempt = %d, want 1", n)
 	}
+}
+
+// FuzzParse: no input panics the plan parser, and an accepted plan encodes
+// to bytes that parse to the same plan and encode identically.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("parsing the encoded plan %s: %v", enc, err)
+		}
+		enc2, err := json.Marshal(p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, p2) || !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the plan: %+v (%s) -> %+v (%s)", p, enc, p2, enc2)
+		}
+	})
 }

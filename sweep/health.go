@@ -77,14 +77,33 @@ func ReadBeat(path string) (Beat, error) {
 	if err != nil {
 		return Beat{}, fmt.Errorf("sweep: heartbeat: %w", err)
 	}
-	// Strict decode: beats are a wire format crossed between processes;
-	// unknown fields mean a foreign or newer writer, and trusting its
-	// liveness claims (or its done-beat checksum) would be a lie.
+	b, err := decodeBeat(data)
+	if err != nil {
+		return Beat{}, fmt.Errorf("sweep: heartbeat %s: %w", path, err)
+	}
+	return b, nil
+}
+
+// decodeBeat strictly decodes one beat. Beats are a wire format crossed
+// between processes: unknown fields or bytes after the object mean a
+// foreign or newer writer, and trusting its liveness claims would be a
+// lie. A checksum must be a full lowercase hex sha256, as fileSHA256
+// renders the committed output it is compared against.
+func decodeBeat(data []byte) (Beat, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var b Beat
 	if err := dec.Decode(&b); err != nil {
-		return Beat{}, fmt.Errorf("sweep: heartbeat %s: %w", path, err)
+		return Beat{}, err
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return Beat{}, fmt.Errorf("trailing data after the beat object")
+	}
+	if s := b.OutputSHA256; s != "" {
+		if sum, err := hex.DecodeString(s); err != nil || len(sum) != sha256.Size || hex.EncodeToString(sum) != s {
+			return Beat{}, fmt.Errorf("output_sha256 %q is not 64 lowercase hex digits", s)
+		}
 	}
 	return b, nil
 }

@@ -6,8 +6,11 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"ivliw/sweep/fault"
@@ -18,22 +21,21 @@ type Worker struct {
 	// Name identifies the worker in logs, manifests and fault plans.
 	// Empty defaults to "w<index>". Names must be unique within a pool.
 	Name string
-	// Command is the argv prefix used to launch attempts on this worker,
-	// exactly as for Exec — {"ivliw-bench"} locally, {"ssh", "host",
-	// "ivliw-bench"} remotely. Empty runs attempts in-process (goroutines),
-	// the zero-setup configuration for tests and single-machine pools.
+	// Command is the argv prefix that starts this worker's attempts as
+	// subprocesses — {"ivliw-bench"} locally, {"ssh", "host",
+	// "ivliw-bench"} remotely over a shared filesystem. Each attempt
+	// appends `-spec <SpecPath> -shard <i>/<n> -out <Output.Path>`, then
+	// `-claim <lo>:<hi>` when the task pins a row range (every coordinator
+	// task does) and `-heartbeat <file> -heartbeat-interval <d>` when
+	// StaleAfter > 0: the per-worker invocation documented for
+	// multi-process sweeps, so `ivliw-bench` (or any flag-compatible
+	// binary) is a worker with no extra protocol. Empty runs attempts
+	// in-process (goroutines), the zero-setup configuration for tests and
+	// single-machine pools.
 	Command []string
-	// Capacity is the cell-evaluation parallelism this worker advertises;
-	// it sizes each attempt's simulation worker count (the `-workers` flag
-	// for subprocess workers, Spec.Workers in-process). 0 leaves the
-	// worker's own default in charge.
-	Capacity int
 	// Slots is how many shard attempts may run on this worker at once
-	// (0 = 1). Capacity is per attempt, so a worker with Slots 2 and
-	// Capacity 4 may run 8 cell evaluations concurrently.
+	// (0 = 1).
 	Slots int
-	// Env appends to the environment of this worker's subprocesses.
-	Env []string
 }
 
 // PoolStats counts the health events of a pool's lifetime so far.
@@ -52,31 +54,31 @@ type PoolStats struct {
 	Quarantines, Readmissions int
 }
 
-// Pool is a health-checked Launcher: it schedules shard attempts across a
-// registry of Workers, watches each attempt's heartbeat file, kills and
-// fails attempts whose heartbeats go stale — the coordinator's only hang
-// detector — verifies committed outputs against the checksum carried by
-// the final heartbeat, and quarantines workers that fail repeatedly —
-// requeueing everything in flight on them at once. It is a drop-in
+// Pool is the health-checked Launcher and the only one that starts worker
+// subprocesses: it schedules shard attempts across a registry of Workers,
+// watches each attempt's heartbeat file, kills and fails attempts whose
+// heartbeats go stale — the coordinator's only hang detector — verifies
+// committed outputs against the checksum carried by the final heartbeat,
+// and quarantines workers that fail repeatedly — requeueing everything in
+// flight on them at once. It is a drop-in
 // CoordinatorOptions.Launcher; retries and requeues remain the
 // coordinator's job, the pool only decides where attempts run and when
 // they are dead.
 //
 // The zero value of every knob is usable: a Pool{Workers: ...} with no
 // further configuration schedules round-robin-by-load with heartbeat
-// monitoring disabled (StaleAfter 0).
+// monitoring disabled (StaleAfter 0), which runs each attempt as a plain
+// subprocess (or goroutine) and trusts its exit status.
 type Pool struct {
 	// Workers is the registry (required, >= 1 entry).
 	Workers []Worker
 
 	// StaleAfter declares an attempt dead when its heartbeat file has not
 	// been touched for this long; the attempt is killed and the failure
-	// surfaces to the coordinator for retry. The attempt's heartbeat
-	// interval defaults to StaleAfter/4. 0 disables heartbeat monitoring.
+	// surfaces to the coordinator for retry. Workers are asked to beat
+	// every StaleAfter/4. 0 disables heartbeat monitoring and with it the
+	// done-beat checksum verification.
 	StaleAfter time.Duration
-	// HeartbeatInterval overrides the beat period requested from workers
-	// (0 = StaleAfter/4).
-	HeartbeatInterval time.Duration
 
 	// QuarantineAfter quarantines a worker after this many consecutive
 	// attempt failures (0 = 2; < 0 disables quarantine).
@@ -96,7 +98,10 @@ type Pool struct {
 	// events are the worker process's business, not the pool's.
 	Fault *fault.Plan
 
-	// Stderr receives subprocess worker stderr (nil discards it).
+	// Stderr receives subprocess worker stderr (nil discards it). Stdout
+	// is discarded: shard rows travel through the output file, never the
+	// pipe. Independently of Stderr, the last stderr bytes are kept in a
+	// bounded ring and surfaced in the error of a failed attempt.
 	Stderr io.Writer
 	// Log receives health events — stale kills, quarantines, readmissions,
 	// worker deaths; nil discards them.
@@ -197,14 +202,7 @@ func (p *Pool) init() error {
 
 // beatInterval is the heartbeat period requested from workers.
 func (p *Pool) beatInterval() time.Duration {
-	if p.HeartbeatInterval > 0 {
-		return p.HeartbeatInterval
-	}
-	d := p.StaleAfter / 4
-	if d < 10*time.Millisecond {
-		d = 10 * time.Millisecond
-	}
-	return d
+	return max(p.StaleAfter/4, 10*time.Millisecond)
 }
 
 // Stats returns a snapshot of the pool's health counters.
@@ -409,25 +407,9 @@ func (p *Pool) runAttempt(ctx context.Context, w *poolWorker, att *poolAttempt, 
 		if hbPath != "" {
 			spec.Heartbeat = Heartbeat{Path: hbPath, IntervalMS: int(p.beatInterval() / time.Millisecond)}
 		}
-		if w.Capacity > 0 {
-			spec.Workers = w.Capacity
-		}
 		err = p.inproc(ctx, w.Name, task, spec)
 	} else {
-		var extra []string
-		if hbPath != "" {
-			extra = append(extra, "-heartbeat", hbPath, "-heartbeat-interval", p.beatInterval().String())
-		}
-		if w.Capacity > 0 {
-			extra = append(extra, "-workers", strconv.Itoa(w.Capacity))
-		}
-		e := Exec{
-			Command: w.Command,
-			Stderr:  p.Stderr,
-			Env:     append(append([]string(nil), w.Env...), fault.WorkerEnv(w.Name)),
-			Extra:   extra,
-		}
-		err = e.Launch(ctx, task)
+		err = p.spawn(ctx, w, task, hbPath)
 	}
 	if err != nil {
 		return err
@@ -438,6 +420,104 @@ func (p *Pool) runAttempt(ctx context.Context, w *poolWorker, att *poolAttempt, 
 	return nil
 }
 
+// execGrace is how long a canceled worker subprocess gets between SIGTERM
+// and SIGKILL.
+const execGrace = 3 * time.Second
+
+// execStderrTail bounds the stderr ring kept for failed-attempt errors.
+const execStderrTail = 4096
+
+// spawn runs one attempt as a subprocess of w.Command with the worker argv
+// documented on Worker.Command, asking for beats to hbPath when it is set.
+// On cancellation the subprocess gets SIGTERM and execGrace to run its
+// SIGINT-clean teardown (discard staged temps, exit 130) before SIGKILL.
+func (p *Pool) spawn(ctx context.Context, w *poolWorker, task ShardTask, hbPath string) error {
+	args := append(append([]string(nil), w.Command[1:]...),
+		"-spec", task.SpecPath,
+		"-shard", fmt.Sprintf("%d/%d", task.Spec.Shard.Index, task.Spec.Shard.Count),
+		"-out", task.Spec.Output.Path,
+	)
+	if task.Spec.Shard.Hi > task.Spec.Shard.Lo {
+		// An explicit row range rides the -claim protocol; -shard stays
+		// for identity (fault plans key on its index).
+		args = append(args, "-claim", fmt.Sprintf("%d:%d", task.Spec.Shard.Lo, task.Spec.Shard.Hi))
+	}
+	if hbPath != "" {
+		args = append(args, "-heartbeat", hbPath, "-heartbeat-interval", p.beatInterval().String())
+	}
+	cmd := exec.CommandContext(ctx, w.Command[0], args...)
+	tail := &tailBuffer{max: execStderrTail}
+	cmd.Stderr = tail
+	if p.Stderr != nil {
+		cmd.Stderr = io.MultiWriter(p.Stderr, tail)
+	}
+	// The attempt number and worker name ride the environment so a
+	// scripted fault plan (sweep/fault) can target "shard i, attempt j"
+	// deterministically; fault.Environ owns the protocol's env contract.
+	cmd.Env = fault.Environ([]string{fault.WorkerEnv(w.Name)}, task.Attempt)
+	// Cancellation means teardown, not murder: SIGTERM first, so the worker
+	// runs its signal-clean exit (discarding staged temps), SIGKILL only
+	// after the grace. CommandContext's default is an immediate SIGKILL,
+	// which could land mid-rename.
+	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+	cmd.WaitDelay = execGrace
+	if err := cmd.Run(); err != nil {
+		// A kill triggered by cancellation is the context's error, not the
+		// subprocess's: Launch tells teardown from failure by it.
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if t := tail.tail(); t != "" {
+			return fmt.Errorf("sweep: shard %d attempt %d (%s): %w (stderr: %s)",
+				task.Index, task.Attempt, w.Command[0], err, t)
+		}
+		return fmt.Errorf("sweep: shard %d attempt %d (%s): %w", task.Index, task.Attempt, w.Command[0], err)
+	}
+	return nil
+}
+
+// tailBuffer is a bounded ring keeping the last max bytes written —
+// enough stderr tail to say why a worker died without unbounded growth.
+type tailBuffer struct {
+	mu   sync.Mutex
+	max  int
+	buf  []byte
+	full bool
+}
+
+func (t *tailBuffer) Write(p []byte) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(p)
+	if n >= t.max {
+		t.buf = append(t.buf[:0], p[n-t.max:]...)
+		t.full = true
+		return n, nil
+	}
+	if len(t.buf)+n > t.max {
+		drop := len(t.buf) + n - t.max
+		t.buf = append(t.buf[:0], t.buf[drop:]...)
+		t.full = true
+	}
+	t.buf = append(t.buf, p...)
+	return n, nil
+}
+
+// tail renders the ring as a single error-friendly line.
+func (t *tailBuffer) tail() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := strings.TrimSpace(string(t.buf))
+	if s == "" {
+		return ""
+	}
+	s = strings.ReplaceAll(s, "\n", " | ")
+	if t.full {
+		s = "..." + s
+	}
+	return s
+}
+
 // verify cross-checks a successful attempt against its final heartbeat:
 // the beat must say done, and when it carries an output checksum the
 // committed file must hash to it. A mismatch is corruption between the
@@ -446,7 +526,7 @@ func (p *Pool) runAttempt(ctx context.Context, w *poolWorker, att *poolAttempt, 
 func (p *Pool) verify(w *poolWorker, task ShardTask, hbPath, outPath string) error {
 	b, err := ReadBeat(hbPath)
 	if err != nil {
-		return fmt.Errorf("sweep: pool: shard %d attempt %d on %s finished without a final heartbeat: %w",
+		return fmt.Errorf("sweep: pool: shard %d attempt %d on %s finished without a readable final heartbeat: %w",
 			task.Index, task.Attempt, w.Name, err)
 	}
 	if b.Status != BeatDone {

@@ -316,6 +316,101 @@ func TestRunHeartbeat(t *testing.T) {
 	}
 }
 
+// TestReadBeatRejectsMalformed: a beat whose checksum is not a full
+// lowercase hex sha256, or which carries bytes after its object, is
+// refused instead of trusted.
+func TestReadBeatRejectsMalformed(t *testing.T) {
+	sum := strings.Repeat("0123456789abcdef", 4)
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		data string
+		ok   bool
+	}{
+		{`{"pid":1,"shard":0,"seq":2,"unix_nano":3,"status":"done","rows":4,"output_sha256":"` + sum + `"}` + "\n", true},
+		{`{"pid":1,"shard":0,"seq":1,"unix_nano":3,"status":"running"}`, true},
+		{`{"status":"done","output_sha256":"abc"}`, false},
+		{`{"status":"done","output_sha256":"` + strings.ToUpper(sum) + `"}`, false},
+		{`{"status":"done","output_sha256":"` + sum[:63] + `g"}`, false},
+		{`{"status":"done","output_sha256":"` + sum + `0"}`, false},
+		{`{"status":"running"} {"status":"done"}`, false},
+		{`{"status":"running"}x`, false},
+		{`{"status":"running","extra":1}`, false},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("beat%d.json", i))
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBeat(path); (err == nil) != tc.ok {
+			t.Errorf("ReadBeat(%s) err = %v, want ok = %v", tc.data, err, tc.ok)
+		}
+	}
+}
+
+// TestPoolMalformedDoneBeat: a done beat whose checksum is too short to be
+// a sha256 fails the attempt, which is retried, instead of taking the
+// coordinator down while the mismatch is reported.
+func TestPoolMalformedDoneBeat(t *testing.T) {
+	spec := coordSpec(t)
+	ref := runJSONL(t, spec)
+	dir := t.TempDir()
+	cs := spec
+	cs.Output.Path = filepath.Join(dir, "out.jsonl")
+	pool := &Pool{
+		Workers:         []Worker{{Name: "w0"}},
+		StaleAfter:      2 * time.Second,
+		QuarantineAfter: 10,
+		Log:             t.Logf,
+	}
+	pool.inproc = func(ctx context.Context, _ string, task ShardTask, spec Spec) error {
+		if _, err := Run(ctx, spec, nil); err != nil {
+			return err
+		}
+		if task.Index == 0 && task.Attempt == 1 {
+			return os.WriteFile(spec.Heartbeat.Path,
+				[]byte(`{"pid":1,"shard":0,"seq":9,"unix_nano":1,"status":"done","output_sha256":"abc"}`), 0o644)
+		}
+		return nil
+	}
+	st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
+		Shards: 2, Dir: filepath.Join(dir, "work"), Launcher: pool, MaxAttempts: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cs.Output.Path); !bytes.Equal(got, ref) {
+		t.Error("output after a malformed done beat differs from the unsharded run")
+	}
+	if st.Retries != 1 {
+		t.Errorf("stats = %+v, want exactly 1 retry", st)
+	}
+}
+
+// FuzzReadBeat: no input panics the beat decoder, and an accepted beat
+// encodes to bytes that decode to the same beat and encode identically.
+func FuzzReadBeat(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeBeat(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := decodeBeat(enc)
+		if err != nil {
+			t.Fatalf("decoding the encoded beat %s: %v", enc, err)
+		}
+		enc2, err := json.Marshal(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b2 != b || !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the beat: %+v (%s) -> %+v (%s)", b, enc, b2, enc2)
+		}
+	})
+}
+
 // TestBackoffDelay: the shared backoff schedule is deterministic, jittered
 // into [d/2, d], capped at 32x the base, and disabled by a zero base.
 func TestBackoffDelay(t *testing.T) {
@@ -340,9 +435,9 @@ func TestBackoffDelay(t *testing.T) {
 	}
 }
 
-// TestExecSIGTERMGrace: cancellation sends SIGTERM (not an instant SIGKILL)
-// so the worker runs its signal-clean teardown within the grace period
-// before exiting.
+// TestExecSIGTERMGrace: canceling a subprocess attempt sends SIGTERM (not
+// an instant SIGKILL) so the worker runs its signal-clean teardown within
+// the grace period before exiting.
 func TestExecSIGTERMGrace(t *testing.T) {
 	if _, err := exec.LookPath("sh"); err != nil {
 		t.Skip("no sh on PATH")
@@ -367,7 +462,7 @@ wait $!
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- (Exec{Command: []string{script}}).Launch(ctx, task)
+		done <- (&Pool{Workers: []Worker{{Command: []string{script}}}}).Launch(ctx, task)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -409,7 +504,7 @@ exit 3
 		t.Fatal(err)
 	}
 	task := ShardTask{Spec: Spec{Shard: Shard{Index: 0, Count: 1}}, Attempt: 2}
-	err := (Exec{Command: []string{script}}).Launch(context.Background(), task)
+	err := (&Pool{Workers: []Worker{{Command: []string{script}}}}).Launch(context.Background(), task)
 	if err == nil {
 		t.Fatal("exit 3 must surface as an error")
 	}

@@ -83,8 +83,9 @@ type Options struct {
 	// MaxAttempts caps launch attempts per shard (0 = the coordinator
 	// default).
 	MaxAttempts int
-	// Launcher runs shard attempts (nil = sweep.InProcess). Exec and Pool
-	// launchers turn the daemon into a multi-process or multi-host service.
+	// Launcher runs shard attempts (nil = sweep.InProcess). A sweep.Pool
+	// of subprocess workers turns the daemon into a multi-process or
+	// multi-host service.
 	Launcher sweep.Launcher
 	// Workers and SimBatch, when positive, override every job spec's
 	// per-process throughput knobs — server policy, invisible to job
