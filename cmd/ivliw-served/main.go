@@ -33,11 +33,12 @@
 // from their coordinator manifests.
 //
 // Without -worker-bin, shard attempts run as goroutines in the daemon
-// (sweep.InProcess), with no hang detection. With it, they run on a
-// health-checked sweep.Pool of -pool-workers subprocesses of -worker-bin
-// (the `ivliw-bench -spec` protocol), each running up to -pool-slots
-// attempts, killed and retried when their heartbeats go stale for
-// -pool-stale (0 turns heartbeats off). -shards is each job's coordinator
+// (sweep.InProcess), with no hang detection, and the -pool-* flags are
+// rejected with exit status 2. With it, they run on a health-checked
+// sweep.Pool of -pool-workers subprocesses of -worker-bin (the
+// `ivliw-bench -spec` protocol), each running up to -pool-slots attempts,
+// killed and retried when their heartbeats go stale for -pool-stale (0
+// turns heartbeats off). -shards is each job's coordinator
 // worker count: 1 runs a job as one task, more cut it into cost-ordered
 // chunks the workers claim; any value produces byte-identical rows.
 //
@@ -59,6 +60,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -70,33 +72,57 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ivliw-served: ")
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "ivliw-served: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(o); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	addr := flag.String("addr", "127.0.0.1:8372", "listen address (port 0 picks a free port; see -addr-file)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file after listen (atomic)")
-	dir := flag.String("dir", "", "durable service root for job state, results and the artifact store (required)")
-	executors := flag.Int("executors", 2, "concurrent job executions")
-	queue := flag.Int("queue", 64, "bounded submission backlog beyond running jobs")
-	maxBody := flag.Int64("max-body", 1<<20, "maximum spec body bytes")
-	shards := flag.Int("shards", 1, "coordinator workers per job (1: each job runs as one task)")
-	attempts := flag.Int("attempts", 3, "launch attempts per shard")
-	workerBin := flag.String("worker-bin", "", "run shard attempts on a worker pool of subprocesses of this binary (the ivliw-bench -spec protocol) instead of in-process")
-	poolWorkers := flag.Int("pool-workers", 2, "worker pool (-worker-bin): worker count")
-	poolSlots := flag.Int("pool-slots", 1, "worker pool (-worker-bin): concurrent attempts per worker")
-	poolStale := flag.Duration("pool-stale", 2*time.Second, "worker pool (-worker-bin): heartbeat staleness threshold (0 disables)")
-	workers := flag.Int("workers", 0, "override every job's per-process worker count (0 = respect the spec)")
-	simBatch := flag.Int("sim-batch", 0, "override every job's simulate-batch lane cap (0 = respect the spec)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 503 rejections")
-	flag.Parse()
-
-	if err := run(options{
+// parseFlags defines the daemon's flags on fs and parses args into options.
+// A -pool-* flag set without -worker-bin is an error: there is no pool for
+// it to configure.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	addr := fs.String("addr", "127.0.0.1:8372", "listen address (port 0 picks a free port; see -addr-file)")
+	addrFile := fs.String("addr-file", "", "write the bound address to this file after listen (atomic)")
+	dir := fs.String("dir", "", "durable service root for job state, results and the artifact store (required)")
+	executors := fs.Int("executors", 2, "concurrent job executions")
+	queue := fs.Int("queue", 64, "bounded submission backlog beyond running jobs")
+	maxBody := fs.Int64("max-body", 1<<20, "maximum spec body bytes")
+	shards := fs.Int("shards", 1, "coordinator workers per job (1: each job runs as one task)")
+	attempts := fs.Int("attempts", 3, "launch attempts per shard")
+	workerBin := fs.String("worker-bin", "", "run shard attempts on a worker pool of subprocesses of this binary (the ivliw-bench -spec protocol) instead of in-process")
+	poolWorkers := fs.Int("pool-workers", 2, "worker pool (-worker-bin): worker count")
+	poolSlots := fs.Int("pool-slots", 1, "worker pool (-worker-bin): concurrent attempts per worker")
+	poolStale := fs.Duration("pool-stale", 2*time.Second, "worker pool (-worker-bin): heartbeat staleness threshold (0 disables)")
+	workers := fs.Int("workers", 0, "override every job's per-process worker count (0 = respect the spec)")
+	simBatch := fs.Int("sim-batch", 0, "override every job's simulate-batch lane cap (0 = respect the spec)")
+	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 503 rejections")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if *workerBin == "" {
+		misplaced := ""
+		fs.Visit(func(f *flag.Flag) {
+			if misplaced == "" && strings.HasPrefix(f.Name, "pool-") {
+				misplaced = f.Name
+			}
+		})
+		if misplaced != "" {
+			return options{}, fmt.Errorf("-%s only applies with -worker-bin", misplaced)
+		}
+	}
+	return options{
 		addr: *addr, addrFile: *addrFile, dir: *dir,
 		executors: *executors, queue: *queue, maxBody: *maxBody,
 		shards: *shards, attempts: *attempts, workerBin: *workerBin,
 		poolWorkers: *poolWorkers, poolSlots: *poolSlots, poolStale: *poolStale,
 		workers: *workers, simBatch: *simBatch, retryAfter: *retryAfter,
-	}); err != nil {
-		log.Fatal(err)
-	}
+	}, nil
 }
 
 type options struct {

@@ -194,6 +194,16 @@
 // submission (409): results are stored per job under <dir>/jobs/<hash>,
 // never at client-named paths, and the collision is almost always a bug.
 //
+// Duplicates are answered from the job table. A job ID is the sha256 of
+// the spec's canonical encoding with the per-process knobs cleared, so a
+// body whose sha256 is a known job ID is that job's canonical encoding —
+// what Spec.Encode, `ivliw-bench -spec-out` and `ivliw-load` send — and
+// gets its dedup answer without being parsed, validated or hashed; any
+// other body takes the full path to the same answer. A done job's status
+// is rendered on its first poll and the stored bytes answer every later
+// poll: done is final in a running daemon, and an out-of-band edit of the
+// job's coordinator manifest after that first poll is not reflected.
+//
 // The lifecycle is crash-safe end to end: each job directory holds the
 // canonical spec, an atomically rewritten state record
 // (queued/running/done/failed), the committed rows and the coordinator's

@@ -8,8 +8,10 @@
 #                                 compile-key property tests, and replays
 #                                 the committed fuzz seed corpora), then a
 #                                 time-boxed -fuzz run of each fuzz target:
-#                                 the beat decoder, the fault-plan parser
-#                                 and ivliw-bench's -shard/-claim parsers
+#                                 the beat decoder, the fault-plan parser,
+#                                 ivliw-bench's -shard/-claim parsers, the
+#                                 spec parser and ivliw-served's submission
+#                                 endpoint
 #   4. byte-identity of `ivliw-bench -exp all` at 1 and 2 workers against
 #      the committed golden transcript (cmd/ivliw-bench/testdata/
 #      exp_all.golden), so any drift in the paper reproduction is caught
@@ -58,8 +60,10 @@
 #      BENCH_8.json
 #  10. sweep as a service: start `ivliw-served` (a worker pool of
 #      ivliw-bench subprocesses), submit the default spec over HTTP with
-#      `ivliw-load -submit`, gate the streamed JSONL byte-identical to the
-#      direct CLI run, gate dedup (a second identical submission reports
+#      `ivliw-load -submit`, gate its job ID equal to `ivliw-bench
+#      -spec-hash` of the same spec file (clients predict job IDs
+#      offline), gate the streamed JSONL byte-identical to the direct CLI
+#      run, gate dedup (a second identical submission reports
 #      cached=true and the server's execution counter does not move),
 #      replay >= 1000 overlapping seeded submissions with `ivliw-load`
 #      (every duplicate must dedup: executions == distinct specs, zero
@@ -96,10 +100,12 @@ go vet ./...
 echo "== 3/11 go test -race ./... and time-boxed fuzzing =="
 go test -race ./...
 # Fuzz the parsers of input that crosses a process boundary: beat files,
-# fault plans, and the -shard/-claim arguments a pool worker receives. Their
-# committed seed corpora (testdata/fuzz) already ran in the line above.
+# fault plans, the -shard/-claim arguments a pool worker receives, spec
+# files and the bodies ivliw-served accepts. Their committed seed corpora
+# (testdata/fuzz) already ran in the line above.
 for target in "FuzzReadBeat ./sweep" "FuzzParse ./sweep/fault" \
-    "FuzzParseShard ./cmd/ivliw-bench" "FuzzParseClaim ./cmd/ivliw-bench"; do
+    "FuzzParseShard ./cmd/ivliw-bench" "FuzzParseClaim ./cmd/ivliw-bench" \
+    "FuzzParseSpec ./sweep" "FuzzSubmitBody ./sweep/serve"; do
   read -r name pkg <<< "$target"
   go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -parallel 2 "$pkg"
 done
@@ -598,6 +604,13 @@ if ! "$tmp/ivliw-load" -addr "$served_url" -submit "$tmp/spec.json" \
 fi
 if ! grep -q 'state=done dedup=false cached=false' "$tmp/submit1.txt"; then
   echo "FAIL: first submission was not a fresh executed job: $(cat "$tmp/submit1.txt")" >&2
+  exit 1
+fi
+# The job ID is the spec's semantic hash, which clients predict offline.
+want_job=$("$tmp/ivliw-bench" -spec "$tmp/spec.json" -spec-hash)
+got_job=$(grep -o 'job=[0-9a-f]*' "$tmp/submit1.txt" | cut -d= -f2)
+if [ "$got_job" != "$want_job" ]; then
+  echo "FAIL: served job ID '$got_job' differs from ivliw-bench -spec-hash '$want_job'" >&2
   exit 1
 fi
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/served_rows.jsonl"; then

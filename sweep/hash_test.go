@@ -1,6 +1,28 @@
 package sweep
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
+
+// perProcessKnobs sets each per-process field of a spec: knobs that change
+// where and how fast rows are produced, never what they contain, and that
+// Spec.Hash therefore clears before fingerprinting.
+var perProcessKnobs = map[string]func(*Spec){
+	"workers":   func(s *Spec) { s.Workers = 7 },
+	"sim_batch": func(s *Spec) { s.SimBatch = 4 },
+	"shard":     func(s *Spec) { s.Shard = Shard{Index: 1, Count: 3} },
+	"store":     func(s *Spec) { s.Store = Store{Memory: 5, Dir: "/tmp/x"} },
+	"output":    func(s *Spec) { s.Output = Output{Path: "rows.jsonl"} },
+	"heartbeat": func(s *Spec) { s.Heartbeat = Heartbeat{Path: "hb", IntervalMS: 50} },
+}
+
+// perProcessZero reports whether every per-process field of s is zero.
+func perProcessZero(s Spec) bool {
+	return s.Workers == 0 && s.SimBatch == 0 && s.Shard == (Shard{}) &&
+		s.Store == (Store{}) && s.Output == (Output{}) && s.Heartbeat == (Heartbeat{})
+}
 
 // TestSpecHashVector pins Spec.Hash to a committed vector. The hash is a
 // durable identity: it names job directories on disk, keys the serving
@@ -48,15 +70,7 @@ func TestSpecHashSemantics(t *testing.T) {
 	}
 
 	// Per-process knobs: same rows, same hash.
-	invariant := map[string]func(*Spec){
-		"workers":   func(s *Spec) { s.Workers = 7 },
-		"sim_batch": func(s *Spec) { s.SimBatch = 4 },
-		"shard":     func(s *Spec) { s.Shard = Shard{Index: 1, Count: 3} },
-		"store":     func(s *Spec) { s.Store = Store{Memory: 5, Dir: "/tmp/x"} },
-		"output":    func(s *Spec) { s.Output = Output{Path: "rows.jsonl"} },
-		"heartbeat": func(s *Spec) { s.Heartbeat = Heartbeat{Path: "hb", IntervalMS: 50} },
-	}
-	for name, mut := range invariant {
+	for name, mut := range perProcessKnobs {
 		s := base
 		mut(&s)
 		got, err := s.Hash()
@@ -96,5 +110,58 @@ func TestSpecHashSemantics(t *testing.T) {
 	}
 	if priv != want {
 		t.Fatalf("Spec.Hash %q != specHash %q", want, priv)
+	}
+}
+
+// TestCanonicalBodyDigestIsJobID pins the identity the serving layer's
+// duplicate path stands on: for a spec whose per-process fields are all
+// zero, the sha256 of its canonical encoding is its hash, so a submitted
+// body whose digest is a known job ID is that job's canonical encoding.
+// Setting any per-process field changes the encoding but not the hash.
+func TestCanonicalBodyDigestIsJobID(t *testing.T) {
+	specs := map[string]Spec{
+		"synth": {
+			Grid: Grid{Clusters: []int{2, 4}},
+			Workloads: Workloads{Synth: []SynthSpec{{
+				Name: "h", Seed: 7, Kernels: 1, Iters: 64, FootprintBytes: 2048,
+			}}},
+			Compile: Compile{Heuristic: "IPBC", Unroll: "none"},
+		},
+		"bench": {
+			Grid:      Grid{Clusters: []int{2, 4, 8}, ABEntries: []int{0, 16}},
+			Workloads: Workloads{Bench: []string{"gsmdec", "jpegenc", "mpeg2dec"}},
+		},
+		"full": func() Spec {
+			s := fullSpec()
+			s.Workers, s.SimBatch, s.Shard, s.Store, s.Output, s.Heartbeat = 0, 0, Shard{}, Store{}, Output{}, Heartbeat{}
+			return s
+		}(),
+	}
+	digest := func(s Spec) string {
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for name, base := range specs {
+		if !perProcessZero(base) {
+			t.Fatalf("%s: the base spec sets a per-process field", name)
+		}
+		hash, err := base.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(base); got != hash {
+			t.Errorf("%s: sha256 of the canonical encoding = %s, want the hash %s", name, got, hash)
+		}
+		for knob, mut := range perProcessKnobs {
+			s := base
+			mut(&s)
+			if got := digest(s); got == hash {
+				t.Errorf("%s with %s set: the encoding's digest still equals the hash", name, knob)
+			}
+		}
 	}
 }

@@ -64,12 +64,23 @@ type job struct {
 	output string
 	// submitted orders restart recovery (unix nanoseconds at submission).
 	submitted int64
+	// valid records that spec passes Validate in this build: always for a
+	// job created by a submission, and for a recovered job only when its
+	// stored spec still does. Only then may a canonical body skip the full
+	// submission path (see Server.handleSubmit).
+	valid bool
 
 	mu    sync.Mutex
 	state string
 	err   string
 	rows  int
 	stats *JobStats
+	// doneStatus is the rendered GET /v1/jobs/{job} answer of a done job,
+	// kept by the first poll after the job finished. Done is final in a
+	// running server and nothing rewrites the job's coordinator manifest
+	// after it, so later polls send these bytes as they are. transition
+	// clears them, so they only exist while the job is done.
+	doneStatus []byte
 }
 
 // jobFile is the durable on-disk form of a job's mutable state, rewritten
@@ -99,7 +110,7 @@ func (j *job) transition(state string, mut func(*job)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	prevState, prevErr := j.state, j.err
-	j.state = state
+	j.state, j.doneStatus = state, nil
 	if mut != nil {
 		mut(j)
 	}
@@ -182,7 +193,7 @@ func recoverJobs(jobsDir string, logf func(string, ...any)) (map[string]*job, []
 			continue
 		}
 		j := &job{
-			hash: hash, dir: dir, spec: spec,
+			hash: hash, dir: dir, spec: spec, valid: spec.Validate() == nil,
 			output: jf.Output, submitted: jf.SubmittedNS,
 			state: jf.State, err: jf.Error, rows: jf.Rows, stats: jf.Stats,
 		}

@@ -22,6 +22,14 @@
 // content-addressed artifact store under <Dir>/artifacts, so distinct specs
 // with overlapping compile keys still compile each artifact once.
 //
+// Duplicates are answered from the job table. A body whose sha256 is a known
+// job ID is that job's canonical encoding, so it goes straight to the dedup
+// answer without being parsed, validated or hashed; every other body takes
+// the full path to the same answer. A done job's status is rendered once and
+// the stored bytes are sent to every later poll: done is final in a running
+// server, and an out-of-band edit of the job's coordinator manifest after
+// that first poll is not reflected.
+//
 // The HTTP surface (all JSON; see Client for a typed wrapper):
 //
 //	POST /v1/jobs            submit a spec (strict-parsed, body-bounded);
@@ -43,7 +51,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -368,7 +379,8 @@ func (s *Server) runSpec(j *job) sweep.Spec {
 
 // handleSubmit implements POST /v1/jobs: strict-parse, validate, hash, then
 // single-flight on the hash — attach to an existing job when one exists,
-// otherwise persist a new job directory and enqueue it.
+// otherwise persist a new job directory and enqueue it. A body that is a
+// known job's canonical encoding skips straight to the single-flight step.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.submissions.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
@@ -382,6 +394,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "reading spec body: %v", err)
 		return
 	}
+	// A job ID is the sha256 of the canonical encoding of its spec with the
+	// per-process fields cleared (sweep.Spec.Hash). A body with a known ID
+	// as its digest is therefore, barring a sha256 collision, exactly that
+	// encoding: it parses to a spec with no shard and no output path that
+	// validates (when the job's own spec does) and hashes to this job, so
+	// the full path below would reach the same dedup answer.
+	sum := sha256.Sum256(body)
+	var id [2 * sha256.Size]byte
+	hex.Encode(id[:], sum[:])
+	s.mu.Lock()
+	if j, ok := s.jobs[string(id[:])]; ok && j.valid {
+		s.dedupLocked(w, j)
+		return
+	}
+	s.mu.Unlock()
+
 	spec, err := sweep.ParseSpec(body)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
@@ -404,19 +432,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if j, ok := s.jobs[hash]; ok {
-		state, _, _, _ := j.snapshot()
-		switch state {
-		case StateDone:
-			s.dedupCached.Add(1)
-			s.mu.Unlock()
-			s.writeJSON(w, http.StatusOK, SubmitResponse{Job: hash, State: state, Dedup: true, Cached: true})
-		case StateQueued, StateRunning:
-			s.dedupAttached.Add(1)
-			s.mu.Unlock()
-			s.writeJSON(w, http.StatusOK, SubmitResponse{Job: hash, State: state, Dedup: true})
-		default: // failed: resubmission is the retry path
-			s.requeueLocked(w, j)
-		}
+		s.dedupLocked(w, j)
 		return
 	}
 	if s.drain.Load() {
@@ -450,11 +466,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.outputs[j.output] = hash
 		}
 		s.mu.Unlock()
-		s.opts.Log("serve: job %s queued (%d grid rows pending)", shortHash(hash), 0)
+		s.opts.Log("serve: job %s queued", shortHash(hash))
 		s.writeJSON(w, http.StatusAccepted, SubmitResponse{Job: hash, State: StateQueued})
 	default:
 		os.RemoveAll(j.dir)
 		s.rejectLocked(w)
+	}
+}
+
+// dedupLocked answers a submission of job j's spec: a done job is served
+// from the results store, a queued or running one is attached to, and a
+// failed one is requeued. Callers hold s.mu; it is released here on every
+// path.
+func (s *Server) dedupLocked(w http.ResponseWriter, j *job) {
+	state, _, _, _ := j.snapshot()
+	switch state {
+	case StateDone:
+		s.dedupCached.Add(1)
+		s.mu.Unlock()
+		s.writeJSON(w, http.StatusOK, SubmitResponse{Job: j.hash, State: state, Dedup: true, Cached: true})
+	case StateQueued, StateRunning:
+		s.dedupAttached.Add(1)
+		s.mu.Unlock()
+		s.writeJSON(w, http.StatusOK, SubmitResponse{Job: j.hash, State: state, Dedup: true})
+	default: // failed: resubmission is the retry path
+		s.requeueLocked(w, j)
 	}
 }
 
@@ -509,7 +545,7 @@ func (s *Server) createJob(hash string, spec sweep.Spec) (*job, error) {
 		return nil, err
 	}
 	j := &job{
-		hash: hash, dir: dir, spec: spec,
+		hash: hash, dir: dir, spec: spec, valid: true,
 		output:    spec.Output.Path,
 		submitted: time.Now().UnixNano(),
 		state:     StateQueued,
@@ -550,7 +586,29 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("job"))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.status(j, true))
+	writeBody(w, http.StatusOK, s.statusBody(j))
+}
+
+// statusBody renders a job's GET /v1/jobs/{job} answer. A done job's
+// answer is rendered on its first poll and kept on the job (see
+// job.doneStatus); every other state is rendered afresh on each poll.
+func (s *Server) statusBody(j *job) []byte {
+	j.mu.Lock()
+	body := j.doneStatus
+	j.mu.Unlock()
+	if body != nil {
+		return body
+	}
+	st := s.status(j, true)
+	body = renderJSON(st)
+	if st.State == StateDone {
+		j.mu.Lock()
+		if j.state == StateDone {
+			j.doneStatus = body
+		}
+		j.mu.Unlock()
+	}
+	return body
 }
 
 // handleRows implements GET /v1/jobs/{job}/rows: the committed result file
@@ -639,13 +697,26 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// writeJSON encodes one response body.
+// writeJSON encodes and sends one response body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	writeBody(w, code, renderJSON(v))
+}
+
+// renderJSON encodes one response body: indented JSON with a trailing
+// newline.
+func renderJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	return b.Bytes()
+}
+
+// writeBody sends a rendered response body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 // httpError answers a non-2xx status with a JSON error body.

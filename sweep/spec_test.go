@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -203,4 +205,43 @@ func TestShardRange(t *testing.T) {
 			t.Errorf("shard %+v validated, want an error", bad)
 		}
 	}
+}
+
+// FuzzParseSpec checks the parser every spec file and served submission
+// meets first: no input panics; whatever it accepts re-encodes canonically,
+// Encode(ParseSpec(Encode(s))) == Encode(s); and an input that already is
+// the canonical encoding of a spec with every per-process field zero hashes
+// to its own sha256 — the identity that lets the server answer such a body
+// without parsing it.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		enc, err := s.Encode()
+		if err != nil {
+			t.Fatalf("encoding an accepted spec: %v", err)
+		}
+		s2, err := ParseSpec(enc)
+		if err != nil {
+			t.Fatalf("parsing the encoding of an accepted spec: %v\n%s", err, enc)
+		}
+		enc2, err := s2.Encode()
+		if err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("the encoding is not canonical:\n%s\nre-encodes to\n%s", enc, enc2)
+		}
+		if bytes.Equal(data, enc) && perProcessZero(s) {
+			hash, err := s.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(data); hash != hex.EncodeToString(sum[:]) {
+				t.Fatalf("canonical input hashes to %s, not to its own sha256 %x", hash, sum)
+			}
+		}
+	})
 }
