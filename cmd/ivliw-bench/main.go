@@ -1,5 +1,5 @@
 // Command ivliw-bench regenerates the paper's evaluation — every figure
-// (4-8) and table (1-2) of §5 plus the headline numbers — and, with -sweep,
+// (4-8) and table (1-2) of §5 plus the headline numbers — and, with -spec,
 // explores the design space around the paper's Table 2 point: a grid of
 // (cluster count × interleaving factor × cache geometry × Attraction Buffer
 // size × bus/memory latency) machine points against paper or synthetic
@@ -7,49 +7,48 @@
 //
 // Usage:
 //
-//	ivliw-bench -exp table1|table2|fig4|fig5|fig6|fig7|fig8|headlines|all
-//	ivliw-bench -sweep [-sweep-clusters 2,4,8] [-sweep-interleave 4,8]
-//	            [-sweep-ab 0,16] [-sweep-cache-kb 8] [-sweep-assoc 2]
-//	            [-sweep-bus 2] [-sweep-mem-lat 10]
-//	            [-sweep-fus 1:1:1,2:1:2] [-sweep-reg-bus 2,4]
-//	            [-sweep-mshr 0,4,8] [-sweep-ab-k 0,2,4]
-//	            [-sweep-bench gsmdec,jpegenc,mpeg2dec|all]
-//	            [-sweep-synth 4] [-sweep-seed 1]
-//	            [-sweep-heuristic IPBC] [-sweep-unroll selective]
-//	            [-compile-cache 256] [-artifact-dir DIR] [-sim-batch 8]
-//	            [-shard i/n] [-out sweep.jsonl] [-spec-out run.json]
+//	ivliw-bench -exp table1|table2|fig4|fig5|fig6|fig7|fig8|headlines|all [-workers 4]
 //	ivliw-bench -spec run.json [-shard i/n] [-claim lo:hi] [-artifact-dir DIR]
-//	            [-sim-batch 8] [-out shard.jsonl]
+//	            [-compile-cache 256] [-sim-batch 8] [-out shard.jsonl]
 //	ivliw-bench -spec run.json -calibrate calibration.json
 //	ivliw-bench -spec run.json -spec-hash
 //	ivliw-bench -spec run.json -coordinate 3 [-coordinate-dir DIR]
-//	            [-coordinate-attempts 3] [-coordinate-backoff 250ms]
-//	            [-coordinate-seed 1] [-coordinate-parallel 0]
+//	            [-coordinate-attempts 3] [-coordinate-parallel 0]
 //	            [-coordinate-calibration calibration.json]
-//	            [-pool-stale 2s] [-pool-backoff 1s] [-out sweep.jsonl]
+//	            [-pool-stale 2s] [-out sweep.jsonl]
 //
-// The sweep flags are a thin front end over the public ivliw/sweep package:
-// they parse into a declarative, serializable sweep.Spec. -spec-out writes
-// that spec as JSON (without running), -spec runs a previously written spec
-// file, so a run is a reproducible artifact instead of flag soup. -shard
-// i/n evaluates the i-th of n contiguous row slices — the concatenation of
-// all shards' outputs is byte-identical to the unsharded run — and
-// -artifact-dir layers the compile cache over a persistent
+// A sweep is a spec file: the JSON encoding of sweep.Spec, the same file
+// the pool's workers load and ivliw-served accepts as a job. Grid axes left
+// out take their Table 2 value, so this file runs three cluster counts,
+// with and without Attraction Buffers, over three benchmarks:
+//
+//	{
+//	  "grid": {"clusters": [2, 4, 8], "ab_entries": [0, 16]},
+//	  "workloads": {"bench": ["gsmdec", "jpegenc", "mpeg2dec"]}
+//	}
+//
+// Every flag but -exp and -workers needs -spec. The per-process ones
+// (-workers, -sim-batch, -compile-cache, -artifact-dir, -shard, -out)
+// override the file, so one spec drives every shard of a multi-process
+// run. -shard i/n evaluates the i-th of n contiguous row slices — the
+// concatenation of all shards' outputs is byte-identical to the unsharded
+// run — and -artifact-dir layers the compile cache over a persistent
 // content-addressed artifact store so repeated and sharded runs start warm.
+// testdata/ holds the spec files scripts/ci.sh runs.
 //
 // -coordinate n runs the whole sharded workflow in one command with n
 // workers: the grid is cut into up to 4n never-empty chunks of equal
 // predicted cost, on compile-key atom boundaries (one chunk when n is 1),
 // and idle workers claim the next chunk, heaviest first. The workers, w0
 // to w(n-1), are subprocesses of this binary in a health-checked pool
-// (sweep.Pool). Failed attempts are retried within -coordinate-attempts,
-// and the chunk outputs are stitched into -out byte-identical to the
-// unsharded run. The cost model can be calibrated to this machine
-// (-calibrate writes the file, -coordinate-calibration loads it; a missing
-// or corrupt file degrades to the built-in model with a warning). Workers
-// receive their ranges through the -claim lo:hi protocol; byte-identity
-// holds by construction, because rows stay keyed by grid index and the
-// stitcher concatenates ranges in index order.
+// (sweep.Pool). A failed attempt is retried at once, within
+// -coordinate-attempts, and the chunk outputs are stitched into -out
+// byte-identical to the unsharded run. The cost model can be calibrated to
+// this machine (-calibrate writes the file, -coordinate-calibration loads
+// it; a missing or corrupt file degrades to the built-in model with a
+// warning). Workers receive their ranges through the -claim lo:hi
+// protocol; byte-identity holds by construction, because rows stay keyed
+// by grid index and the stitcher concatenates ranges in index order.
 // Chunk outputs and the manifest live in -coordinate-dir; every state
 // transition is committed atomically (temp+rename), so a coordinator
 // killed mid-run resumes its completed chunks when rerun over the same
@@ -61,11 +60,12 @@
 // — the only hang detection a coordinated run has; 0 turns heartbeats off
 // — and a finished attempt's output must hash to the checksum its final
 // heartbeat carries. A worker that fails twice in a row is quarantined for
-// up to -pool-backoff (jittered, doubled per quarantine). The
-// IVLIW_FAULT_PLAN environment variable may name a JSON fault plan (see
-// ivliw/sweep/fault) that deterministically crashes, hangs or wedges
-// specific shard attempts and kills specific pool workers — the harness
-// scripts/ci.sh uses to prove byte-identity survives worker failure.
+// 0.5-1s, doubled per further quarantine up to 32s (the jitter is seeded
+// by the worker's name). The IVLIW_FAULT_PLAN environment variable may
+// name a JSON fault plan (see ivliw/sweep/fault) that deterministically
+// crashes, hangs or wedges specific shard attempts and kills specific pool
+// workers — the harness scripts/ci.sh uses to prove byte-identity survives
+// worker failure.
 //
 // Sweeps run as a two-stage streaming pipeline: distinct compile keys are
 // compiled once into the artifact store (-compile-cache memory artifacts, 0
@@ -93,8 +93,6 @@ import (
 	"syscall"
 	"time"
 
-	"ivliw/internal/arch"
-	"ivliw/internal/atomicio"
 	"ivliw/internal/experiments"
 	"ivliw/internal/pipeline"
 	"ivliw/sweep"
@@ -106,44 +104,23 @@ func main() {
 	log.SetPrefix("ivliw-bench: ")
 	exp := flag.String("exp", "all", "experiment: table1, table2, fig4, fig5, fig6, fig7, fig8, headlines or all")
 	workers := flag.Int("workers", 0, "worker pool size for the (benchmark × variant) grids (0: GOMAXPROCS)")
+	specPath := flag.String("spec", "", "run the sweep described by this spec file (JSON, a sweep.Spec); every flag but -exp and -workers needs it")
 	simBatch := flag.Int("sim-batch", 0, "batch up to this many sibling sweep cells (same compile key) into one simulation pass (0: off; output is identical either way)")
-	sweepMode := flag.Bool("sweep", false, "run the design-space sweep instead of -exp and emit JSON rows")
-	sweepClusters := flag.String("sweep-clusters", "2,4,8", "sweep axis: cluster counts")
-	sweepInterleave := flag.String("sweep-interleave", "4", "sweep axis: interleaving factors in bytes")
-	sweepCacheKB := flag.String("sweep-cache-kb", "8", "sweep axis: total L1 capacities in KB")
-	sweepAssoc := flag.String("sweep-assoc", "2", "sweep axis: L1 associativities")
-	sweepAB := flag.String("sweep-ab", "0,16", "sweep axis: Attraction Buffer entries (0 = off)")
-	sweepBus := flag.String("sweep-bus", "2", "sweep axis: core-cycles-per-bus-cycle ratios")
-	sweepMemLat := flag.String("sweep-mem-lat", "10", "sweep axis: next-memory-level latencies")
-	sweepFUs := flag.String("sweep-fus", "", "sweep axis: per-cluster FU mixes as int:fp:mem triples (empty: Table 2)")
-	sweepRegBus := flag.String("sweep-reg-bus", "", "sweep axis: register-bus counts (empty: Table 2)")
-	sweepMSHR := flag.String("sweep-mshr", "", "sweep axis: MSHR depths, 0 = unbounded (empty: unbounded)")
-	sweepABK := flag.String("sweep-ab-k", "", "sweep axis: Attraction Buffer hint budgets K, 0 = hints off (empty: off)")
-	sweepBench := flag.String("sweep-bench", "gsmdec,jpegenc,mpeg2dec", "benchmarks to sweep (comma list, or 'all' for the full suite)")
-	sweepSynth := flag.Int("sweep-synth", 0, "number of synthetic benchmarks to append to the sweep")
-	sweepSeed := flag.Uint64("sweep-seed", 1, "base seed of the synthetic workload generator")
-	sweepHeuristic := flag.String("sweep-heuristic", "IPBC", "cluster heuristic of every sweep point: BASE, IBC or IPBC")
-	sweepUnroll := flag.String("sweep-unroll", "selective", "unrolling of every sweep point: none, xN, OUF or selective")
 	compileCache := flag.Int("compile-cache", pipeline.DefaultCacheSize, "in-memory compiled-schedule cache capacity in artifacts (0 disables; output is identical either way)")
 	artifactDir := flag.String("artifact-dir", "", "persist compiled schedule artifacts in this directory (content-addressed; repeated and sharded sweeps start warm)")
 	shardFlag := flag.String("shard", "", "evaluate shard i/n of the sweep grid (e.g. 0/3); concatenating all shards' outputs reproduces the unsharded run byte-for-byte")
 	claimFlag := flag.String("claim", "", "evaluate exactly rows lo:hi of the sweep grid (e.g. 12:16), overriding -shard's row arithmetic — the coordinator's cost-cut/work-stealing protocol")
 	calibrate := flag.String("calibrate", "", "probe this machine's compile/simulate costs over the spec's cluster axis and write the calibration JSON to this file (no sweep rows are produced)")
-	specPath := flag.String("spec", "", "run the sweep described by this spec file (JSON, see -spec-out) instead of the -sweep-* flags")
-	specOut := flag.String("spec-out", "", "write the sweep spec as JSON to this file and exit without running")
 	specHash := flag.Bool("spec-hash", false, "print the spec's semantic hash — the dedup/job key ivliw-served uses — and exit without running")
 	out := flag.String("out", "", "write sweep JSONL rows to this file instead of stdout")
 	coordinate := flag.Int("coordinate", 0, "run the sweep coordinated over this many workers: cut, launch, retry, resume, stitch (0: off)")
 	coordDir := flag.String("coordinate-dir", "", "coordinator work dir (manifest + shard outputs); reuse it to resume a killed run (default: fresh temp dir)")
 	coordAttempts := flag.Int("coordinate-attempts", 3, "max attempts per chunk (first try + retries)")
-	coordBackoff := flag.Duration("coordinate-backoff", 0, "base delay before retrying a failed chunk attempt, doubled per retry with deterministic jitter (0: retry immediately)")
-	coordSeed := flag.Uint64("coordinate-seed", 0, "seed of the deterministic retry and quarantine jitter")
 	coordParallel := flag.Int("coordinate-parallel", 0, "bound on concurrently running chunk attempts (0: one per worker); 1 serializes launches, e.g. for contention-free per-chunk timing")
 	coordCalibration := flag.String("coordinate-calibration", "", "calibration JSON for the cost model that sizes and orders chunks (see -calibrate); a missing or corrupt file degrades to the built-in default with a warning")
-	heartbeat := flag.String("heartbeat", "", "write liveness heartbeats to this file while the sweep runs (sweep/spec runs)")
+	heartbeat := flag.String("heartbeat", "", "write liveness heartbeats to this file while the sweep runs")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 0, "heartbeat period (0: 500ms; needs -heartbeat)")
 	poolStale := flag.Duration("pool-stale", 2*time.Second, "kill a coordinated chunk attempt whose heartbeat is older than this (0: no heartbeat monitoring)")
-	poolBackoff := flag.Duration("pool-backoff", time.Second, "base quarantine backoff of a coordinated worker that failed twice in a row, doubled per quarantine with deterministic jitter")
 	flag.Parse()
 	usageErr := func(format string, args ...any) {
 		fmt.Fprintf(flag.CommandLine.Output(), "ivliw-bench: "+format+"\n", args...)
@@ -171,6 +148,31 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
+	if !set["spec"] {
+		// Every flag but -workers shapes a sweep. The -exp experiments
+		// ignore them, and silently accepting one (e.g. -shard on three
+		// hosts triplicating work, or -compile-cache 0 "disabling" a cache
+		// the figure drivers never consult) would misconfigure without a
+		// word.
+		//
+		// The experiments deliberately keep the default signal semantics
+		// (SIGINT kills the process outright): they stream human-readable
+		// text to stdout with no staged files to protect, so the sweep
+		// path's cancel-and-discard machinery has nothing to save here.
+		for _, name := range sortedNames(set) {
+			if name != "exp" && name != "workers" {
+				usageErr("-%s needs -spec (it shapes a sweep, not the -exp experiments)", name)
+			}
+		}
+		if err := runExperiment(os.Stdout, *exp); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+
+	if set["exp"] {
+		usageErr("-exp cannot be combined with -spec")
+	}
 	if *coordinate < 0 {
 		usageErr("-coordinate must be >= 0, got %d", *coordinate)
 	}
@@ -203,7 +205,7 @@ func main() {
 	if *calibrate != "" {
 		// Calibration is its own mode: it probes costs and writes one JSON
 		// file. Flags that shape a row-producing run have nothing to shape.
-		for _, name := range []string{"spec-out", "shard", "claim", "out"} {
+		for _, name := range []string{"shard", "claim", "out"} {
 			if set[name] {
 				usageErr("-%s cannot be combined with -calibrate", name)
 			}
@@ -212,238 +214,128 @@ func main() {
 			usageErr("-calibrate cannot be combined with -coordinate (calibrate first, then pass the file via -coordinate-calibration)")
 		}
 	}
-
 	if *specHash {
 		// Hashing is read-only: flags that run, shard or redirect a sweep
 		// have nothing to act on.
-		for _, name := range []string{"spec-out", "calibrate", "coordinate", "shard", "claim", "out"} {
+		for _, name := range []string{"calibrate", "coordinate", "shard", "claim", "out"} {
 			if set[name] {
 				usageErr("-%s cannot be combined with -spec-hash", name)
 			}
 		}
 	}
-	if *sweepMode || *specPath != "" || *specOut != "" || *coordinate > 0 || *calibrate != "" || *specHash {
-		if set["exp"] {
-			usageErr("-exp cannot be combined with -sweep/-spec/-spec-out")
+
+	spec, err := sweep.LoadSpec(*specPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Per-process knobs override the file: the same spec drives every
+	// shard of a multi-process run. An explicit -claim range overrides the
+	// shard's row arithmetic, since Shard.Range answers [Lo, Hi) whenever
+	// Hi > Lo.
+	if set["workers"] {
+		spec.Workers = *workers
+	}
+	if set["sim-batch"] {
+		spec.SimBatch = *simBatch
+	}
+	if set["compile-cache"] {
+		spec.Store.Memory = memoryCapacity(*compileCache)
+	}
+	if set["artifact-dir"] {
+		spec.Store.Dir = *artifactDir
+	}
+	if set["out"] {
+		spec.Output.Path = *out
+	}
+	if set["shard"] {
+		spec.Shard = shard
+	}
+	if set["claim"] {
+		spec.Shard.Lo, spec.Shard.Hi = claimLo, claimHi
+	}
+	if set["heartbeat"] {
+		spec.Heartbeat.Path = *heartbeat
+	}
+	if set["heartbeat-interval"] {
+		spec.Heartbeat.IntervalMS = int(heartbeatInterval.Milliseconds())
+	}
+	if *specHash {
+		// The semantic fingerprint over grid/workloads/compile — the job ID
+		// an ivliw-served submission of this spec would get, so clients can
+		// predict dedup keys offline. Validate first: a hash of an
+		// unrunnable spec keys nothing.
+		if err := spec.Validate(); err != nil {
+			log.Fatal(err)
 		}
-		var spec sweep.Spec
-		if *specPath != "" {
-			// A spec file is the whole grid/workload/compiler description;
-			// mixing it with the flag-soup axes would silently ignore one
-			// of the two, so reject the combination outright. Every axis
-			// flag (and only axis flags) carries the sweep- prefix, so the
-			// guard stays correct as axes are added.
-			for _, name := range sortedNames(set) {
-				if strings.HasPrefix(name, "sweep-") {
-					usageErr("-%s cannot be combined with -spec (edit the spec file instead)", name)
-				}
-			}
-			var err error
-			if spec, err = sweep.LoadSpec(*specPath); err != nil {
-				log.Fatal(err)
-			}
-			// Per-process knobs may override the file: the same spec drives
-			// every shard of a multi-process run.
-			if set["workers"] {
-				spec.Workers = *workers
-			}
-			if set["sim-batch"] {
-				spec.SimBatch = *simBatch
-			}
-			if set["compile-cache"] {
-				spec.Store.Memory = memoryCapacity(*compileCache)
-			}
-			if set["artifact-dir"] {
-				spec.Store.Dir = *artifactDir
-			}
-			if set["out"] {
-				spec.Output.Path = *out
-			}
-			if set["shard"] {
-				spec.Shard = shard
-			}
-		} else {
-			var err error
-			spec, err = specFromFlags(sweepOptions{
-				cacheSet:     set["compile-cache"],
-				clusters:     *sweepClusters,
-				interleave:   *sweepInterleave,
-				cacheKB:      *sweepCacheKB,
-				assoc:        *sweepAssoc,
-				bus:          *sweepBus,
-				memLat:       *sweepMemLat,
-				ab:           *sweepAB,
-				fus:          *sweepFUs,
-				regBus:       *sweepRegBus,
-				mshr:         *sweepMSHR,
-				abK:          *sweepABK,
-				bench:        *sweepBench,
-				synth:        *sweepSynth,
-				seed:         *sweepSeed,
-				heuristic:    *sweepHeuristic,
-				unroll:       *sweepUnroll,
-				workers:      *workers,
-				simBatch:     *simBatch,
-				compileCache: *compileCache,
-				artifactDir:  *artifactDir,
-				shard:        shard,
-				out:          *out,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
+		hash, err := spec.Hash()
+		if err != nil {
+			log.Fatal(err)
 		}
-		// An explicit -claim range overrides whatever row arithmetic the
-		// shard would do: Shard.Range answers [Lo, Hi) whenever Hi > Lo.
-		// Applied after the spec is built, whichever way it was built, like
-		// the other per-process knobs below.
-		if set["claim"] {
-			spec.Shard.Lo, spec.Shard.Hi = claimLo, claimHi
-		}
-		// Heartbeats are a per-process knob like -out: applied after the
-		// spec is built, whichever way it was built.
-		if set["heartbeat"] {
-			spec.Heartbeat.Path = *heartbeat
-		}
-		if set["heartbeat-interval"] {
-			spec.Heartbeat.IntervalMS = int(heartbeatInterval.Milliseconds())
-		}
-		if *specHash {
-			// The semantic fingerprint over grid/workloads/compile — the
-			// job ID an ivliw-served submission of this spec would get, so
-			// clients can predict dedup keys offline. Validate first: a
-			// hash of an unrunnable spec keys nothing.
-			if err := spec.Validate(); err != nil {
-				log.Fatal(err)
-			}
-			hash, err := spec.Hash()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(hash)
-			return
-		}
-		if *specOut != "" {
-			// Validate before writing: a captured spec file must be
-			// runnable. The run path below leaves validation to sweep.Run,
-			// which resolves the spec exactly once.
-			if err := spec.Validate(); err != nil {
-				log.Fatal(err)
-			}
-			data, err := spec.Encode()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := atomicio.WriteFile(*specOut, data); err != nil {
-				log.Fatal(err)
-			}
-			// Captured per-process knobs are easy to forget: a pinned shard
-			// silently evaluates one slice only, and a pinned output path
-			// makes concurrent shard runs clobber one file.
-			if spec.Shard.Count > 1 {
-				log.Printf("note: %s pins shard %d/%d; override per process with -shard",
-					*specOut, spec.Shard.Index, spec.Shard.Count)
-			}
-			if spec.Output.Path != "" {
-				log.Printf("note: %s pins output %q; give each shard its own -out",
-					*specOut, spec.Output.Path)
-			}
-			return
-		}
-		if spec.Shard.Count > 1 && spec.Output.Path != "" && !set["out"] {
-			// Every shard of this spec writes the same file; concurrent
-			// shards would truncate each other's rows.
-			log.Printf("warning: shard %d/%d writes the spec's pinned output %q; give each shard its own -out",
-				spec.Shard.Index, spec.Shard.Count, spec.Output.Path)
-		}
-		// SIGINT/SIGTERM cancel the run: cells stop dispatching, the staged
-		// output file is discarded (never a truncated JSONL), and the
-		// process exits with the conventional 130.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if *calibrate != "" {
-			cal, err := sweep.Calibrate(ctx, spec)
-			if err != nil {
-				if errors.Is(err, context.Canceled) {
-					log.Print("interrupted; no calibration file written")
-					os.Exit(130)
-				}
-				log.Fatal(err)
-			}
-			if err := sweep.SaveCalibration(*calibrate, cal); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("calibration written to %s (%.0f cells/s baseline, %d cluster points)",
-				*calibrate, cal.CellsPerSec, len(cal.Clusters))
-			return
-		}
-		if *coordinate > 0 {
-			err = runCoordinated(ctx, spec, coordinatorCLI{
-				shards:      *coordinate,
-				dir:         *coordDir,
-				attempts:    *coordAttempts,
-				backoff:     *coordBackoff,
-				seed:        *coordSeed,
-				parallel:    *coordParallel,
-				calibration: *coordCalibration,
-				poolStale:   *poolStale,
-				poolBackoff: *poolBackoff,
-			})
-		} else {
-			// A scripted fault plan (armed via IVLIW_FAULT_PLAN, inherited
-			// from the coordinator) may make this worker crash, hang or
-			// wedge here — or corrupt its committed output afterwards.
-			plan, ferr := fault.FromEnv()
-			if ferr != nil {
-				log.Fatal(ferr)
-			}
-			ev := armFault(ctx, plan, spec)
-			err = runSweep(ctx, spec)
-			if err == nil && ev != nil && ev.Op == fault.CorruptOutput {
-				corruptOutput(spec.Output.Path)
-			}
-		}
+		fmt.Println(hash)
+		return
+	}
+	if spec.Shard.Count > 1 && spec.Output.Path != "" && !set["out"] {
+		// Every shard of this spec writes the same file; concurrent shards
+		// would truncate each other's rows.
+		log.Printf("warning: shard %d/%d writes the spec's pinned output %q; give each shard its own -out",
+			spec.Shard.Index, spec.Shard.Count, spec.Output.Path)
+	}
+	// SIGINT/SIGTERM cancel the run: cells stop dispatching, the staged
+	// output file is discarded (never a truncated JSONL), and the process
+	// exits with the conventional 130.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *calibrate != "" {
+		cal, err := sweep.Calibrate(ctx, spec)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				// File outputs are all-or-nothing (staged, never renamed on
-				// cancel); a stdout stream necessarily keeps the rows
-				// already written, so only claim the stronger guarantee
-				// when it actually held.
-				if spec.Output.Path != "" || *coordinate > 0 {
-					log.Print("interrupted; no partial output file written")
-				} else {
-					log.Print("interrupted")
-				}
+				log.Print("interrupted; no calibration file written")
 				os.Exit(130)
 			}
 			log.Fatal(err)
 		}
+		if err := sweep.SaveCalibration(*calibrate, cal); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("calibration written to %s (%.0f cells/s baseline, %d cluster points)",
+			*calibrate, cal.CellsPerSec, len(cal.Clusters))
 		return
 	}
-
-	// The -exp experiments deliberately keep the default signal semantics
-	// (SIGINT kills the process outright): they stream human-readable text
-	// to stdout with no staged files to protect, so the sweep path's
-	// cancel-and-discard machinery has nothing to save here.
-	//
-	// They also ignore the sweep-only flags; silently accepting them (e.g.
-	// -shard on three hosts triplicating work, or -compile-cache 0
-	// "disabling" a cache the figure drivers never consult) would
-	// misconfigure without a word, so reject the combination like the
-	// -spec/-sweep-* one.
-	for _, name := range sortedNames(set) {
-		sweepOnly := name == "shard" || name == "claim" || name == "calibrate" ||
-			name == "artifact-dir" || name == "out" ||
-			name == "compile-cache" || name == "heartbeat" || name == "heartbeat-interval" ||
-			name == "sim-batch" ||
-			strings.HasPrefix(name, "sweep-") ||
-			strings.HasPrefix(name, "coordinate") || strings.HasPrefix(name, "pool-")
-		if sweepOnly {
-			usageErr("-%s only applies to sweeps (add -sweep or -spec)", name)
+	if *coordinate > 0 {
+		err = runCoordinated(ctx, spec, *poolStale, sweep.CoordinatorOptions{
+			Shards:      *coordinate,
+			Dir:         *coordDir,
+			MaxAttempts: *coordAttempts,
+			Parallel:    *coordParallel,
+			Calibration: *coordCalibration,
+			Log:         log.Printf,
+		})
+	} else {
+		// A scripted fault plan (armed via IVLIW_FAULT_PLAN, inherited from
+		// the coordinator) may make this worker crash, hang or wedge here —
+		// or corrupt its committed output afterwards.
+		plan, ferr := fault.FromEnv()
+		if ferr != nil {
+			log.Fatal(ferr)
+		}
+		ev := armFault(ctx, plan, spec)
+		err = runSweep(ctx, spec)
+		if err == nil && ev != nil && ev.Op == fault.CorruptOutput {
+			corruptOutput(spec.Output.Path)
 		}
 	}
-
-	if err := runExperiment(os.Stdout, *exp); err != nil {
+	if err != nil {
+		if errors.Is(err, context.Canceled) {
+			// File outputs are all-or-nothing (staged, never renamed on
+			// cancel); a stdout stream necessarily keeps the rows already
+			// written, so only claim the stronger guarantee when it held.
+			if spec.Output.Path != "" || *coordinate > 0 {
+				log.Print("interrupted; no partial output file written")
+			} else {
+				log.Print("interrupted")
+			}
+			os.Exit(130)
+		}
 		log.Fatal(err)
 	}
 }
@@ -607,23 +499,6 @@ func headlines(w io.Writer) error {
 	return nil
 }
 
-// sweepOptions carries the parsed sweep flag values.
-type sweepOptions struct {
-	clusters, interleave, cacheKB, assoc, ab, bus, memLat string
-	fus, regBus, mshr, abK                                string
-	bench                                                 string
-	synth                                                 int
-	seed                                                  uint64
-	heuristic, unroll                                     string
-	workers                                               int
-	simBatch                                              int
-	compileCache                                          int
-	cacheSet                                              bool // -compile-cache explicitly set
-	artifactDir                                           string
-	shard                                                 sweep.Shard
-	out                                                   string
-}
-
 // sortedNames returns the explicitly-set flag names in a fixed order, so
 // conflict errors are reproducible when several offending flags are set.
 func sortedNames(set map[string]bool) []string {
@@ -642,76 +517,6 @@ func memoryCapacity(flag int) int {
 		return -1
 	}
 	return flag
-}
-
-// specFromFlags translates the legacy flag soup into the declarative spec
-// the public sweep package runs — the same mapping -spec-out serializes, so
-// a flag invocation and its captured spec file are byte-identical runs.
-func specFromFlags(o sweepOptions) (sweep.Spec, error) {
-	spec := sweep.Spec{
-		Workers:  o.workers,
-		SimBatch: o.simBatch,
-		Shard:    o.shard,
-		Store:    sweep.Store{Dir: o.artifactDir},
-		Output:   sweep.Output{Path: o.out},
-	}
-	if o.cacheSet {
-		// Only an explicit -compile-cache is baked into the spec; leaving
-		// Memory at 0 keeps captured files tracking the library default.
-		spec.Store.Memory = memoryCapacity(o.compileCache)
-	}
-	for _, ax := range []struct {
-		name     string
-		csv      string
-		dst      *[]int
-		optional bool
-	}{
-		{"-sweep-clusters", o.clusters, &spec.Grid.Clusters, false},
-		{"-sweep-interleave", o.interleave, &spec.Grid.Interleave, false},
-		{"-sweep-cache-kb", o.cacheKB, &spec.Grid.CacheBytes, false},
-		{"-sweep-assoc", o.assoc, &spec.Grid.Assoc, false},
-		{"-sweep-ab", o.ab, &spec.Grid.ABEntries, false},
-		{"-sweep-bus", o.bus, &spec.Grid.BusCycleRatio, false},
-		{"-sweep-mem-lat", o.memLat, &spec.Grid.NextLevelLatency, false},
-		{"-sweep-reg-bus", o.regBus, &spec.Grid.RegBuses, true},
-		{"-sweep-mshr", o.mshr, &spec.Grid.MSHRs, true},
-		{"-sweep-ab-k", o.abK, &spec.Grid.ABHintK, true},
-	} {
-		if ax.optional && strings.TrimSpace(ax.csv) == "" {
-			continue // empty axis: keep the Table 2 value
-		}
-		vs, err := parseIntList(ax.csv)
-		if err != nil {
-			return sweep.Spec{}, fmt.Errorf("%s: %w", ax.name, err)
-		}
-		*ax.dst = vs
-	}
-	for i, kb := range spec.Grid.CacheBytes {
-		spec.Grid.CacheBytes[i] = kb * 1024
-	}
-	var err error
-	if spec.Grid.FUs, err = parseFUList(o.fus); err != nil {
-		return sweep.Spec{}, fmt.Errorf("-sweep-fus: %w", err)
-	}
-	spec.Compile = sweep.Compile{Heuristic: o.heuristic, Unroll: o.unroll}
-
-	switch strings.ToLower(strings.TrimSpace(o.bench)) {
-	case "all":
-		spec.Workloads.Bench = []string{"all"}
-	case "", "none":
-	default:
-		for _, name := range strings.Split(o.bench, ",") {
-			spec.Workloads.Bench = append(spec.Workloads.Bench, strings.TrimSpace(name))
-		}
-	}
-	if o.synth < 0 {
-		return sweep.Spec{}, fmt.Errorf("-sweep-synth must be >= 0, got %d", o.synth)
-	}
-	if o.synth > 0 {
-		spec.Workloads.SynthCount = o.synth
-		spec.Workloads.SynthSeed = o.seed
-	}
-	return spec, nil
 }
 
 // parseClaim parses the -claim lo:hi syntax ("" = no claim). The range is
@@ -787,25 +592,12 @@ func runSweep(ctx context.Context, spec sweep.Spec) error {
 	return nil
 }
 
-// coordinatorCLI carries the parsed -coordinate-* and -pool-* flag values.
-type coordinatorCLI struct {
-	shards      int
-	dir         string
-	attempts    int
-	backoff     time.Duration
-	seed        uint64
-	parallel    int
-	calibration string
-	poolStale   time.Duration
-	poolBackoff time.Duration
-}
-
-// runCoordinated cuts the spec's grid into chunks for o.shards workers,
+// runCoordinated cuts the spec's grid into chunks for opts.Shards workers,
 // executes them on a pool of as many subprocess workers of this binary
 // with retries, and stitches the chunk outputs into the spec's output path
 // (stdout by default) — byte-identical to the unsharded run. Reusing
 // -coordinate-dir resumes completed chunks from the manifest after a kill.
-func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) error {
+func runCoordinated(ctx context.Context, spec sweep.Spec, stale time.Duration, opts sweep.CoordinatorOptions) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("resolving own binary for the worker pool: %w", err)
@@ -816,30 +608,13 @@ func runCoordinated(ctx context.Context, spec sweep.Spec, o coordinatorCLI) erro
 	if err != nil {
 		return err
 	}
-	workers := make([]sweep.Worker, o.shards)
+	workers := make([]sweep.Worker, opts.Shards)
 	for i := range workers {
 		workers[i] = sweep.Worker{Name: fmt.Sprintf("w%d", i), Command: []string{exe}}
 	}
-	pool := &sweep.Pool{
-		Workers:           workers,
-		StaleAfter:        o.poolStale,
-		QuarantineBackoff: o.poolBackoff,
-		Seed:              o.seed,
-		Fault:             plan,
-		Stderr:            os.Stderr,
-		Log:               log.Printf,
-	}
-	st, err := sweep.Coordinate(ctx, spec, sweep.CoordinatorOptions{
-		Shards:       o.shards,
-		Launcher:     pool,
-		Dir:          o.dir,
-		MaxAttempts:  o.attempts,
-		RetryBackoff: o.backoff,
-		Seed:         o.seed,
-		Parallel:     o.parallel,
-		Calibration:  o.calibration,
-		Log:          log.Printf,
-	})
+	pool := &sweep.Pool{Workers: workers, StaleAfter: stale, Fault: plan, Stderr: os.Stderr, Log: log.Printf}
+	opts.Launcher = pool
+	st, err := sweep.Coordinate(ctx, spec, opts)
 	ps := pool.Stats()
 	log.Printf("pool: %d launches, %d stale kills, %d worker deaths, %d checksum failures, %d quarantines (%d readmissions)",
 		ps.Launches, ps.StaleKills, ps.WorkerDeaths, ps.ChecksumFailures, ps.Quarantines, ps.Readmissions)
@@ -909,58 +684,4 @@ func corruptOutput(path string) {
 		log.Fatalf("fault: corrupt-output: %v", err)
 	}
 	log.Printf("fault: corrupt-output (flipped a byte of %s)", path)
-}
-
-// parseFUList parses a comma-separated list of int:fp:mem functional-unit
-// triples ("1:1:1,2:1:2") into grid entries. An empty string means "Table 2
-// mix only".
-func parseFUList(csv string) ([][]int, error) {
-	csv = strings.TrimSpace(csv)
-	if csv == "" {
-		return nil, nil
-	}
-	var out [][]int
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		parts := strings.Split(f, ":")
-		if len(parts) != int(arch.NumFUKinds) {
-			return nil, fmt.Errorf("bad triple %q: want int:fp:mem, e.g. 1:1:1", f)
-		}
-		fu := make([]int, arch.NumFUKinds)
-		for i, kind := range []arch.FUKind{arch.FUInt, arch.FUFP, arch.FUMem} {
-			v, err := strconv.Atoi(strings.TrimSpace(parts[i]))
-			if err != nil {
-				return nil, fmt.Errorf("bad triple %q: %v", f, err)
-			}
-			fu[kind] = v
-		}
-		out = append(out, fu)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
-
-// parseIntList parses a comma-separated list of integers.
-func parseIntList(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: want a comma-separated integer list", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }

@@ -86,6 +86,35 @@ func firstDiff(want, got []byte) string {
 	return "no line differs"
 }
 
+// TestCommittedSpecs: each spec file scripts/ci.sh runs parses strictly,
+// validates, re-encodes to its own bytes, and keeps the semantic hash
+// (the ivliw-served job ID) it was committed with.
+func TestCommittedSpecs(t *testing.T) {
+	for name, want := range map[string]string{
+		"default": "b9def06d14b0b46ca4214bcdfe91efd0bcdba50b737cab7c998766a5b947d01a",
+		"tri":     "61107ed956061066bd5a04a521de00cf36dfd845e6649a1de6fd955cc357883e",
+		"skew":    "61ff71f5d565303af1e971794500f50da51b1727b874256a184a68dff59124da",
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := sweep.ParseSpec(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if enc, err := spec.Encode(); err != nil || !bytes.Equal(enc, data) {
+			t.Errorf("%s: re-encoding changed the file (err %v): %s", name, err, firstDiff(data, enc))
+		}
+		if got, err := spec.Hash(); err != nil || got != want {
+			t.Errorf("%s: hash %s (err %v), want %s", name, got, err, want)
+		}
+	}
+}
+
 // TestCoordinatedCLI drives `ivliw-bench -coordinate 2` end to end, with
 // real worker subprocesses: the stitched output equals the unsharded run's
 // bytes, a crashed chunk attempt from a fault plan is retried, and a rerun
@@ -130,8 +159,17 @@ func TestCoordinatedCLI(t *testing.T) {
 	}
 
 	// Two cache capacities make two compile-key atoms, so two chunks.
-	run("", "-sweep", "-sweep-clusters", "2", "-sweep-cache-kb", "4,8", "-sweep-ab", "0",
-		"-sweep-bench", "gsmdec", "-spec-out", path("spec.json"))
+	spec := sweep.Spec{
+		Grid:      sweep.Grid{Clusters: []int{2}, CacheBytes: []int{4096, 8192}, ABEntries: []int{0}},
+		Workloads: sweep.Workloads{Bench: []string{"gsmdec"}},
+	}
+	data, err := spec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path("spec.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	run("", "-spec", path("spec.json"), "-out", path("ref.jsonl"))
 
 	coordinate := func(plan, work, out string) string {

@@ -70,12 +70,11 @@
 //     Func callback); a failing cell — e.g. an infeasible machine point —
 //     yields a row with Error set instead of aborting the run.
 //
-// `ivliw-bench` is a thin front end over the package: the -sweep-* flags
-// parse into a Spec, -spec-out captures that Spec as a file, -spec runs a
-// spec file, and -shard/-artifact-dir select the slice and the persistent
-// store. examples/design-sweep walks a small grid end to end;
-// examples/sharded-sweep demonstrates spec files, 3-way sharding and warm
-// disk-store starts against the public package alone.
+// `ivliw-bench` is a thin front end over the package: -spec runs a spec
+// file (Spec.Encode writes one), and -shard/-artifact-dir select the slice
+// and the persistent store. examples/design-sweep walks a small grid end
+// to end; examples/sharded-sweep demonstrates spec files, 3-way sharding
+// and warm disk-store starts against the public package alone.
 //
 // # Coordinated sweeps
 //
@@ -124,7 +123,7 @@
 // no hang detection.
 //
 // Failure domains are per worker: consecutive failures quarantine the
-// worker under capped exponential backoff with deterministic jitter
+// worker under capped exponential backoff, jittered by the worker's name
 // (readmitted after the delay), and a worker that dies requeues all of its
 // in-flight tasks at once onto the survivors. The coordinator manifest
 // records, per attempt, which worker served it and how it failed. A
@@ -197,7 +196,7 @@
 // Duplicates are answered from the job table. A job ID is the sha256 of
 // the spec's canonical encoding with the per-process knobs cleared, so a
 // body whose sha256 is a known job ID is that job's canonical encoding —
-// what Spec.Encode, `ivliw-bench -spec-out` and `ivliw-load` send — and
+// what Spec.Encode writes and `ivliw-load` sends — and
 // gets its dedup answer without being parsed, validated or hashed; any
 // other body takes the full path to the same answer. A done job's status
 // is rendered on its first poll and the stored bytes answer every later

@@ -8,7 +8,7 @@
 // description `ivliw-bench -spec` executes — evaluated through the public
 // sweep package: rows arrive in grid order through the sink as their cells
 // complete (this example collects them into a Collector because its table
-// is rendered workload-major; `ivliw-bench -sweep -out` streams each row as
+// is rendered workload-major; `ivliw-bench -spec -out` streams each row as
 // it arrives instead), and points that differ only in simulate-only axes —
 // here the AB and MSHR axes — share one compiled schedule artifact through
 // the content-addressed store, whose hit statistics the program prints at
@@ -94,6 +94,6 @@ func main() {
 	fmt.Printf("compile cache: %d cells served by %d compilations (%d hits; AB and MSHR\n",
 		st.MemHits+st.MemMisses, st.MemMisses, st.MemHits)
 	fmt.Println("axes are simulate-only, so they share stage-1 schedule artifacts).")
-	fmt.Println("Total cycles per (machine point, workload); lower is better. Run")
-	fmt.Println("`ivliw-bench -sweep -sweep-synth 8 -out rows.jsonl` for streamed JSON rows.")
+	fmt.Println("Total cycles per (machine point, workload); lower is better. Save the spec")
+	fmt.Println("(Spec.Encode) and run `ivliw-bench -spec F -out rows.jsonl` for streamed JSON rows.")
 }

@@ -95,7 +95,6 @@ func main() {
 		StaleAfter:        2 * time.Second,
 		QuarantineAfter:   1,
 		QuarantineBackoff: 50 * time.Millisecond,
-		Seed:              7,
 		Fault:             plan,
 		Log:               log.Printf,
 	}

@@ -18,15 +18,18 @@
 #      before it lands; `-exp fig5`, `-exp fig7` and `-exp headlines`, each
 #      in a fresh process, must equal their sections of it (inside `-exp
 #      all` those sections reuse cells the earlier figures simulated)
-#   5. sweep determinism: `ivliw-bench -sweep` must emit identical JSON
-#      across worker counts (1 vs 8) AND across the compiled-schedule cache
-#      being disabled (-compile-cache 0) vs enabled — the staged pipeline's
+#   5. sweep determinism: `ivliw-bench -spec` of the committed default spec
+#      (cmd/ivliw-bench/testdata/default.json; tri.json and skew.json there
+#      are the grids of steps 7 and 9) must emit identical JSON across
+#      worker counts (1 vs 8) AND across the compiled-schedule cache being
+#      disabled (-compile-cache 0) vs enabled — the staged pipeline's
 #      byte-identity invariant
-#   6. declarative specs, sharding and the disk artifact store: a sweep run
-#      from a -spec-out captured spec file, run as 3 concatenated -shard
-#      slices over a fresh -artifact-dir, and re-run against the then-warm
-#      store must all be byte-identical to the cache-disabled single-process
-#      reference; malformed -shard values must exit 2
+#   6. sharding, the disk artifact store and usage errors: the default spec
+#      run as 3 concatenated -shard slices over a fresh -artifact-dir, and
+#      re-run against the then-warm store, must be byte-identical to the
+#      cache-disabled single-process reference; malformed -shard values,
+#      removed flags (-sweep, -spec-out, -coordinate-backoff) and sweep
+#      flags without -spec (-coordinate, -shard, -spec-hash) must exit 2
 #   7. coordinated runs over a health-checked pool of worker subprocesses:
 #      `-coordinate 3` (3 workers sharing the default grid's 2
 #      cost-balanced tasks) must stitch output byte-identical to the
@@ -34,20 +37,21 @@
 #      manifest — including a run where one task's first attempt is crashed
 #      by a scripted fault plan (IVLIW_FAULT_PLAN, see ivliw/sweep/fault)
 #      and retried — and rerunning over the same -coordinate-dir must
-#      resume all tasks from the manifest with zero launches; on a grid the
-#      coordinator cuts into 3 tasks, a fault plan that kills one worker and
-#      hangs one task (caught by the stale-heartbeat monitor, the only hang
-#      detector) must still stitch identical bytes; the run snapshot (pool
-#      wall time, fault recovery time) is written to BENCH_6.json
+#      resume all tasks from the manifest with zero launches; on the tri
+#      grid, which the coordinator cuts into 3 tasks, a fault plan that
+#      kills one worker and hangs one task (caught by the stale-heartbeat
+#      monitor, the only hang detector) must still stitch identical bytes;
+#      the run snapshot (pool wall time, fault recovery time) is written to
+#      BENCH_6.json
 #   8. batched simulation: `-sim-batch 8` (sibling cells sharing one
 #      event-merge pass) must emit bytes identical to the batch-off
 #      reference — serial, parallel, and through the coordinator's worker
 #      pool — and must actually engage (the "sim batches:" stderr line);
 #      the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the batch-off
 #      4-sibling baseline) is written to BENCH_7.json
-#   9. cost-balanced chunks + work stealing: on a skewed mixed-cluster
-#      grid (its 2-cluster half compiles in tens of milliseconds, its
-#      8-cluster half in hundreds), `-calibrate` must
+#   9. cost-balanced chunks + work stealing: on the skew grid, a
+#      mixed-cluster grid (its 2-cluster half compiles in tens of
+#      milliseconds, its 8-cluster half in hundreds), `-calibrate` must
 #      round-trip through a calibration file; `-coordinate 2` must stitch
 #      byte-identically — including a run with an injected chunk crash —
 #      and a corrupt calibration file must degrade to the default model
@@ -90,6 +94,8 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 served_pid=""
 trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
+# The committed spec files steps 5-10 run.
+specs=cmd/ivliw-bench/testdata
 
 echo "== 1/11 go build ./... =="
 go build ./...
@@ -150,32 +156,32 @@ echo "== 5/11 sweep determinism across workers and compile cache =="
 # that is replayed if the invocation fails.
 run_sweep() { # out_file, args...
   local out="$1"; shift
-  if ! "$tmp/ivliw-bench" -sweep "$@" > "$out" 2> "$tmp/sweep_stderr.log"; then
-    echo "FAIL: ivliw-bench -sweep $* crashed:" >&2
+  if ! "$tmp/ivliw-bench" "$@" > "$out" 2> "$tmp/sweep_stderr.log"; then
+    echo "FAIL: ivliw-bench $* crashed:" >&2
     cat "$tmp/sweep_stderr.log" >&2
     exit 1
   fi
 }
 # Reference: serial, no schedule cache (every cell compiles from scratch).
-run_sweep "$tmp/sweep_ref.jsonl" -workers 1 -compile-cache 0
+run_sweep "$tmp/sweep_ref.jsonl" -spec "$specs/default.json" -workers 1 -compile-cache 0
 # Parallel with the default cache: must be byte-identical to the reference.
-run_sweep "$tmp/sweep_cache8.jsonl" -workers 8
+run_sweep "$tmp/sweep_cache8.jsonl" -spec "$specs/default.json" -workers 8
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_cache8.jsonl"; then
-  echo "FAIL: -sweep output depends on -compile-cache/-workers (cache on, 8 workers)" >&2
+  echo "FAIL: -spec output depends on -compile-cache/-workers (cache on, 8 workers)" >&2
   exit 1
 fi
 # Serial with the cache and parallel without it cover the remaining corners.
-run_sweep "$tmp/sweep_cache1.jsonl" -workers 1
-run_sweep "$tmp/sweep_nocache8.jsonl" -workers 8 -compile-cache 0
+run_sweep "$tmp/sweep_cache1.jsonl" -spec "$specs/default.json" -workers 1
+run_sweep "$tmp/sweep_nocache8.jsonl" -spec "$specs/default.json" -workers 8 -compile-cache 0
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_cache1.jsonl" || \
    ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_nocache8.jsonl"; then
-  echo "FAIL: -sweep output depends on -compile-cache or -workers" >&2
+  echo "FAIL: -spec output depends on -compile-cache or -workers" >&2
   exit 1
 fi
 # Streaming to -out must produce the same bytes as stdout.
-run_sweep /dev/null -workers 8 -out "$tmp/sweep_file.jsonl"
+run_sweep /dev/null -spec "$specs/default.json" -workers 8 -out "$tmp/sweep_file.jsonl"
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_file.jsonl"; then
-  echo "FAIL: -sweep -out differs from stdout stream" >&2
+  echo "FAIL: -spec -out differs from stdout stream" >&2
   exit 1
 fi
 rows=$(wc -l < "$tmp/sweep_ref.jsonl")
@@ -185,20 +191,12 @@ if [ "$rows" -lt 12 ]; then
 fi
 echo "deterministic ($rows rows; workers 1/8 × cache on/off × stdout/-out)"
 
-echo "== 6/11 declarative specs, sharding and the disk artifact store =="
-# Capture the default flag grid as a spec file; running the file must be
-# byte-identical to the cache-disabled reference of step 5.
-"$tmp/ivliw-bench" -sweep -spec-out "$tmp/spec.json"
-run_sweep "$tmp/sweep_spec.jsonl" -spec "$tmp/spec.json"
-if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_spec.jsonl"; then
-  echo "FAIL: -spec run differs from the legacy-flags run" >&2
-  exit 1
-fi
-# The same spec as 3 shards over a fresh shared artifact directory: the
+echo "== 6/11 sharding, the disk artifact store and usage errors =="
+# The default spec as 3 shards over a fresh shared artifact directory: the
 # concatenation must reproduce the single-process reference exactly.
 art="$tmp/artifacts"
 for i in 0 1 2; do
-  run_sweep "$tmp/shard_$i.jsonl" -spec "$tmp/spec.json" -shard "$i/3" -artifact-dir "$art"
+  run_sweep "$tmp/shard_$i.jsonl" -spec "$specs/default.json" -shard "$i/3" -artifact-dir "$art"
 done
 cat "$tmp/shard_0.jsonl" "$tmp/shard_1.jsonl" "$tmp/shard_2.jsonl" > "$tmp/sweep_sharded.jsonl"
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_sharded.jsonl"; then
@@ -207,7 +205,7 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_sharded.jsonl"; then
 fi
 # Warm pass: the shards populated the store, so this run must compile
 # nothing and still emit identical bytes.
-run_sweep "$tmp/sweep_warm.jsonl" -spec "$tmp/spec.json" -artifact-dir "$art"
+run_sweep "$tmp/sweep_warm.jsonl" -spec "$specs/default.json" -artifact-dir "$art"
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_warm.jsonl"; then
   echo "FAIL: warm artifact-store run differs from the cold reference" >&2
   exit 1
@@ -222,16 +220,27 @@ if grep 'artifact store' "$tmp/sweep_stderr.log" | grep -vq ', 0 compiles,'; the
   cat "$tmp/sweep_stderr.log" >&2
   exit 1
 fi
-# Malformed or out-of-range -shard values are usage errors (exit 2).
-for bad in "3/3" "-1/3" "x/3" "1x3" "0/0"; do
-  rc=0
-  "$tmp/ivliw-bench" -sweep -shard "$bad" >/dev/null 2>&1 || rc=$?
+# Usage errors (exit 2): malformed or out-of-range -shard values, flags
+# that are gone (the spec file is the only sweep description), and sweep
+# flags without the -spec they shape.
+want_usage_error() { # args...
+  local rc=0
+  "$tmp/ivliw-bench" "$@" >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 2 ]; then
-    echo "FAIL: -shard $bad exited $rc, want the usage error 2" >&2
+    echo "FAIL: ivliw-bench $* exited $rc, want the usage error 2" >&2
     exit 1
   fi
+}
+for bad in "3/3" "-1/3" "x/3" "1x3" "0/0"; do
+  want_usage_error -spec "$specs/default.json" -shard "$bad"
 done
-echo "spec/shard/store byte-identical (3 shards; warm store compiles nothing)"
+want_usage_error -sweep
+want_usage_error -spec-out "$tmp/spec_out.json"
+want_usage_error -spec "$specs/default.json" -coordinate 2 -coordinate-backoff 1s
+want_usage_error -coordinate 2
+want_usage_error -shard 0/2
+want_usage_error -spec-hash
+echo "shard/store byte-identical (3 shards; warm store compiles nothing); usage errors exit 2"
 
 echo "== 7/11 coordinated runs over a worker pool: stitch, retry, resume, dead worker, hang =="
 now_ns() { date +%s%N; }
@@ -241,7 +250,7 @@ now_ns() { date +%s%N; }
 # must attribute every task to the worker that served it.
 coord="$tmp/coord"
 t0=$(now_ns)
-if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$coord" \
+if ! "$tmp/ivliw-bench" -spec "$specs/default.json" -coordinate 3 -coordinate-dir "$coord" \
     -out "$tmp/coord.jsonl" 2> "$tmp/coord_stderr.log"; then
   echo "FAIL: ivliw-bench -coordinate 3 crashed:" >&2
   cat "$tmp/coord_stderr.log" >&2
@@ -262,8 +271,8 @@ fi
 # files); the coordinator must retry it and still stitch identical bytes.
 echo '{"events":[{"op":"crash","shard":1,"attempt":1}]}' > "$tmp/crash_plan.json"
 if ! IVLIW_FAULT_PLAN="$tmp/crash_plan.json" \
-    "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$tmp/coord_retry" \
-    -coordinate-backoff 50ms -out "$tmp/coord_retry.jsonl" 2> "$tmp/coord_retry_stderr.log"; then
+    "$tmp/ivliw-bench" -spec "$specs/default.json" -coordinate 3 -coordinate-dir "$tmp/coord_retry" \
+    -out "$tmp/coord_retry.jsonl" 2> "$tmp/coord_retry_stderr.log"; then
   echo "FAIL: coordinator did not survive the injected shard failure:" >&2
   cat "$tmp/coord_retry_stderr.log" >&2
   exit 1
@@ -284,7 +293,7 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/coord_retry.jsonl"; then
 fi
 # Resume: rerunning over the completed work dir must launch nothing (both
 # tasks restored from the manifest) and still emit identical bytes.
-if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -coordinate 3 -coordinate-dir "$coord" \
+if ! "$tmp/ivliw-bench" -spec "$specs/default.json" -coordinate 3 -coordinate-dir "$coord" \
     -out "$tmp/coord_resume.jsonl" 2> "$tmp/coord_resume_stderr.log"; then
   echo "FAIL: coordinator resume crashed:" >&2
   cat "$tmp/coord_resume_stderr.log" >&2
@@ -307,17 +316,16 @@ fi
 # attempt finishes within -coordinate-attempts 4. The stitched bytes must
 # still be identical. The plan needs a task 2, and the default grid's
 # 8-cluster atom outweighs its other two together, so -coordinate 3 cuts
-# it into only 2 tasks. This grid has 3 compile-key atoms (one per cache
-# capacity) of equal cost, which it cuts into 3.
-"$tmp/ivliw-bench" -sweep -sweep-clusters 2 -sweep-cache-kb 4,8,16 -spec-out "$tmp/tri.json"
-run_sweep "$tmp/tri_ref.jsonl" -spec "$tmp/tri.json" -workers 1 -compile-cache 0
+# it into only 2 tasks. The tri grid has 3 compile-key atoms (one per
+# cache capacity) of equal cost, which it cuts into 3. Retries start at
+# once and a quarantine lasts the default 0.5-1s.
+run_sweep "$tmp/tri_ref.jsonl" -spec "$specs/tri.json" -workers 1 -compile-cache 0
 echo '{"events":[{"op":"dead-worker","worker":"w1"},{"op":"hang","shard":2,"attempt":1},{"op":"hang","shard":2,"attempt":2}]}' \
   > "$tmp/pool_plan.json"
 t0=$(now_ns)
 if ! IVLIW_FAULT_PLAN="$tmp/pool_plan.json" \
-    "$tmp/ivliw-bench" -spec "$tmp/tri.json" -coordinate 3 \
-    -pool-stale 1s -pool-backoff 100ms -coordinate-backoff 50ms \
-    -coordinate-attempts 4 -coordinate-seed 7 -coordinate-dir "$tmp/pool_fault" \
+    "$tmp/ivliw-bench" -spec "$specs/tri.json" -coordinate 3 \
+    -pool-stale 1s -coordinate-attempts 4 -coordinate-dir "$tmp/pool_fault" \
     -out "$tmp/pool_fault.jsonl" 2> "$tmp/pool_fault_stderr.log"; then
   echo "FAIL: coordinated run did not survive the fault plan:" >&2
   cat "$tmp/pool_fault_stderr.log" >&2
@@ -355,7 +363,7 @@ echo "== 8/11 batched simulation: -sim-batch byte-identity and scaling curve =="
 # The default grid's AB axis (0 vs 16 entries) is simulate-only, so every
 # compile key owns 2 sibling cells — batching has real lanes to merge.
 # Serial batched run: must be byte-identical to the batch-off reference.
-run_sweep "$tmp/sweep_batch1.jsonl" -spec "$tmp/spec.json" -sim-batch 8 -workers 1
+run_sweep "$tmp/sweep_batch1.jsonl" -spec "$specs/default.json" -sim-batch 8 -workers 1
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_batch1.jsonl"; then
   echo "FAIL: -sim-batch 8 (serial) output differs from the batch-off reference" >&2
   exit 1
@@ -369,7 +377,7 @@ if ! grep -q 'sim batches:' "$tmp/sweep_stderr.log"; then
 fi
 # Parallel batched run: batches are scheduled as tasks, rows still reorder
 # back to grid order.
-run_sweep "$tmp/sweep_batch8.jsonl" -spec "$tmp/spec.json" -sim-batch 8 -workers 8
+run_sweep "$tmp/sweep_batch8.jsonl" -spec "$specs/default.json" -sim-batch 8 -workers 8
 if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/sweep_batch8.jsonl"; then
   echo "FAIL: -sim-batch 8 (8 workers) output differs from the batch-off reference" >&2
   exit 1
@@ -377,7 +385,7 @@ fi
 # Coordinator pool path: -sim-batch travels to worker subprocesses through
 # the shared base spec, so every shard simulates in batches and the
 # stitched output must still be byte-identical.
-if ! "$tmp/ivliw-bench" -spec "$tmp/spec.json" -sim-batch 8 -coordinate 3 \
+if ! "$tmp/ivliw-bench" -spec "$specs/default.json" -sim-batch 8 -coordinate 3 \
     -coordinate-dir "$tmp/pool_batch" -out "$tmp/pool_batch.jsonl" \
     2> "$tmp/pool_batch_stderr.log"; then
   echo "FAIL: pool run with -sim-batch 8 crashed:" >&2
@@ -431,14 +439,12 @@ echo "== 9/11 cost-balanced chunks + work stealing =="
 # about 12x, jpegdec about 5x from 2 to 8 clusters), so the light half stays
 # a small share of the work; the six cache capacities give six 8-cluster
 # atoms, which the claim queue can split evenly between two workers.
-"$tmp/ivliw-bench" -sweep -sweep-clusters 2,8 -sweep-cache-kb 4,8,16,32,64,128 -sweep-ab 0,16 \
-  -sweep-bench epicdec,jpegdec -spec-out "$tmp/skew.json"
-run_sweep "$tmp/skew_ref.jsonl" -spec "$tmp/skew.json"
+run_sweep "$tmp/skew_ref.jsonl" -spec "$specs/skew.json"
 # Calibration round-trip: measure this machine, persist next to the BENCH
 # snapshots, and prove the coordinator actually loads the file back.
 calibration="$tmp/CALIBRATION.json"
 t0=$(now_ns)
-if ! "$tmp/ivliw-bench" -spec "$tmp/skew.json" -calibrate "$calibration" \
+if ! "$tmp/ivliw-bench" -spec "$specs/skew.json" -calibrate "$calibration" \
     2> "$tmp/calibrate_stderr.log"; then
   echo "FAIL: ivliw-bench -calibrate crashed:" >&2
   cat "$tmp/calibrate_stderr.log" >&2
@@ -453,7 +459,7 @@ fi
 # Byte-identity of the coordinator's cost-balanced chunks.
 coord_skew() { # work_dir out_file extra_args...
   local work="$1" out="$2"; shift 2
-  if ! "$tmp/ivliw-bench" -spec "$tmp/skew.json" -coordinate 2 \
+  if ! "$tmp/ivliw-bench" -spec "$specs/skew.json" -coordinate 2 \
       -coordinate-dir "$work" -out "$out" "$@" 2> "$tmp/skew_stderr.log"; then
     echo "FAIL: skew coordinate run ($*) crashed:" >&2
     cat "$tmp/skew_stderr.log" >&2
@@ -479,7 +485,7 @@ echo '{"events":[{"op":"crash","shard":1,"attempt":1}]}' > "$tmp/skew_crash.json
 (
   export IVLIW_FAULT_PLAN="$tmp/skew_crash.json"
   coord_skew "$tmp/skew_crash" "$tmp/skew_crash.jsonl" \
-    -coordinate-calibration "$calibration" -coordinate-backoff 50ms
+    -coordinate-calibration "$calibration"
 )
 if ! grep -q 'fault: crash' "$tmp/skew_stderr.log"; then
   echo "FAIL: the skew crash plan never fired:" >&2
@@ -530,7 +536,7 @@ makespan() { # manifest_file workers
 count_ms=0
 for i in 0 1; do
   t0=$(now_ns)
-  run_sweep "$tmp/skew_count_$i.jsonl" -spec "$tmp/skew.json" -workers 1 -shard "$i/2"
+  run_sweep "$tmp/skew_count_$i.jsonl" -spec "$specs/skew.json" -workers 1 -shard "$i/2"
   shard_ms=$(( ($(now_ns) - t0) / 1000000 ))
   if [ "$shard_ms" -gt "$count_ms" ]; then count_ms=$shard_ms; fi
 done
@@ -596,7 +602,7 @@ fi
 served_url="http://$(cat "$tmp/served.addr")"
 # First submission: executed once, rows streamed back byte-identical to the
 # direct CLI run of the very same spec file (the step-5 reference).
-if ! "$tmp/ivliw-load" -addr "$served_url" -submit "$tmp/spec.json" \
+if ! "$tmp/ivliw-load" -addr "$served_url" -submit "$specs/default.json" \
     -rows "$tmp/served_rows.jsonl" > "$tmp/submit1.txt" 2> "$tmp/load_stderr.log"; then
   echo "FAIL: HTTP submission failed:" >&2
   cat "$tmp/load_stderr.log" "$tmp/served_stderr.log" >&2
@@ -607,7 +613,7 @@ if ! grep -q 'state=done dedup=false cached=false' "$tmp/submit1.txt"; then
   exit 1
 fi
 # The job ID is the spec's semantic hash, which clients predict offline.
-want_job=$("$tmp/ivliw-bench" -spec "$tmp/spec.json" -spec-hash)
+want_job=$("$tmp/ivliw-bench" -spec "$specs/default.json" -spec-hash)
 got_job=$(grep -o 'job=[0-9a-f]*' "$tmp/submit1.txt" | cut -d= -f2)
 if [ "$got_job" != "$want_job" ]; then
   echo "FAIL: served job ID '$got_job' differs from ivliw-bench -spec-hash '$want_job'" >&2
@@ -619,7 +625,7 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/served_rows.jsonl"; then
 fi
 # Second identical submission: a cache hit — served from the results store,
 # rows identical, and the server's execution counter must not move.
-if ! "$tmp/ivliw-load" -addr "$served_url" -submit "$tmp/spec.json" \
+if ! "$tmp/ivliw-load" -addr "$served_url" -submit "$specs/default.json" \
     -rows "$tmp/served_rows2.jsonl" > "$tmp/submit2.txt" 2>> "$tmp/load_stderr.log"; then
   echo "FAIL: duplicate HTTP submission failed:" >&2
   cat "$tmp/load_stderr.log" >&2

@@ -45,14 +45,6 @@ type CoordinatorOptions struct {
 	// Parallel bounds the number of concurrently running tasks
 	// (0 = Shards).
 	Parallel int
-	// RetryBackoff delays the relaunch after a failed attempt: retry k of
-	// a task waits min(RetryBackoff<<k-1, 32×RetryBackoff), jittered
-	// deterministically by Seed into [d/2, d], instead of hammering a
-	// struggling worker immediately. 0 retries at once.
-	RetryBackoff time.Duration
-	// Seed feeds the retry jitter; identical (Seed, task, attempt)
-	// triples always wait identically, keeping runs reproducible.
-	Seed uint64
 	// Calibration, when non-empty, names a calibration JSON file (see
 	// Calibrate/SaveCalibration) loaded for the cost model that sizes and
 	// orders the chunks. A missing or corrupt file degrades to the
@@ -187,7 +179,7 @@ func Coordinate(ctx context.Context, spec Spec, opts CoordinatorOptions) (Coordi
 		return CoordinatorStats{}, err
 	}
 	specPath := filepath.Join(dir, "spec.json")
-	if err := writeFileAtomic(specPath, data); err != nil {
+	if err := atomicio.WriteFile(specPath, data); err != nil {
 		return CoordinatorStats{}, fmt.Errorf("sweep: coordinator: %w", err)
 	}
 
@@ -320,7 +312,7 @@ func (c *coordinator) runAll(ctx context.Context) error {
 // runShard drives one task through launch and retry, one attempt at a
 // time, until an attempt produces the output file or the attempt cap is
 // hit. Each attempt is recorded running, launched, checked for its output,
-// and recorded done or failed; a failure backs off and retries.
+// and recorded done or failed; a failure retries at once.
 func (c *coordinator) runShard(ctx context.Context, idx int) error {
 	task := ShardTask{Spec: c.shardSpec(idx), SpecPath: c.specPath, Index: idx}
 	rows := c.tasks[idx].hi - c.tasks[idx].lo
@@ -394,17 +386,8 @@ func (c *coordinator) runShard(ctx context.Context, idx int) error {
 			return fmt.Errorf("sweep: shard %d/%d failed after %d attempts: %w",
 				idx, len(c.tasks), attempt, err)
 		}
-		d := backoffDelay(c.opts.RetryBackoff, attempt-1,
-			splitmix64(c.opts.Seed^uint64(idx)<<20^uint64(attempt)))
-		c.opts.Log("coordinator: shard %d attempt %d/%d failed (%v); retrying in %v",
-			idx, attempt, c.opts.MaxAttempts, err, d.Round(time.Millisecond))
-		if d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
+		c.opts.Log("coordinator: shard %d attempt %d/%d failed (%v); retrying",
+			idx, attempt, c.opts.MaxAttempts, err)
 		c.count(func(st *CoordinatorStats) { st.Retries++ })
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ivliw/internal/arch"
+	"ivliw/internal/atomicio"
 	"ivliw/internal/experiments"
 	"ivliw/internal/pipeline"
 	"ivliw/internal/workload"
@@ -66,8 +67,9 @@ type Calibration struct {
 const defaultBatchDiscount = 0.5
 
 // DefaultCalibration is the uncalibrated cost model: the median of five
-// `ivliw-bench -sweep -sweep-clusters 2,4,8 -sweep-bench jpegenc
-// -calibrate` runs on a 2-vCPU x86-64 host (compile ~2.0ms/2.7ms/14.5ms
+// `ivliw-bench -spec probe.json -calibrate` runs of the probe spec
+// {"grid": {"clusters": [2, 4, 8]}, "workloads": {"bench": ["jpegenc"]}}
+// on a 2-vCPU x86-64 host (compile ~2.0ms/2.7ms/14.5ms
 // and simulate ~0.53ms/0.61ms/0.66ms at 2/4/8 clusters; see
 // PERFORMANCE.md). jpegenc's compile curve has the shape of the suite's
 // mean (~1.0ms/2.2ms/12ms per benchmark), which one-benchmark probes of
@@ -174,7 +176,7 @@ func SaveCalibration(path string, c Calibration) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := atomicio.WriteFile(path, data); err != nil {
 		return fmt.Errorf("sweep: save calibration: %w", err)
 	}
 	return nil

@@ -10,6 +10,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"ivliw/internal/atomicio"
 )
 
 // DefaultHeartbeatInterval is the beat period used when a Heartbeat is
@@ -65,7 +67,7 @@ func WriteBeat(path string, b Beat) error {
 	if err != nil {
 		return fmt.Errorf("sweep: heartbeat: %w", err)
 	}
-	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
+	if err := atomicio.WriteFile(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("sweep: heartbeat: %w", err)
 	}
 	return nil
@@ -200,9 +202,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// backoffDelay is the shared capped-exponential-backoff-with-jitter
+// backoffDelay is the quarantine capped-exponential-backoff-with-jitter
 // schedule: step n (0-based) waits min(base<<n, 32×base), jittered
-// deterministically by seed into [d/2, d] so retries spread out but
+// deterministically by seed into [d/2, d] so quarantines spread out but
 // identical (seed, n) inputs always wait identically — reproducible runs
 // stay reproducible. A base <= 0 disables backoff entirely.
 func backoffDelay(base time.Duration, n int, seed uint64) time.Duration {

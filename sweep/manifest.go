@@ -185,7 +185,7 @@ func (m *manifest) save() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(m.path, append(b, '\n')); err != nil {
+	if err := atomicio.WriteFile(m.path, append(b, '\n')); err != nil {
 		return fmt.Errorf("sweep: manifest: %w", err)
 	}
 	return nil
@@ -205,12 +205,4 @@ func (m *manifest) state(i int) shardState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Shards[i]
-}
-
-// writeFileAtomic writes data to path via a temp file in the same directory
-// and an atomic rename, so readers (including a coordinator restarted after
-// a kill) see either the previous content or the new one, never a prefix.
-// internal/atomicio supplies the umask-respecting staging discipline.
-func writeFileAtomic(path string, data []byte) error {
-	return atomicio.WriteFile(path, data)
 }

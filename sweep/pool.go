@@ -86,11 +86,8 @@ type Pool struct {
 	// QuarantineBackoff is the base of the capped exponential backoff a
 	// quarantined worker waits before readmission (0 = 1s); successive
 	// quarantines double it up to 32× the base. The actual wait is
-	// jittered deterministically by Seed into [d/2, d].
+	// jittered into [d/2, d], deterministically by the worker's name.
 	QuarantineBackoff time.Duration
-	// Seed feeds the deterministic jitter (same role as Spec seeds:
-	// identical configuration, identical schedule).
-	Seed uint64
 
 	// Fault, when non-nil, arms scripted dead-worker events: the worker
 	// named by a matching event dies (is quarantined, all in-flight
@@ -367,7 +364,7 @@ func (p *Pool) killWorker(w *poolWorker, reason string) {
 // at once — its shards requeue immediately onto healthy workers instead of
 // each discovering the dead worker on its own schedule. Callers hold p.mu.
 func (p *Pool) quarantineLocked(w *poolWorker, reason string) {
-	d := backoffDelay(p.QuarantineBackoff, w.quars, splitmix64(p.Seed^nameSeed(w.Name)^uint64(w.quars)))
+	d := backoffDelay(p.QuarantineBackoff, w.quars, splitmix64(nameSeed(w.Name)^uint64(w.quars)))
 	w.quars++
 	w.strikes = 0
 	w.until = time.Now().Add(d)

@@ -135,7 +135,7 @@ func (j *job) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(j.dir, jobFileName), append(b, '\n'))
+	return atomicio.WriteFile(filepath.Join(j.dir, jobFileName), append(b, '\n'))
 }
 
 // resultPath is the committed JSONL rows file inside the job directory.
@@ -232,14 +232,6 @@ func shortHash(h string) string {
 		return h[:12]
 	}
 	return h
-}
-
-// writeFileAtomic stages data in a unique temp file beside path and renames
-// it into place, so readers (and a restarted daemon) see either the previous
-// record or the new one, never a prefix — the module-wide file discipline of
-// internal/atomicio.
-func writeFileAtomic(path string, data []byte) error {
-	return atomicio.WriteFile(path, data)
 }
 
 // removeStaleTemps sweeps up never-renamed staging files a killed writer

@@ -68,6 +68,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ivliw/internal/atomicio"
 	"ivliw/sweep"
 )
 
@@ -541,7 +542,7 @@ func (s *Server) createJob(hash string, spec sweep.Spec) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, specFileName), data); err != nil {
+	if err := atomicio.WriteFile(filepath.Join(dir, specFileName), data); err != nil {
 		return nil, err
 	}
 	j := &job{

@@ -17,7 +17,7 @@ type Func func(Row) error
 func (f Func) Row(r Row) error { return f(r) }
 
 // JSONL returns a sink writing one JSON object per line to w — the byte
-// stream behind `ivliw-bench -sweep`. The stream is deterministic: grid
+// stream behind `ivliw-bench -spec`. The stream is deterministic: grid
 // order, fixed field order, integral counters, independent of worker
 // count, store configuration, and (concatenated across shards) sharding.
 func JSONL(w io.Writer) Sink {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"ivliw/internal/core"
@@ -241,21 +242,27 @@ func (c Compile) options() (core.Options, error) {
 
 // benches resolves the workload selection into benchmark specs, in run
 // order: named benchmarks, explicit synthetic specs, generated population.
+// Named benchmarks are looked up in one build of the suite, however many
+// the spec lists.
 func (w Workloads) benches() ([]workload.BenchSpec, error) {
-	var benches []workload.BenchSpec
+	var benches, suite []workload.BenchSpec
+	if len(w.Bench) > 0 {
+		suite = workload.Suite()
+	}
 	for _, name := range w.Bench {
-		if strings.EqualFold(strings.TrimSpace(name), "all") {
+		trimmed := strings.TrimSpace(name)
+		if strings.EqualFold(trimmed, "all") {
 			if len(w.Bench) != 1 {
 				return nil, fmt.Errorf(`sweep: workload "all" must be the only bench entry`)
 			}
-			benches = workload.Suite()
+			benches = suite
 			break
 		}
-		spec, ok := workload.ByName(strings.TrimSpace(name))
-		if !ok {
+		i := slices.IndexFunc(suite, func(b workload.BenchSpec) bool { return b.Name == trimmed })
+		if i < 0 {
 			return nil, fmt.Errorf("sweep: unknown benchmark %q (see ivliw-bench -exp table1)", name)
 		}
-		benches = append(benches, spec)
+		benches = append(benches, suite[i])
 	}
 	for i := range w.Synth {
 		b, err := workload.Synthesize(w.Synth[i])

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ivliw/internal/workload"
 )
 
 // fullSpec populates every section of a Spec, for round-trip coverage.
@@ -244,4 +247,38 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNamedBenchesBuildSuiteOnce: a spec that lists the 14 paper
+// benchmarks one by one resolves them against a single suite build — about
+// one workload.Suite() worth of allocations, not one per name — and a name
+// listed twice resolves to the same benchmark as its own lookup, twice.
+func TestNamedBenchesBuildSuiteOnce(t *testing.T) {
+	var spec Spec
+	for _, b := range workload.Suite() {
+		spec.Workloads.Bench = append(spec.Workloads.Bench, b.Name)
+	}
+	suite := testing.AllocsPerRun(5, func() { workload.Suite() })
+	resolve := testing.AllocsPerRun(5, func() {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resolve > 1.1*suite {
+		t.Errorf("validating a spec naming the 14 benchmarks took %.0f allocations, one Suite() takes %.0f", resolve, suite)
+	}
+
+	spec.Workloads.Bench = []string{"gsmdec", " jpegenc", "gsmdec"}
+	_, got, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []workload.BenchSpec
+	for _, name := range []string{"gsmdec", "jpegenc", "gsmdec"} {
+		b, _ := workload.ByName(name)
+		want = append(want, b)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("resolved benchmarks differ from their ByName lookups")
+	}
 }
