@@ -239,6 +239,10 @@ func (p *Program) RunArtifactIters(a *ScheduleArtifact, iters int64) (LoopStats,
 		return LoopStats{}, fmt.Errorf("ivliw: artifact for %q was compiled with aligned=%t, this program uses %t",
 			a.Schedule.Loop.Name, a.Aligned, p.execDS.Aligned)
 	}
+	if a.Schedule.II < 1 {
+		return LoopStats{}, fmt.Errorf("ivliw: artifact for %q has II %d, want at least 1",
+			a.Schedule.Loop.Name, a.Schedule.II)
+	}
 	if key := p.cfg.CompileKey(); a.CompileKey != key {
 		return LoopStats{}, fmt.Errorf("ivliw: artifact for %q was compiled for machine %s, this program is %s",
 			a.Schedule.Loop.Name, a.CompileKey, key)

@@ -177,6 +177,17 @@ func TestStagedAPIMatchesRichPath(t *testing.T) {
 	if _, err := mustProgram(t, simOnly, []*ivliw.Loop{loop}).RunArtifact(a); err != nil {
 		t.Errorf("simulate-only config delta must be accepted: %v", err)
 	}
+	// A schedule with an II below 1 (only a corrupt artifact has one) is
+	// refused with an error.
+	for _, ii := range []int{0, -1} {
+		bad := *a
+		sc := *a.Schedule
+		sc.II = ii
+		bad.Schedule = &sc
+		if _, err := staged.RunArtifactIters(&bad, 16); err == nil {
+			t.Errorf("artifact with II %d must be rejected", ii)
+		}
+	}
 	// A foreign artifact whose symbols this program never laid out is
 	// refused (they would all collide at address 0).
 	foreign := mustProgram(t, cfg, []*ivliw.Loop{otherLoop(t)})

@@ -442,8 +442,9 @@ func BenchmarkSweepDiskStoreWarm(b *testing.B) { benchmarkSweepDisk(b, true) }
 // cost amortizes out and the measurement isolates the simulate path — the
 // part batching changes. simBatch 0 is the PR 6 code path (cell-at-a-time),
 // the baseline the scaling curve is read against; with batching on, the
-// cells/s curve is superlinear in sibling count because the event-merge
-// front half is paid once per batch instead of once per cell.
+// cells/s curve is superlinear in sibling count because the shared front
+// half (issue order, addresses) is paid once per batch instead of once per
+// cell.
 func benchmarkSweepBatch(b *testing.B, siblings, simBatch int) {
 	spec := sweepBenchSpec(0)
 	switch siblings {

@@ -256,12 +256,13 @@
 // axes — MSHR depth, memory buses, next-level ports, Attraction Buffer
 // geometry while hints are off — and those siblings share an identical
 // compiled artifact, an identical execution layout, and therefore an
-// identical stream of merge events. Spec.SimBatch (CLI: -sim-batch) caps
-// how many sibling cells are evaluated together in one simulation pass:
-// the k-way event merge, the memory-info lookups and the address → (home
-// cluster, cache block) decomposition run once per event, while each
-// sibling keeps its own cache hierarchy, bus model and statistics as a
-// structure-of-arrays lane (pipeline.SimulateBatch over sim.RunLoopBatch).
+// identical access stream. Spec.SimBatch (CLI: -sim-batch) caps how many
+// sibling cells are evaluated together in one simulation pass: the
+// kernel-order walk, the per-instruction address streams and the address
+// → (home cluster, cache block) decomposition run once per access, while
+// each sibling keeps its own cache hierarchy, bus model and statistics as
+// a structure-of-arrays lane (pipeline.SimulateBatch over
+// sim.RunLoopBatch).
 // Simulating k siblings costs one shared front half plus k per-lane back
 // halves instead of k full passes.
 //
@@ -270,7 +271,7 @@
 // boundaries, so shard outputs still concatenate byte-identically. Rows
 // flow through the same reorder window in grid order and every row's
 // bytes are identical with batching on or off — the per-lane simulation
-// is exactly the serial simulation, only the event iteration is shared
+// is exactly the serial simulation, only the access iteration is shared
 // (gated by scripts/ci.sh step 8, including the coordinator pool path;
 // the -sim-batch flag travels to pool workers through the shared base
 // spec). A batch that fails as a whole falls back to simulating its
@@ -303,9 +304,16 @@
 //     most δ, and that caps each candidate's benefit, so the scan runs in
 //     descending order of the cap and stops once the cap falls below the
 //     best benefit found;
-//   - internal/sim streams memory accesses through a k-way merge over the
-//     per-instruction arithmetic progressions t = cycle + i·II instead of
-//     materializing and sorting the iters×mems event list;
+//   - internal/sim issues memory accesses in kernel order instead of
+//     materializing and sorting the iters×mems event list: an instruction
+//     at cycle q·II + r issues iteration i in window q+i, so walking the
+//     windows upward and each one's instructions in a fixed precomputed
+//     order (r ascending, q descending, ID ascending) yields global issue
+//     order with no comparison per access. Each instruction's addresses
+//     come from an addrspace.Stream that resolves the symbol base, hash
+//     prefix and reduced stride once, and the cache models keep each tag
+//     store's ways in one flat array whose single-scan Access replaces a
+//     lookup followed by a fill;
 //   - internal/experiments fans the (benchmark × variant) grid of every
 //     figure across a bounded worker pool (GOMAXPROCS workers) with
 //     deterministic result ordering, so cmd/ivliw-bench scales with cores

@@ -138,12 +138,81 @@ func (lay *Layout) Addr(in *ir.Instr, iter int64, ds Dataset) int64 {
 	}
 	off := m.Offset + m.Stride*iter
 	if m.SymBytes > 0 {
-		off %= m.SymBytes
-		if off < 0 {
-			off += m.SymBytes
-		}
+		off = floorMod(off, m.SymBytes)
 	}
 	return base + off
+}
+
+// Stream generates one memory instruction's addresses in iteration order:
+// the i-th call to Next returns Addr(in, i, ds). Everything Addr derives from
+// the instruction alone — the symbol base, the indirect hash prefix, the
+// stride reduced modulo the symbol extent — is resolved once, so a strided
+// access costs an add and a conditional subtract and an indirect one a mix
+// and a modulo.
+type Stream struct {
+	base int64
+	// Strided: the next offset, in [0, wrap) when the access wraps.
+	off, step, wrap int64
+	// Indirect: r = mix(key ^ iter, seed) picks one of slots elements.
+	indirect        bool
+	key, iter, seed uint64
+	slots           uint64
+	gran            int64
+}
+
+// Stream returns the address stream of a memory instruction under the
+// dataset, positioned at iteration 0.
+func (lay *Layout) Stream(in *ir.Instr, ds Dataset) Stream {
+	m := in.Mem
+	st := Stream{base: lay.bases[m.Sym]}
+	if m.Indirect {
+		span := m.IndirectSpan
+		if span <= 0 {
+			span = m.SymBytes
+		}
+		slots := span / int64(m.Gran)
+		if slots <= 0 {
+			slots = 1
+		}
+		st.base += m.Offset
+		st.indirect = true
+		st.key = hashString(m.Sym) ^ uint64(in.ID)<<32
+		st.seed = ds.Seed
+		st.slots = uint64(slots)
+		st.gran = int64(m.Gran)
+		return st
+	}
+	st.off, st.step = m.Offset, m.Stride
+	if m.SymBytes > 0 {
+		// (Offset + Stride·i) mod SymBytes, advanced by reduced steps.
+		st.wrap = m.SymBytes
+		st.off, st.step = floorMod(m.Offset, m.SymBytes), floorMod(m.Stride, m.SymBytes)
+	}
+	return st
+}
+
+// Next returns the address of the current iteration and advances the stream.
+func (st *Stream) Next() int64 {
+	if st.indirect {
+		r := mix(st.key^st.iter, st.seed)
+		st.iter++
+		return st.base + int64(r%st.slots)*st.gran
+	}
+	a := st.base + st.off
+	st.off += st.step
+	// Without a symbol extent wrap is 0 and this subtracts nothing.
+	if st.off >= st.wrap {
+		st.off -= st.wrap
+	}
+	return a
+}
+
+// floorMod returns v mod m in [0, m) for m > 0.
+func floorMod(v, m int64) int64 {
+	if v %= m; v < 0 {
+		v += m
+	}
+	return v
 }
 
 // align rounds a misalignment down to the granularity and keeps it within

@@ -1,11 +1,13 @@
 package addrspace
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"ivliw/internal/arch"
 	"ivliw/internal/ir"
+	"ivliw/internal/workload"
 )
 
 func buildLoop(t *testing.T, kind ir.AllocKind) (*ir.Loop, int) {
@@ -161,5 +163,74 @@ func TestAddrProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkStream demands that the instruction's stream yields Addr(in, i, ds)
+// for iterations 0 … iters−1, in order.
+func checkStream(t *testing.T, lay *Layout, in *ir.Instr, ds Dataset, iters int64) {
+	t.Helper()
+	st := lay.Stream(in, ds)
+	for i := int64(0); i < iters; i++ {
+		if got, want := st.Next(), lay.Addr(in, i, ds); got != want {
+			t.Fatalf("%s (%+v) iter %d: stream %#x, Addr %#x", in.Name, *in.Mem, i, got, want)
+		}
+	}
+}
+
+// TestStreamMatchesAddr: every memory instruction of the paper suite and of
+// a synthetic population streams exactly Addr's addresses, under both
+// alignment policies and several seeds.
+func TestStreamMatchesAddr(t *testing.T) {
+	synth, err := workload.SynthSuite(12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range append(workload.Suite(), synth...) {
+		for _, seed := range []uint64{0, 1, bench.ExecSeed} {
+			for _, aligned := range []bool{false, true} {
+				ds := Dataset{Seed: seed, Aligned: aligned}
+				lay := NewLayout(bench.AllLoops(), arch.Default(), ds)
+				for _, l := range bench.AllLoops() {
+					for _, id := range l.MemInstrs() {
+						checkStream(t, lay, l.Instrs[id], ds, 3*int64(l.AvgIters)+7)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamEdgeCases covers the cases the suite does not: negative offsets
+// and strides, strides longer than the symbol, no symbol extent, and
+// indirect accesses whose span is unset or below one element.
+func TestStreamEdgeCases(t *testing.T) {
+	cases := []ir.MemInfo{
+		{Offset: -12, Stride: 4, SymBytes: 64},
+		{Offset: 8, Stride: -4, SymBytes: 64},
+		{Offset: -100, Stride: -36, SymBytes: 60},
+		{Offset: 4, Stride: 200, SymBytes: 64},
+		{Offset: 4, Stride: -200, SymBytes: 64},
+		{Offset: 70, Stride: 64, SymBytes: 64},
+		{Offset: -8, Stride: 12},
+		{Offset: 8, Stride: -12},
+		{Offset: 3, Stride: 5, SymBytes: -16},
+		{Indirect: true, Offset: 4, SymBytes: 256},
+		{Indirect: true, IndirectSpan: -8, SymBytes: 96},
+		{Indirect: true, IndirectSpan: 2, SymBytes: 64},
+		{Indirect: true, IndirectSpan: 100, Offset: -6, SymBytes: 64},
+		{Indirect: true},
+	}
+	var instrs []*ir.Instr
+	for i, m := range cases {
+		m.Sym, m.Kind, m.Gran = fmt.Sprintf("s%d", i%4), ir.AllocKind(i%3), 4
+		instrs = append(instrs, &ir.Instr{ID: i, Name: fmt.Sprintf("case %d", i), Class: ir.OpLoad, Mem: &m})
+	}
+	loop := &ir.Loop{Name: "edge", Instrs: instrs}
+	for _, ds := range []Dataset{{Seed: 3}, {Seed: 9, Aligned: true}} {
+		lay := NewLayout([]*ir.Loop{loop}, arch.Default(), ds)
+		for _, in := range instrs {
+			checkStream(t, lay, in, ds, 50)
+		}
 	}
 }

@@ -13,10 +13,15 @@ import (
 	"ivliw/internal/arch"
 )
 
-// Store is a set-associative tag store with true LRU replacement.
+// Store is a set-associative tag store with true LRU replacement. All ways
+// live in one flat array, set-major: each set's resident keys are packed at
+// the front of its assoc-wide slot range, index 0 the MRU, and count holds
+// how many there are.
 type Store struct {
-	sets   [][]int64 // per set: keys, index 0 = MRU
+	ways   []int64
+	count  []int
 	assoc  int
+	sets   uint64
 	hashed bool
 }
 
@@ -28,11 +33,13 @@ func NewStore(lines, assoc int) (*Store, error) {
 	if lines <= 0 || assoc <= 0 || lines%assoc != 0 {
 		return nil, fmt.Errorf("cache: bad geometry lines=%d assoc=%d", lines, assoc)
 	}
-	s := &Store{sets: make([][]int64, lines/assoc), assoc: assoc}
-	for i := range s.sets {
-		s.sets[i] = make([]int64, 0, assoc)
-	}
-	return s, nil
+	sets := lines / assoc
+	return &Store{
+		ways:  make([]int64, lines),
+		count: make([]int, sets),
+		assoc: assoc,
+		sets:  uint64(sets),
+	}, nil
 }
 
 // MustStore is NewStore for geometries already validated upstream (for
@@ -69,45 +76,68 @@ func (s *Store) set(key int64) int {
 		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 		h ^= h >> 31
 	}
-	return int(h % uint64(len(s.sets)))
+	if n := s.sets; n&(n-1) == 0 {
+		return int(h & (n - 1)) // power-of-two set count: mask, no division
+	}
+	return int(h % s.sets)
 }
 
-// Lookup reports whether the key is present, promoting it to MRU on hit.
-func (s *Store) Lookup(key int64) bool {
-	set := s.sets[s.set(key)]
-	for i, k := range set {
+// resident returns the keys held in one set, MRU first.
+func (s *Store) resident(set int) []int64 {
+	return s.ways[set*s.assoc : set*s.assoc+s.count[set]]
+}
+
+// lookupIn is Lookup within an already-indexed set.
+func (s *Store) lookupIn(set int, key int64) bool {
+	ways := s.resident(set)
+	for i, k := range ways {
 		if k == key {
-			copy(set[1:i+1], set[:i])
-			set[0] = key
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = key
 			return true
 		}
 	}
 	return false
 }
 
+// insertIn makes an absent key the MRU of an already-indexed set, evicting
+// the LRU entry if the set is full.
+func (s *Store) insertIn(set int, key int64) {
+	if s.count[set] < s.assoc {
+		s.count[set]++
+	}
+	ways := s.resident(set)
+	copy(ways[1:], ways)
+	ways[0] = key
+}
+
+// Lookup reports whether the key is present, promoting it to MRU on hit.
+func (s *Store) Lookup(key int64) bool { return s.lookupIn(s.set(key), key) }
+
+// Access looks the key up in one scan: a hit promotes it to MRU and a miss
+// fills it as MRU, evicting the LRU entry if the set is full. It reports
+// whether the key was present.
+func (s *Store) Access(key int64) bool {
+	set := s.set(key)
+	if s.lookupIn(set, key) {
+		return true
+	}
+	s.insertIn(set, key)
+	return false
+}
+
 // Fill inserts the key as MRU, evicting the LRU entry if the set is full.
 // Filling an already-present key just promotes it.
-func (s *Store) Fill(key int64) {
-	if s.Lookup(key) {
-		return
-	}
-	si := s.set(key)
-	set := s.sets[si]
-	if len(set) < s.assoc {
-		set = append(set, 0)
-	}
-	copy(set[1:], set)
-	set[0] = key
-	s.sets[si] = set
-}
+func (s *Store) Fill(key int64) { s.Access(key) }
 
 // Invalidate removes the key if present and reports whether it was.
 func (s *Store) Invalidate(key int64) bool {
-	si := s.set(key)
-	set := s.sets[si]
-	for i, k := range set {
+	set := s.set(key)
+	ways := s.resident(set)
+	for i, k := range ways {
 		if k == key {
-			s.sets[si] = append(set[:i], set[i+1:]...)
+			copy(ways[i:], ways[i+1:])
+			s.count[set]--
 			return true
 		}
 	}
@@ -115,17 +145,13 @@ func (s *Store) Invalidate(key int64) bool {
 }
 
 // Flush empties the store.
-func (s *Store) Flush() {
-	for i := range s.sets {
-		s.sets[i] = s.sets[i][:0]
-	}
-}
+func (s *Store) Flush() { clear(s.count) }
 
 // Len returns the number of resident keys.
 func (s *Store) Len() int {
 	n := 0
-	for _, set := range s.sets {
-		n += len(set)
+	for _, c := range s.count {
+		n += c
 	}
 	return n
 }
@@ -227,26 +253,26 @@ func (ic *Interleaved) AccessBlock(cluster int, blk int64, home int, store, attr
 	local := home == cluster
 
 	// The Attraction Buffer is checked in parallel with the local module;
-	// a hit there is satisfied with the local hit latency.
+	// a hit there is satisfied with the local hit latency. Its key is
+	// hashed once: a missing load that attracts fills the set it probed.
+	var ab *Store
+	var abSet int
+	abKey := blk | int64(home)<<40
 	if !local && ic.abs != nil {
-		key := blk | int64(home)<<40
-		if store {
-			// A store to a remote word updates the owner module;
-			// keep any local replica coherent by updating it in
-			// place (chains guarantee no other cluster reads it).
-			ic.abs[cluster].Lookup(key)
-		} else if ic.abs[cluster].Lookup(key) {
+		ab = ic.abs[cluster]
+		abSet = ab.set(abKey)
+		// A store to a remote word updates the owner module; the
+		// lookup keeps any local replica coherent by updating it in
+		// place (chains guarantee no other cluster reads it).
+		if ab.lookupIn(abSet, abKey) && !store {
 			return Result{Class: arch.LocalHit, ABHit: true, Home: home}
 		}
 	}
 
-	hit := ic.blocks.Lookup(blk)
-	if !hit {
-		ic.blocks.Fill(blk)
-	}
-	if !local && !store && ic.abs != nil && attract {
+	hit := ic.blocks.Access(blk)
+	if ab != nil && !store && attract {
 		// The whole subblock is attracted to the issuing cluster.
-		ic.abs[cluster].Fill(blk | int64(home)<<40)
+		ab.insertIn(abSet, abKey)
 	}
 	switch {
 	case local && hit:
@@ -321,13 +347,15 @@ func (mc *MultiVLIWCache) AccessBlock(cluster int, blk int64, store bool) Result
 				m.Invalidate(blk)
 			}
 		}
-		if mc.mods[cluster].Lookup(blk) {
+		if mc.mods[cluster].Access(blk) {
 			return Result{Class: arch.LocalHit, Home: cluster}
 		}
-		mc.mods[cluster].Fill(blk)
 		return Result{Class: arch.LocalMiss, Home: cluster}
 	}
-	if mc.mods[cluster].Lookup(blk) {
+	// A local miss replicates the block locally either way; the other
+	// modules are independent stores, so filling before the snoop is the
+	// same as filling after it.
+	if mc.mods[cluster].Access(blk) {
 		return Result{Class: arch.LocalHit, Home: cluster}
 	}
 	// Snoop the other clusters; the block is replicated locally on a
@@ -335,11 +363,9 @@ func (mc *MultiVLIWCache) AccessBlock(cluster int, blk int64, store bool) Result
 	// migrates toward its users — and its capacity cost).
 	for c, m := range mc.mods {
 		if c != cluster && m.Lookup(blk) {
-			mc.mods[cluster].Fill(blk)
 			return Result{Class: arch.RemoteHit, Home: c}
 		}
 	}
-	mc.mods[cluster].Fill(blk)
 	return Result{Class: arch.LocalMiss, Home: cluster}
 }
 
@@ -372,10 +398,9 @@ func (uc *UnifiedCache) Access(cluster int, addr int64, store, attract bool) Res
 // AccessBlock is Access with the address pre-resolved to its block number
 // (see Interleaved.AccessBlock); the unified cache ignores everything else.
 func (uc *UnifiedCache) AccessBlock(blk int64) Result {
-	if uc.blocks.Lookup(blk) {
+	if uc.blocks.Access(blk) {
 		return Result{Class: arch.LocalHit, Home: -1}
 	}
-	uc.blocks.Fill(blk)
 	return Result{Class: arch.LocalMiss, Home: -1}
 }
 

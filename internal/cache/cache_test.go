@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,8 +106,11 @@ func TestStoreNeverExceedsCapacity(t *testing.T) {
 		if s.Len() > 8 {
 			return false
 		}
-		for _, set := range s.sets {
-			if len(set) > 2 {
+		if len(s.ways) != 8 || len(s.count) != 4 {
+			return false
+		}
+		for _, n := range s.count {
+			if n > 2 {
 				return false
 			}
 		}
@@ -413,5 +418,320 @@ func TestHashedVsModuloResidency(t *testing.T) {
 	}
 	if err := quick.Check(evictionFree, nil); err != nil {
 		t.Errorf("eviction-free equivalence: %v", err)
+	}
+}
+
+// refStore is the tag store as it stood before the flat layout, kept as the
+// reference for Store: one slice per set, index 0 the MRU, and the set
+// index always by modulo.
+type refStore struct {
+	sets   [][]int64
+	assoc  int
+	hashed bool
+}
+
+func newRefStore(lines, assoc int, hashed bool) *refStore {
+	s := &refStore{sets: make([][]int64, lines/assoc), assoc: assoc, hashed: hashed}
+	for i := range s.sets {
+		s.sets[i] = make([]int64, 0, assoc)
+	}
+	return s
+}
+
+func (s *refStore) set(key int64) int {
+	h := uint64(key)
+	if s.hashed {
+		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
+		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
+		h ^= h >> 31
+	}
+	return int(h % uint64(len(s.sets)))
+}
+
+func (s *refStore) Lookup(key int64) bool {
+	set := s.sets[s.set(key)]
+	for i, k := range set {
+		if k == key {
+			copy(set[1:i+1], set[:i])
+			set[0] = key
+			return true
+		}
+	}
+	return false
+}
+
+func (s *refStore) Fill(key int64) {
+	if s.Lookup(key) {
+		return
+	}
+	si := s.set(key)
+	set := s.sets[si]
+	if len(set) < s.assoc {
+		set = append(set, 0)
+	}
+	copy(set[1:], set)
+	set[0] = key
+	s.sets[si] = set
+}
+
+// Access is the Lookup-then-Fill pair Store.Access replaces.
+func (s *refStore) Access(key int64) bool {
+	hit := s.Lookup(key)
+	if !hit {
+		s.Fill(key)
+	}
+	return hit
+}
+
+func (s *refStore) Invalidate(key int64) bool {
+	si := s.set(key)
+	set := s.sets[si]
+	for i, k := range set {
+		if k == key {
+			s.sets[si] = append(set[:i], set[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (s *refStore) Flush() {
+	for i := range s.sets {
+		s.sets[i] = s.sets[i][:0]
+	}
+}
+
+func (s *refStore) Len() int {
+	n := 0
+	for _, set := range s.sets {
+		n += len(set)
+	}
+	return n
+}
+
+// sameSets reports whether every set of the flat store holds the reference
+// set's keys in the same MRU-to-LRU order.
+func sameSets(s *Store, r *refStore) bool {
+	if len(s.count) != len(r.sets) {
+		return false
+	}
+	for i, want := range r.sets {
+		if !slices.Equal(s.resident(i), want) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomKey draws from a small pool so sets fill, hit and evict: small
+// block numbers, negative keys and high-bit subblock keys (home<<40).
+func randomKey(rng *rand.Rand, lines int) int64 {
+	k := int64(rng.IntN(3 * lines))
+	switch rng.IntN(4) {
+	case 0:
+		return -k
+	case 1:
+		return k | int64(rng.IntN(8))<<40
+	}
+	return k
+}
+
+// TestStoreMatchesReference drives the flat Store and the reference over
+// random operation sequences — modulo and hashed indexing, power-of-two and
+// other set counts, associativity 1–8 — comparing every return value and
+// each set's MRU order after every operation.
+func TestStoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 29))
+	for trial := 0; trial < 400; trial++ {
+		sets, assoc := []int{1, 2, 3, 4, 5, 7, 8, 12, 16}[rng.IntN(9)], 1+rng.IntN(8)
+		hashed := rng.IntN(2) == 0
+		newStore := mustStore
+		if hashed {
+			newStore = mustHashed
+		}
+		s, r := newStore(t, sets*assoc, assoc), newRefStore(sets*assoc, assoc, hashed)
+		for op := 0; op < 300; op++ {
+			key := randomKey(rng, sets*assoc)
+			var got, want any
+			switch kind := rng.IntN(20); {
+			case kind < 6:
+				got, want = s.Lookup(key), r.Lookup(key)
+			case kind < 12:
+				got, want = s.Access(key), r.Access(key)
+			case kind < 16:
+				s.Fill(key)
+				r.Fill(key)
+			case kind < 19:
+				got, want = s.Invalidate(key), r.Invalidate(key)
+			default:
+				s.Flush()
+				r.Flush()
+			}
+			if got != want || s.Len() != r.Len() || !sameSets(s, r) {
+				t.Fatalf("trial %d (%d sets × %d ways, hashed %t) op %d key %#x: got %v want %v, len %d/%d\n flat %v %v\n ref  %v",
+					trial, sets, assoc, hashed, op, key, got, want, s.Len(), r.Len(), s.ways, s.count, r.sets)
+			}
+		}
+	}
+}
+
+// refHierarchy is the access path of the three organizations as it stood
+// before Store.Access, over reference stores: every miss is a Lookup then a
+// Fill, and the Attraction Buffer key is hashed on each call.
+type refHierarchy struct {
+	cfg    arch.Config
+	blocks *refStore   // interleaved and unified
+	abs    []*refStore // interleaved with buffers
+	mods   []*refStore // multiVLIW
+}
+
+func newRefHierarchy(cfg arch.Config) *refHierarchy {
+	h := &refHierarchy{cfg: cfg}
+	switch cfg.Org {
+	case arch.MultiVLIW:
+		for c := 0; c < cfg.Clusters; c++ {
+			h.mods = append(h.mods, newRefStore(cfg.ModuleBytes()/cfg.BlockBytes, cfg.Assoc, false))
+		}
+		return h
+	case arch.Interleaved:
+		if cfg.AttractionBuffers {
+			for c := 0; c < cfg.Clusters; c++ {
+				h.abs = append(h.abs, newRefStore(cfg.ABEntries, cfg.ABAssoc, true))
+			}
+		}
+	}
+	h.blocks = newRefStore(cfg.CacheBytes/cfg.BlockBytes, cfg.Assoc, false)
+	return h
+}
+
+func (h *refHierarchy) Access(cluster int, addr int64, store, attract bool) Result {
+	blk := addr / int64(h.cfg.BlockBytes)
+	switch h.cfg.Org {
+	case arch.Unified:
+		if h.blocks.Lookup(blk) {
+			return Result{Class: arch.LocalHit, Home: -1}
+		}
+		h.blocks.Fill(blk)
+		return Result{Class: arch.LocalMiss, Home: -1}
+	case arch.MultiVLIW:
+		if store {
+			for c, m := range h.mods {
+				if c != cluster {
+					m.Invalidate(blk)
+				}
+			}
+			if h.mods[cluster].Lookup(blk) {
+				return Result{Class: arch.LocalHit, Home: cluster}
+			}
+			h.mods[cluster].Fill(blk)
+			return Result{Class: arch.LocalMiss, Home: cluster}
+		}
+		if h.mods[cluster].Lookup(blk) {
+			return Result{Class: arch.LocalHit, Home: cluster}
+		}
+		for c, m := range h.mods {
+			if c != cluster && m.Lookup(blk) {
+				h.mods[cluster].Fill(blk)
+				return Result{Class: arch.RemoteHit, Home: c}
+			}
+		}
+		h.mods[cluster].Fill(blk)
+		return Result{Class: arch.LocalMiss, Home: cluster}
+	}
+	home := h.cfg.HomeCluster(addr)
+	local := home == cluster
+	if !local && h.abs != nil {
+		key := blk | int64(home)<<40
+		if store {
+			h.abs[cluster].Lookup(key)
+		} else if h.abs[cluster].Lookup(key) {
+			return Result{Class: arch.LocalHit, ABHit: true, Home: home}
+		}
+	}
+	hit := h.blocks.Lookup(blk)
+	if !hit {
+		h.blocks.Fill(blk)
+	}
+	if !local && !store && h.abs != nil && attract {
+		h.abs[cluster].Fill(blk | int64(home)<<40)
+	}
+	switch {
+	case local && hit:
+		return Result{Class: arch.LocalHit, Home: home}
+	case !local && hit:
+		return Result{Class: arch.RemoteHit, Home: home}
+	case local:
+		return Result{Class: arch.LocalMiss, Home: home}
+	}
+	return Result{Class: arch.RemoteMiss, Home: home}
+}
+
+// sameTags reports whether every tag store of the hierarchy matches the
+// reference's, set by set in MRU order.
+func sameTags(h Hierarchy, r *refHierarchy) bool {
+	pairs := map[*Store]*refStore{}
+	switch h := h.(type) {
+	case *Interleaved:
+		pairs[h.blocks] = r.blocks
+		for c, ab := range h.abs {
+			pairs[ab] = r.abs[c]
+		}
+	case *MultiVLIWCache:
+		for c, m := range h.mods {
+			pairs[m] = r.mods[c]
+		}
+	case *UnifiedCache:
+		pairs[h.blocks] = r.blocks
+	}
+	for s, rs := range pairs {
+		if !sameSets(s, rs) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHierarchiesMatchReference drives each organization, with and without
+// Attraction Buffers and over odd geometries, and the reference with the
+// same random accesses (loads and stores, attracting or not, from every
+// cluster, with buffer flushes between bursts), comparing each Result and
+// every tag store.
+func TestHierarchiesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 37))
+	for trial := 0; trial < 300; trial++ {
+		cfg := arch.Default()
+		cfg.Org = []arch.CacheOrg{arch.Interleaved, arch.MultiVLIW, arch.Unified}[rng.IntN(3)]
+		cfg.Clusters = []int{1, 2, 3, 4, 8}[rng.IntN(5)]
+		cfg.Interleave = []int{1, 2, 3, 4}[rng.IntN(4)]
+		cfg.BlockBytes = cfg.Clusters * cfg.Interleave * (1 + rng.IntN(2))
+		cfg.Assoc = 1 + rng.IntN(4)
+		cfg.CacheBytes = cfg.Clusters * cfg.Assoc * (1 + rng.IntN(4)) * cfg.BlockBytes
+		cfg.AttractionBuffers = rng.IntN(3) > 0
+		cfg.ABAssoc = 1 + rng.IntN(2)
+		cfg.ABEntries = cfg.ABAssoc * (1 + rng.IntN(6))
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		h, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRefHierarchy(cfg)
+		span := int64(4 * cfg.CacheBytes)
+		for op := 0; op < 400; op++ {
+			if rng.IntN(50) == 0 {
+				h.FlushBuffers()
+				for _, ab := range r.abs {
+					ab.Flush()
+				}
+			}
+			cluster, addr := rng.IntN(cfg.Clusters), rng.Int64N(span)-span/8
+			store, attract := rng.IntN(4) == 0, rng.IntN(2) == 0
+			got, want := h.Access(cluster, addr, store, attract), r.Access(cluster, addr, store, attract)
+			if got != want || !sameTags(h, r) {
+				t.Fatalf("trial %d (%s) op %d: Access(%d, %d, store %t, attract %t) = %+v, reference %+v (tags equal %t)",
+					trial, cfg.ID(), op, cluster, addr, store, attract, got, want, sameTags(h, r))
+			}
+		}
 	}
 }

@@ -261,7 +261,7 @@ var simulatedLanes atomic.Int64
 // variants sharing a CompileKey (for example IBC vs IBC+AB in Figures 6 and
 // 8) are sibling lanes of one batched simulation: the parallel unit is
 // (benchmark × compile group), each evaluated through RunBenchBatchStore so
-// siblings share one event-merge pass. Results and the reported error
+// siblings share one pass over the access stream. Results and the reported error
 // (lowest (benchmark, variant) failing cell) are identical to the unbatched,
 // untabled fan-out: a lane's result does not depend on its batch siblings,
 // and failed cells are never stored.

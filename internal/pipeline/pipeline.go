@@ -262,7 +262,7 @@ func SimKey(cfg arch.Config, aligned bool) string {
 }
 
 // SimulateBatch runs stage 2 once for a batch of sibling configurations:
-// one shared pass over each loop's access stream (event merge, address
+// one shared pass over each loop's access stream (issue order, address
 // generation) drives per-lane machine state, so k cells that differ only in
 // simulate-only axes cost roughly one simulation's worth of event traffic.
 // Every lane must share SimKey (equivalently: the artifact's CompileKey);
@@ -288,6 +288,11 @@ func SimulateBatch(a *Artifact, bench workload.BenchSpec, cfgs []arch.Config, al
 		if a.Loops[i].Aligned != aligned {
 			return outs, fmt.Errorf("pipeline: artifact %s was compiled with aligned=%t, simulated with %t",
 				a.Bench, a.Loops[i].Aligned, aligned)
+		}
+		// Only a corrupt or foreign artifact carries an II below 1; the
+		// simulator's kernel order divides by it.
+		if ii := a.Loops[i].Schedule.II; ii < 1 {
+			return outs, fmt.Errorf("pipeline: artifact %s loop %d has II %d, want at least 1", a.Bench, i, ii)
 		}
 	}
 	key := SimKey(cfgs[0], aligned)

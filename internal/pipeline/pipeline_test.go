@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ivliw/internal/addrspace"
@@ -368,6 +370,30 @@ func TestSimulateAlignmentMismatch(t *testing.T) {
 	}
 	if _, err := Simulate(art, s.Bench, s.Cfg, !s.Aligned); err == nil {
 		t.Error("alignment mismatch must fail")
+	}
+}
+
+// TestSimulateRejectsIIBelowOne: stage 2 refuses a schedule whose II is
+// below 1 with an error; only a corrupt or foreign artifact carries one.
+func TestSimulateRejectsIIBelowOne(t *testing.T) {
+	s := testSpec(t)
+	art, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ii := range []int{0, -3} {
+		bad := *art
+		bad.Loops = slices.Clone(art.Loops)
+		sc := *bad.Loops[0].Schedule
+		sc.II = ii
+		bad.Loops[0].Schedule = &sc
+		if _, err := SimulateBatch(&bad, s.Bench, []arch.Config{s.Cfg, s.Cfg}, s.Aligned); err == nil ||
+			!strings.Contains(err.Error(), "II") {
+			t.Errorf("II %d: SimulateBatch error = %v, want a rejection naming the II", ii, err)
+		}
+	}
+	if _, err := Simulate(art, s.Bench, s.Cfg, s.Aligned); err != nil {
+		t.Fatalf("the untouched artifact must still simulate: %v", err)
 	}
 }
 

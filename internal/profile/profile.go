@@ -188,11 +188,8 @@ func run(l *ir.Loop, mems []int, lay *addrspace.Layout, ds addrspace.Dataset, cf
 			st := p.Per[id]
 			st.Accesses++
 			st.Hist[cfg.HomeCluster(addr)]++
-			blk := blockOf(addr)
-			if store.Lookup(blk) {
+			if store.Access(blockOf(addr)) {
 				st.Hits++
-			} else {
-				store.Fill(blk)
 			}
 		}
 	}

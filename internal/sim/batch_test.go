@@ -12,9 +12,9 @@ import (
 
 // mutateSimOnly applies a random simulate-only mutation set to a base
 // configuration: fields outside CompileKey (buses, ports, MSHR depth, and —
-// for the interleaved org, where they exist — Attraction Buffer geometry
-// with hints off). The result stays Validate-valid and shares the base's
-// compile key, so it is a legal sibling lane.
+// for the interleaved org with hints off, where they are invisible to the
+// compiler — Attraction Buffer geometry). The result stays Validate-valid
+// and shares the base's compile key, so it is a legal sibling lane.
 func mutateSimOnly(t *testing.T, rng *rand.Rand, base arch.Config) arch.Config {
 	t.Helper()
 	c := base
@@ -25,9 +25,9 @@ func mutateSimOnly(t *testing.T, rng *rand.Rand, base arch.Config) arch.Config {
 	if rng.IntN(2) == 0 {
 		c.MSHRs = 0
 	} else {
-		c.MSHRs = 1 + rng.IntN(8)
+		c.MSHRs = 1 + rng.IntN(16)
 	}
-	if base.Org == arch.Interleaved {
+	if base.Org == arch.Interleaved && !base.ABHints {
 		c.AttractionBuffers = rng.IntN(2) == 0
 		c.ABEntries = []int{8, 16, 32}[rng.IntN(3)]
 	}

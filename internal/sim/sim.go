@@ -19,7 +19,7 @@
 // The simulator is batched: RunLoopBatch drives one schedule against k
 // sibling configurations that share the compile-relevant machine layout but
 // may differ in simulate-only axes (buses, next-level ports, MSHR depth,
-// Attraction Buffer geometry). The event merge, address generation and
+// Attraction Buffer geometry). The issue order, address generation and
 // stall-cause classification run once per access; only the per-lane machine
 // state (stall shift, bus/port pools, combining table, MSHR pool, cache
 // hierarchy) fans out, held as parallel arrays indexed by lane. RunLoop is
@@ -27,7 +27,10 @@
 package sim
 
 import (
+	"cmp"
+	"math"
 	"math/bits"
+	"slices"
 
 	"ivliw/internal/addrspace"
 	"ivliw/internal/arch"
@@ -70,14 +73,15 @@ func RunLoop(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 // RunLoopBatch simulates the schedule once per configuration lane, sharing
 // one pass over the access stream. All lanes must agree on the
 // compile-relevant subset of the configuration (arch.Config.CompileKey):
-// the shared front half — event merge order, generated addresses, home
+// the shared front half — kernel issue order, generated addresses, home
 // clusters, subblock keys, granularity spans, attraction hints and
 // stall-cause classification — is computed from cfgs[0] and is only valid
 // for every lane under that contract. len(hiers) must equal len(cfgs), one
 // hierarchy per lane (lanes may not share tag state: an Attraction Buffer
 // hit returns without touching the backing blocks, so per-lane AB geometry
 // makes tag contents diverge). Callers enforce the contract by grouping on
-// CompileKey (see pipeline.SimKey).
+// CompileKey (see pipeline.SimKey). The schedule's II must be at least 1, as
+// sched.Run guarantees; entry points that take foreign schedules check it.
 func RunLoopBatch(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 	cfgs []arch.Config, hiers []cache.Hierarchy, iters int64, meta Meta) []stats.Loop {
 
@@ -116,16 +120,19 @@ func RunLoopBatch(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset
 type memInfo struct {
 	id        int
 	cycle     int64 // issue offset within the flat schedule
+	stage     int64 // ⌊cycle/II⌋: iteration i issues in kernel window stage+i
 	cluster   int
 	store     bool
 	attract   bool
+	granSpan  bool  // element wider than the interleaving factor
 	tolerance int64 // cycles before the earliest consumer needs the value
 	hasCons   bool
+	addrs     addrspace.Stream
 }
 
 // lane is one configuration's machine state in a batched run: everything
-// that evolves with simulated time, parallel-array style so a merge event
-// fans across lanes with no per-event allocation.
+// that evolves with simulated time, parallel-array style so an access fans
+// across lanes with no per-access allocation.
 type lane struct {
 	stalled  int64
 	busFree  []int64
@@ -138,12 +145,46 @@ type lane struct {
 	umiss    int64
 	mvliw    bool // per-lane org split is forbidden by the compile
 	unified  bool // key, but deriving per lane keeps lanes self-contained
+	// The hierarchy, through its block-resolved entry point when it is one
+	// of the package's organizations: the block number and home cluster
+	// are lane-invariant, so the front half derives them once per access
+	// and the lanes carry no address divisions. Any other Hierarchy is
+	// driven through its address-based Access.
+	ic   *cache.Interleaved
+	mc   *cache.MultiVLIWCache
+	uc   *cache.UnifiedCache
+	hier cache.Hierarchy
 }
 
 // testPendingPeak, when non-nil, receives each lane's peak combining-map
 // size after a batched run — the hook for the bounded-memory regression
 // test. Never set outside tests.
 var testPendingPeak func(lane int, peak int)
+
+// kernelOrder returns the order in which one kernel window issues the memory
+// instructions with the given flat-schedule cycles, and the stage of each.
+// Writing cycle c as q·II + r with 0 ≤ r < II (floor division, so negative
+// cycles land in the right window), the access of iteration i issues at
+// (q+i)·II + r, in window q+i. Windows ascend in time, so walking windows
+// upward and visiting each one's instructions by r ascending, then q
+// descending (the older iteration first), then index ascending yields every
+// access in (time, iteration, index) order with no comparison per access.
+func kernelOrder(cycles []int64, ii int64) (order []int, stages []int64) {
+	order = make([]int, len(cycles))
+	stages = make([]int64, len(cycles))
+	slots := make([]int64, len(cycles))
+	for k, c := range cycles {
+		q := c / ii
+		if c%ii < 0 {
+			q--
+		}
+		order[k], stages[k], slots[k] = k, q, c-q*ii
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(slots[a], slots[b]), cmp.Compare(stages[b], stages[a]), cmp.Compare(a, b))
+	})
+	return order, stages
+}
 
 func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 	cfgs []arch.Config, hiers []cache.Hierarchy, iters int64, meta Meta,
@@ -153,8 +194,9 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 	// compile-key-covered and therefore identical across lanes.
 	cfg := cfgs[0]
 
-	infos := make([]memInfo, 0, len(mems))
-	for _, id := range mems {
+	infos := make([]memInfo, len(mems))
+	cycles := make([]int64, len(mems))
+	for k, id := range mems {
 		in := s.Loop.Instrs[id]
 		slack, has := s.ConsumerSlack(id)
 		attract := !in.Class.IsMem() || in.IsLoad()
@@ -166,28 +208,31 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 			// clusters; attracting half a value is useless.
 			attract = false
 		}
-		infos = append(infos, memInfo{
+		cycles[k] = int64(s.Place[id].Cycle)
+		infos[k] = memInfo{
 			id:        id,
-			cycle:     int64(s.Place[id].Cycle),
+			cycle:     cycles[k],
 			cluster:   s.Place[id].Cluster,
 			store:     !in.IsLoad(),
 			attract:   attract && in.IsLoad(),
+			granSpan:  in.Mem.Gran > cfg.Interleave,
 			tolerance: int64(slack),
 			hasCons:   has,
-		})
+			addrs:     lay.Stream(in, ds),
+		}
 	}
 	// Software-pipelined iterations overlap: accesses must be processed in
 	// global issue order, or a store from stage 3 of iteration i would be
 	// seen before a stage-1 load of iteration i+1 and corrupt the bus/port
-	// occupancy model. Each instruction's issue times form the arithmetic
-	// progression cycle + i·II, so instead of materializing and sorting the
-	// iters×mems event list, a k-way merge over the per-instruction streams
-	// yields the same (t, iter, id) order one event at a time.
+	// occupancy model. The kernel order walks that order window by window.
 	ii := int64(s.II)
-	merge := newEventMerge(infos, iters, ii)
+	order, stages := kernelOrder(cycles, ii)
+	for k, q := range stages {
+		infos[k].stage = q
+	}
 
 	// Power-of-two geometry (the paper's machines and every default) turns
-	// the per-event home-cluster and block divisions into shifts; the
+	// the per-access home-cluster and block divisions into shifts; the
 	// general path stays for odd geometries and negative addresses.
 	fastGeom := isPow2(cfg.Interleave) && isPow2(cfg.Clusters) && isPow2(cfg.BlockBytes)
 	var iShift, bShift uint
@@ -200,12 +245,6 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 
 	interleaved := cfg.Org == arch.Interleaved
 	lanes := make([]lane, len(cfgs))
-	// Each lane's hierarchy is driven through its block-resolved entry point
-	// when the concrete type offers one: the block number and home cluster
-	// are lane-invariant, so the front half derives them once per event and
-	// the per-lane access carries no address divisions. Unknown Hierarchy
-	// implementations fall back to the address-based interface method.
-	access := make([]func(cluster int, addr, blk int64, home int, store, attract bool) cache.Result, len(cfgs))
 	for l := range cfgs {
 		c := cfgs[l]
 		lanes[l] = lane{
@@ -217,30 +256,18 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 			umiss:    int64(c.UnifiedMissLatency()),
 			mvliw:    c.Org == arch.MultiVLIW,
 			unified:  c.Org == arch.Unified,
-		}
-		if interleaved {
-			lanes[l].pending.init()
+			hier:     hiers[l],
 		}
 		if interleaved && c.MSHRs > 0 {
 			lanes[l].fills = &mshrPool{cap: c.MSHRs}
 		}
 		switch h := hiers[l].(type) {
 		case *cache.Interleaved:
-			access[l] = func(cluster int, _, blk int64, home int, store, attract bool) cache.Result {
-				return h.AccessBlock(cluster, blk, home, store, attract)
-			}
+			lanes[l].ic = h
 		case *cache.MultiVLIWCache:
-			access[l] = func(cluster int, _, blk int64, _ int, store, _ bool) cache.Result {
-				return h.AccessBlock(cluster, blk, store)
-			}
+			lanes[l].mc = h
 		case *cache.UnifiedCache:
-			access[l] = func(_ int, _, blk int64, _ int, _, _ bool) cache.Result {
-				return h.AccessBlock(blk)
-			}
-		default:
-			access[l] = func(cluster int, addr, _ int64, _ int, store, attract bool) cache.Result {
-				return h.Access(cluster, addr, store, attract)
-			}
+			lanes[l].uc = h
 		}
 	}
 
@@ -254,115 +281,130 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 	// Lock-step execution: accumulated stall delays every later issue, so
 	// oversubscribed buses throttle the machine instead of building
 	// unbounded queues.
-	for ev, ok := merge.next(); ok; ev, ok = merge.next() {
-		mi, i := ev.mi, ev.iter
-		in := s.Loop.Instrs[mi.id]
-		// Shared front half: the pre-stall issue time, the generated
-		// address and everything derived from compile-key geometry are
-		// lane-invariant (addresses depend on the iteration index, not
-		// the stalled clock).
-		addr := lay.Addr(in, i, ds)
-		var home int
-		var blk int64
-		if fastGeom && addr >= 0 {
-			home = int((addr >> iShift) & cMask)
-			blk = addr >> bShift
-		} else {
-			home = cfg.HomeCluster(addr)
-			blk = addr / int64(cfg.BlockBytes)
-		}
-		granSpan := in.Mem.Gran > cfg.Interleave
-		var sbKey int64
-		if interleaved {
-			sbKey = blk*int64(cfg.Clusters) + int64(home)
-		}
-
-		for l := range lanes {
-			ln := &lanes[l]
-			out := &outs[l]
-			t := ev.t + ln.stalled
-
-			var class stats.Class
-			var actual int64
-
-			// Combining: a second request to a subblock with an
-			// outstanding fill is not issued (interleaved only).
+	for w, end := slices.Min(stages), slices.Max(stages)+iters; w < end; w++ {
+		for _, k := range order {
+			mi := &infos[k]
+			i := w - mi.stage
+			if i < 0 || i >= iters {
+				continue
+			}
+			// Shared front half: the pre-stall issue time, the generated
+			// address and everything derived from compile-key geometry
+			// are lane-invariant (addresses depend on the iteration
+			// index, not the stalled clock).
+			issue := mi.cycle + i*ii
+			addr := mi.addrs.Next()
+			var home int
+			var blk int64
+			if fastGeom && addr >= 0 {
+				home = int((addr >> iShift) & cMask)
+				blk = addr >> bShift
+			} else {
+				home = cfg.HomeCluster(addr)
+				blk = addr / int64(cfg.BlockBytes)
+			}
+			var sbKey int64
 			if interleaved {
-				if completion, ok := ln.pending.lookup(sbKey, t); ok {
-					class = stats.Combined
-					actual = completion - t
-					out.Accesses[class]++
-					ln.stalled += stallAndAttribute(out, mi.tolerance, mi.hasCons, actual, class, nil)
-					continue
-				}
+				sbKey = blk*int64(cfg.Clusters) + int64(home)
 			}
 
-			// Bounded MSHRs: an access that will allocate a fill slot
-			// (anything that leaves a request outstanding) waits until a
-			// slot frees; the wait delays the whole access.
-			var mshrWait int64
-			r := access[l](mi.cluster, addr, blk, home, mi.store, mi.attract)
-			if interleaved && granSpan {
-				// An element bigger than the interleaving factor
-				// always spans more than one cluster: the access
-				// can never be fully local (§5.2, mpeg2dec).
-				switch r.Class {
-				case arch.LocalHit:
-					r.Class = arch.RemoteHit
-				case arch.LocalMiss:
-					r.Class = arch.RemoteMiss
-				}
-			}
-			if ln.fills != nil && r.Class != arch.LocalHit {
-				mshrWait = ln.fills.reserve(t)
-				t += mshrWait
-			}
-			switch {
-			case ln.unified:
-				if r.Class == arch.LocalHit {
-					class, actual = stats.LHit, ln.uhit
-				} else {
-					class, actual = stats.LMiss, ln.umiss
-					actual += acquire(ln.portFree, t, ln.busHold)
-				}
-			default:
-				if ln.mvliw && mi.store {
-					// Write-invalidate: every store broadcasts a
-					// snoop on the memory buses.
-					acquire(ln.busFree, t, ln.busHold)
-				}
-				switch r.Class {
-				case arch.LocalHit:
-					class, actual = stats.LHit, int64(ln.lats[arch.LocalHit])
-				case arch.RemoteHit:
-					class, actual = stats.RHit, int64(ln.lats[arch.RemoteHit])
-					actual += acquire(ln.busFree, t, ln.busHold)                   // request
-					actual += acquire(ln.busFree, t+actual-ln.busHold, ln.busHold) // reply
-				case arch.LocalMiss:
-					class, actual = stats.LMiss, int64(ln.lats[arch.LocalMiss])
-					actual += acquire(ln.portFree, t, ln.busHold)
-				case arch.RemoteMiss:
-					class, actual = stats.RMiss, int64(ln.lats[arch.RemoteMiss])
-					actual += acquire(ln.busFree, t, ln.busHold)
-					actual += acquire(ln.portFree, t+ln.busHold, ln.busHold)
-				}
-				if interleaved && class != stats.LHit {
-					ln.pending.set(sbKey, t+actual)
-					if ln.fills != nil {
-						ln.fills.add(t + actual)
+			for l := range lanes {
+				ln := &lanes[l]
+				out := &outs[l]
+				t := issue + ln.stalled
+
+				var class stats.Class
+				var actual int64
+
+				// Combining: a second request to a subblock with an
+				// outstanding fill is not issued (interleaved only).
+				if interleaved {
+					if completion, ok := ln.pending.lookup(sbKey, t); ok {
+						class = stats.Combined
+						actual = completion - t
+						out.Accesses[class]++
+						ln.stalled += stallAndAttribute(out, mi.tolerance, mi.hasCons, actual, class, nil)
+						continue
 					}
 				}
-			}
-			out.Accesses[class]++
-			var cs []stats.Cause
-			if class == stats.RHit {
-				if !causesDone[ev.k] {
-					causes[ev.k] = rhCauses(s, cfg, meta, mi.id, mi.cluster)
-					causesDone[ev.k] = true
+
+				// Bounded MSHRs: an access that will allocate a fill slot
+				// (anything that leaves a request outstanding) waits until
+				// a slot frees; the wait delays the whole access.
+				var mshrWait int64
+				var r cache.Result
+				switch {
+				case ln.ic != nil:
+					r = ln.ic.AccessBlock(mi.cluster, blk, home, mi.store, mi.attract)
+				case ln.mc != nil:
+					r = ln.mc.AccessBlock(mi.cluster, blk, mi.store)
+				case ln.uc != nil:
+					r = ln.uc.AccessBlock(blk)
+				default:
+					r = ln.hier.Access(mi.cluster, addr, mi.store, mi.attract)
 				}
-				cs = causes[ev.k]
+				if interleaved && mi.granSpan {
+					// An element bigger than the interleaving factor
+					// always spans more than one cluster: the access
+					// can never be fully local (§5.2, mpeg2dec).
+					switch r.Class {
+					case arch.LocalHit:
+						r.Class = arch.RemoteHit
+					case arch.LocalMiss:
+						r.Class = arch.RemoteMiss
+					}
+				}
+				if ln.fills != nil && r.Class != arch.LocalHit {
+					mshrWait = ln.fills.reserve(t)
+					t += mshrWait
+				}
+				switch {
+				case ln.unified:
+					if r.Class == arch.LocalHit {
+						class, actual = stats.LHit, ln.uhit
+					} else {
+						class, actual = stats.LMiss, ln.umiss
+						actual += acquire(ln.portFree, t, ln.busHold)
+					}
+				default:
+					if ln.mvliw && mi.store {
+						// Write-invalidate: every store broadcasts a
+						// snoop on the memory buses.
+						acquire(ln.busFree, t, ln.busHold)
+					}
+					switch r.Class {
+					case arch.LocalHit:
+						class, actual = stats.LHit, int64(ln.lats[arch.LocalHit])
+					case arch.RemoteHit:
+						class, actual = stats.RHit, int64(ln.lats[arch.RemoteHit])
+						actual += acquire(ln.busFree, t, ln.busHold)                   // request
+						actual += acquire(ln.busFree, t+actual-ln.busHold, ln.busHold) // reply
+					case arch.LocalMiss:
+						class, actual = stats.LMiss, int64(ln.lats[arch.LocalMiss])
+						actual += acquire(ln.portFree, t, ln.busHold)
+					case arch.RemoteMiss:
+						class, actual = stats.RMiss, int64(ln.lats[arch.RemoteMiss])
+						actual += acquire(ln.busFree, t, ln.busHold)
+						actual += acquire(ln.portFree, t+ln.busHold, ln.busHold)
+					}
+					if interleaved && class != stats.LHit {
+						ln.pending.set(sbKey, t+actual)
+						if ln.fills != nil {
+							ln.fills.add(t + actual)
+						}
+					}
+				}
+				out.Accesses[class]++
+				var cs []stats.Cause
+				if class == stats.RHit {
+					if !causesDone[k] {
+						causes[k] = rhCauses(s, cfg, meta, mi.id, mi.cluster)
+						causesDone[k] = true
+					}
+					cs = causes[k]
+				}
+				ln.stalled += stallAndAttribute(out, mi.tolerance, mi.hasCons, actual+mshrWait, class, cs)
 			}
-			ln.stalled += stallAndAttribute(out, mi.tolerance, mi.hasCons, actual+mshrWait, class, cs)
 		}
 	}
 
@@ -400,6 +442,9 @@ func acquire(pool []int64, at int64, hold int64) int64 {
 // map: no hashing, no tombstones, one cache line most of the time.
 type pendingSet struct {
 	entries []pendEntry
+	// soonest is at most the earliest completion in entries: while lookups
+	// come before it nothing can have expired, and the prune is skipped.
+	soonest int64
 	peak    int // high-water size, for the bounded-memory regression test
 }
 
@@ -409,14 +454,21 @@ type pendEntry struct {
 	key        int64
 }
 
-func (p *pendingSet) init() {}
-
 // lookup prunes entries expired at t, then reports the live completion for
 // key, if any (ok only when t < completion — the combining condition). Keys
 // are unique: set is only reached after a failed lookup at the same t, which
 // has already removed any expired entry for the key.
 func (p *pendingSet) lookup(key, t int64) (int64, bool) {
 	es := p.entries
+	if t < p.soonest {
+		for _, e := range es {
+			if e.key == key {
+				return e.completion, true
+			}
+		}
+		return 0, false
+	}
+	soonest := int64(math.MaxInt64)
 	for i := 0; i < len(es); {
 		e := es[i]
 		if e.completion <= t {
@@ -425,106 +477,25 @@ func (p *pendingSet) lookup(key, t int64) (int64, bool) {
 			continue
 		}
 		if e.key == key {
+			// Pruning only raises the minimum, so the old bound holds.
 			p.entries = es
 			return e.completion, true
 		}
+		soonest = min(soonest, e.completion)
 		i++
 	}
-	p.entries = es
+	p.entries, p.soonest = es, soonest
 	return 0, false
 }
 
 // set records an outstanding fill for key completing at the given cycle.
 func (p *pendingSet) set(key, completion int64) {
+	if len(p.entries) == 0 || completion < p.soonest {
+		p.soonest = completion
+	}
 	p.entries = append(p.entries, pendEntry{completion: completion, key: key})
 	if len(p.entries) > p.peak {
 		p.peak = len(p.entries)
-	}
-}
-
-// mergeEvent is one access in global issue order.
-type mergeEvent struct {
-	mi   *memInfo
-	iter int64
-	t    int64 // issue time before stall shifts
-	k    int   // index into the merge's infos (for per-instruction memos)
-}
-
-// eventMerge streams the accesses of a run in (t, iter, id) order by k-way
-// merging the per-instruction arithmetic progressions t = cycle + i·II,
-// holding one head per instruction in a binary min-heap instead of the full
-// iters×mems event list.
-type eventMerge struct {
-	infos []memInfo
-	iters int64
-	ii    int64
-	heap  []mergeHead
-}
-
-// mergeHead is the next pending access of instruction infos[k]. infos is in
-// ascending-ID order, so comparing k is comparing instruction IDs.
-type mergeHead struct {
-	t    int64
-	iter int64
-	k    int
-}
-
-func (a mergeHead) before(b mergeHead) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.iter != b.iter {
-		return a.iter < b.iter
-	}
-	return a.k < b.k
-}
-
-func newEventMerge(infos []memInfo, iters, ii int64) *eventMerge {
-	m := &eventMerge{infos: infos, iters: iters, ii: ii, heap: make([]mergeHead, len(infos))}
-	for k := range infos {
-		m.heap[k] = mergeHead{t: infos[k].cycle, iter: 0, k: k}
-	}
-	// Heapify: infos is sorted by cycle only incidentally, so establish
-	// the invariant explicitly.
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-	return m
-}
-
-// next returns the globally next access, advancing its stream.
-func (m *eventMerge) next() (mergeEvent, bool) {
-	if len(m.heap) == 0 {
-		return mergeEvent{}, false
-	}
-	head := m.heap[0]
-	ev := mergeEvent{mi: &m.infos[head.k], iter: head.iter, t: head.t, k: head.k}
-	if head.iter+1 < m.iters {
-		m.heap[0] = mergeHead{t: head.t + m.ii, iter: head.iter + 1, k: head.k}
-	} else {
-		m.heap[0] = m.heap[len(m.heap)-1]
-		m.heap = m.heap[:len(m.heap)-1]
-	}
-	m.siftDown(0)
-	return ev, true
-}
-
-func (m *eventMerge) siftDown(i int) {
-	h := m.heap
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && h[l].before(h[min]) {
-			min = l
-		}
-		if r < len(h) && h[r].before(h[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
 	}
 }
 

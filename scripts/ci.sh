@@ -10,8 +10,10 @@
 #                                 time-boxed -fuzz run of each fuzz target:
 #                                 the beat decoder, the fault-plan parser,
 #                                 ivliw-bench's -shard/-claim parsers, the
-#                                 spec parser and ivliw-served's submission
-#                                 endpoint
+#                                 spec parser, ivliw-served's submission
+#                                 endpoint, and the differential simulator
+#                                 target (RunLoop, RunLoopBatch lanes and
+#                                 the reference simulator must agree)
 #   4. byte-identity of `ivliw-bench -exp all` at 1 and 2 workers against
 #      the committed golden transcript (cmd/ivliw-bench/testdata/
 #      exp_all.golden), so any drift in the paper reproduction is caught
@@ -43,8 +45,8 @@
 #      monitor, the only hang detector) must still stitch identical bytes;
 #      the run snapshot (pool wall time, fault recovery time) is written to
 #      BENCH_6.json
-#   8. batched simulation: `-sim-batch 8` (sibling cells sharing one
-#      event-merge pass) must emit bytes identical to the batch-off
+#   8. batched simulation: `-sim-batch 8` (sibling cells sharing one pass
+#      over the access stream) must emit bytes identical to the batch-off
 #      reference — serial, parallel, and through the coordinator's worker
 #      pool — and must actually engage (the "sim batches:" stderr line);
 #      the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the batch-off
@@ -105,13 +107,15 @@ go vet ./...
 
 echo "== 3/11 go test -race ./... and time-boxed fuzzing =="
 go test -race ./...
-# Fuzz the parsers of input that crosses a process boundary: beat files,
+# Fuzz the parsers of input that crosses a process boundary (beat files,
 # fault plans, the -shard/-claim arguments a pool worker receives, spec
-# files and the bodies ivliw-served accepts. Their committed seed corpora
+# files and the bodies ivliw-served accepts) and the simulator from loop to
+# cycles against its reference (FuzzSimulate). Their committed seed corpora
 # (testdata/fuzz) already ran in the line above.
 for target in "FuzzReadBeat ./sweep" "FuzzParse ./sweep/fault" \
     "FuzzParseShard ./cmd/ivliw-bench" "FuzzParseClaim ./cmd/ivliw-bench" \
-    "FuzzParseSpec ./sweep" "FuzzSubmitBody ./sweep/serve"; do
+    "FuzzParseSpec ./sweep" "FuzzSubmitBody ./sweep/serve" \
+    "FuzzSimulate ./internal/sim"; do
   read -r name pkg <<< "$target"
   go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -parallel 2 "$pkg"
 done

@@ -54,8 +54,8 @@ type Calibration struct {
 	// effect is small next to the cluster axis).
 	CacheExp float64 `json:"cache_exp,omitempty"`
 	// BatchDiscount is the relative simulate cost of a non-leader lane of
-	// a sim-batch (Spec.SimBatch) sibling group — the shared event-merge
-	// front half makes extra lanes cheaper than full cells. 0 means "use
+	// a sim-batch (Spec.SimBatch) sibling group — the shared front half
+	// (issue order, addresses) makes extra lanes cheaper than full cells. 0 means "use
 	// the built-in default" (an explicit 0 would price sibling lanes
 	// free, which no machine exhibits).
 	BatchDiscount float64 `json:"batch_discount,omitempty"`
@@ -283,7 +283,7 @@ func (m *costModel) gridCosts(points []experiments.Variant, benches []workload.B
 			sim *= math.Pow(float64(v.Cfg.CacheBytes)/defCache, m.cacheExp)
 		}
 		comp /= float64(keyCount[keys[pi]])
-		// Sibling lanes beyond a batch's leader share the event-merge
+		// Sibling lanes beyond a batch's leader share the simulation's
 		// front half; mirror planBatches' grouping (per compile key, lane
 		// position modulo the cap) without building the batches.
 		if simBatch > 1 && ordinal[keys[pi]]%simBatch != 0 {

@@ -388,23 +388,6 @@ func BenchmarkDuplicateSubmission(b *testing.B) {
 	}
 }
 
-// boundedWorkloads reports whether validating s synthesizes a small
-// workload population. Validate materializes synthetic workloads and
-// nothing bounds their size at submission, so a fuzzed body that scales
-// synth_count, kernels, depth_max or recurrence_max up would make the
-// server allocate without bound instead of finishing.
-func boundedWorkloads(s sweep.Spec) bool {
-	if s.Workloads.SynthCount > 16 || len(s.Workloads.Synth) > 16 {
-		return false
-	}
-	for _, syn := range s.Workloads.Synth {
-		if syn.Kernels > 16 || syn.DepthMax > 64 || syn.RecurrenceMax > 64 {
-			return false
-		}
-	}
-	return true
-}
-
 // FuzzSubmitBody POSTs each input to a fresh server whose Run never
 // starts, so nothing executes: no input panics the handler, the status is
 // one the API documents, a 2xx answer names the parsed spec's hash, and the
@@ -412,9 +395,6 @@ func boundedWorkloads(s sweep.Spec) bool {
 func FuzzSubmitBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, parseErr := sweep.ParseSpec(body)
-		if parseErr == nil && !boundedWorkloads(spec) {
-			t.Skip("workload population too large to synthesize")
-		}
 		srv, err := New(Options{Dir: t.TempDir(), MaxBody: 8 << 10})
 		if err != nil {
 			t.Fatal(err)

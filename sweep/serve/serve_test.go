@@ -434,6 +434,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"malformed JSON", `{"grid":`, http.StatusBadRequest},
 		{"unknown field", `{"grdi": {}}`, http.StatusBadRequest},
 		{"no workloads", `{"grid": {"clusters": [2]}}`, http.StatusBadRequest},
+		{"too many synthetic loops", `{"workloads": {"synth_count": 1000000}}`, http.StatusBadRequest},
+		{"synthetic depth past the limit", `{"workloads": {"synth": [{"Name": "d", "DepthMax": 65}]}}`, http.StatusBadRequest},
 		{"pinned shard", string(encode(t, func() sweep.Spec {
 			s := testSpec("pin", 9)
 			s.Shard = sweep.Shard{Index: 0, Count: 2}

@@ -61,6 +61,11 @@ type Spec struct {
 // Workloads selects the benchmarks of a sweep: named paper benchmarks,
 // explicit synthetic specs, and/or a generated synthetic population. The
 // run order is Bench, then Synth, then the SynthCount population.
+//
+// Validation synthesizes every synthetic workload, so the selection is
+// bounded before anything is generated: its synthetic loops — 3 per
+// SynthCount member plus Kernels (default 3) per Synth entry — may number
+// at most 384, and no Synth entry's DepthMax or RecurrenceMax may exceed 64.
 type Workloads struct {
 	// Bench names paper benchmarks (see Table 1); the single entry "all"
 	// selects the full 14-benchmark suite.
@@ -240,11 +245,45 @@ func (c Compile) options() (core.Options, error) {
 	return opt, nil
 }
 
+// Limits on the synthetic workloads one spec may ask for (see Workloads):
+// a few times the largest committed population, 30 entries of 3 kernels.
+const (
+	maxSynthLoops = 384
+	maxSynthDepth = 64
+)
+
+// checkSynthSize rejects a selection whose synthetic workloads exceed the
+// limits, before any of them is synthesized.
+func (w Workloads) checkSynthSize() error {
+	if w.SynthCount > maxSynthLoops/3 {
+		return fmt.Errorf("sweep: synth_count %d exceeds the limit of %d synthetic loops (3 per member)", w.SynthCount, maxSynthLoops)
+	}
+	loops := 3 * max(w.SynthCount, 0)
+	for _, syn := range w.Synth {
+		kernels := syn.Kernels
+		if kernels == 0 {
+			kernels = 3
+		}
+		if kernels > maxSynthLoops-loops {
+			return fmt.Errorf("sweep: synthetic workloads exceed the limit of %d loops at synth %q (Kernels %d)", maxSynthLoops, syn.Name, syn.Kernels)
+		}
+		if syn.DepthMax > maxSynthDepth || syn.RecurrenceMax > maxSynthDepth {
+			return fmt.Errorf("sweep: synth %q: DepthMax %d and RecurrenceMax %d must each be at most %d",
+				syn.Name, syn.DepthMax, syn.RecurrenceMax, maxSynthDepth)
+		}
+		loops += max(kernels, 0)
+	}
+	return nil
+}
+
 // benches resolves the workload selection into benchmark specs, in run
 // order: named benchmarks, explicit synthetic specs, generated population.
 // Named benchmarks are looked up in one build of the suite, however many
 // the spec lists.
 func (w Workloads) benches() ([]workload.BenchSpec, error) {
+	if err := w.checkSynthSize(); err != nil {
+		return nil, err
+	}
 	var benches, suite []workload.BenchSpec
 	if len(w.Bench) > 0 {
 		suite = workload.Suite()

@@ -148,6 +148,50 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSynthLimits: each synthetic-workload limit accepts a spec at the
+// limit and rejects one past it, and a rejected spec synthesizes nothing —
+// however large the request, Validate answers with an error after a
+// handful of allocations.
+func TestSynthLimits(t *testing.T) {
+	synth := func(kernels, depth, rec int) SynthSpec {
+		return SynthSpec{Name: "s", Seed: 1, Kernels: kernels, DepthMax: depth, RecurrenceMax: rec}
+	}
+	cases := []struct {
+		name string
+		w    Workloads
+		ok   bool
+	}{
+		{"synth_count at the limit", Workloads{SynthCount: maxSynthLoops / 3}, true},
+		{"synth_count past the limit", Workloads{SynthCount: maxSynthLoops/3 + 1}, false},
+		{"kernels at the limit", Workloads{Synth: []SynthSpec{synth(maxSynthLoops, 0, 0)}}, true},
+		{"kernels past the limit", Workloads{Synth: []SynthSpec{synth(maxSynthLoops+1, 0, 0)}}, false},
+		{"mixed at the limit", Workloads{SynthCount: maxSynthLoops/3 - 1, Synth: []SynthSpec{synth(0, 0, 0)}}, true},
+		{"mixed past the limit", Workloads{SynthCount: maxSynthLoops/3 - 1, Synth: []SynthSpec{synth(1, 0, 0), synth(0, 0, 0)}}, false},
+		{"depth at the limit", Workloads{Synth: []SynthSpec{synth(1, maxSynthDepth, 0)}}, true},
+		{"depth past the limit", Workloads{Synth: []SynthSpec{synth(1, maxSynthDepth+1, 0)}}, false},
+		{"recurrence at the limit", Workloads{Synth: []SynthSpec{synth(1, 0, maxSynthDepth)}}, true},
+		{"recurrence past the limit", Workloads{Synth: []SynthSpec{synth(1, 0, maxSynthDepth+1)}}, false},
+		{"huge synth_count", Workloads{SynthCount: 1 << 50}, false},
+		{"huge kernels", Workloads{Synth: []SynthSpec{synth(1<<62, 0, 0), synth(1<<62, 0, 0)}}, false},
+	}
+	for _, tc := range cases {
+		s := Spec{Workloads: tc.w}
+		err := s.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "at most") && !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: err = %v, want a limit error", tc.name, err)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { _ = s.Validate() }); allocs > 20 {
+			t.Errorf("%s: a rejected spec made %.0f allocations; it must synthesize nothing", tc.name, allocs)
+		}
+	}
+}
+
 // TestShardRange: shards tile [0, n) exactly — contiguous, in order,
 // balanced to within one row — for every (n, count) combination.
 func TestShardRange(t *testing.T) {
