@@ -531,3 +531,35 @@ func BenchmarkSimulateBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulateFamily drives one warm-shaped batch: a synthetic
+// benchmark whose 32 KiB footprint overflows the 8 KiB L1, at MSHRs
+// {0, 1, 2, 4, 8, 16} — one MSHR family, whose shallow lanes fork from the
+// unbounded leader early and whose deep lanes follow it for most accesses.
+func BenchmarkSimulateFamily(b *testing.B) {
+	spec, err := workload.Synthesize(workload.SynthSpec{
+		Name: "warm", Seed: 7, FootprintBytes: 32 << 10, RecurrenceMax: 2, ReductionPct: 25, Iters: 256,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := experiments.Interleaved("IPBC", ivliw.IPBC, ivliw.Selective, true, false, false)
+	art, err := pipeline.Compile(v.CompileSpec(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []arch.Config
+	for _, mshrs := range []int{0, 1, 2, 4, 8, 16} {
+		c := v.Cfg
+		c.MSHRs = mshrs
+		cfgs = append(cfgs, c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.SimulateBatch(art, spec, cfgs, v.Aligned); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(cfgs)*b.N)/b.Elapsed().Seconds(), "cells/s")
+}

@@ -94,6 +94,7 @@ func TestCommittedSpecs(t *testing.T) {
 		"default": "b9def06d14b0b46ca4214bcdfe91efd0bcdba50b737cab7c998766a5b947d01a",
 		"tri":     "61107ed956061066bd5a04a521de00cf36dfd845e6649a1de6fd955cc357883e",
 		"skew":    "61ff71f5d565303af1e971794500f50da51b1727b874256a184a68dff59124da",
+		"mshr":    "899c81ea8f9908da64d7587c7d0ee12a18177bce99d79925eaaea6166fa0f024",
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", name+".json"))
 		if err != nil {

@@ -74,7 +74,12 @@
 // file (Spec.Encode writes one), and -shard/-artifact-dir select the slice
 // and the persistent store. examples/design-sweep walks a small grid end
 // to end; examples/sharded-sweep demonstrates spec files, 3-way sharding
-// and warm disk-store starts against the public package alone.
+// and warm disk-store starts against the public package alone. Every run
+// of a spec — local, library, coordinated or served — is bounded: the full
+// grid may expand to at most 8 192 rows (points × benchmarks; a shard
+// counts the whole grid, not its slice), and a synthetic entry may ask for
+// at most 1 024 Iters and a 256 KiB footprint. A larger sweep is split
+// into several specs.
 //
 // # Coordinated sweeps
 //
@@ -137,9 +142,10 @@
 //
 // # Cost-balanced coordination
 //
-// Rows do not cost the same: an 8-cluster jpegenc row compiles about 12×
-// slower than a 2-cluster one, so equal row counts would leave one worker
-// with most of the wall time. sweep.Calibration is a small persisted
+// Rows do not cost the same: the paper suite compiles about 6× slower at 8
+// clusters than at 2 (BenchmarkCompile c8 against c2: 51 against 8.1 ms,
+// -cpu 1, go1.24), so equal row counts would leave one worker with most of
+// the wall time. sweep.Calibration is a small persisted
 // cost model — per-cluster-count compile and simulate costs (geometrically
 // interpolated between measured points), a cache-geometry exponent and a
 // sim-batch sharing discount — that prices every row of a grid from its
@@ -265,6 +271,19 @@
 // sim.RunLoopBatch).
 // Simulating k siblings costs one shared front half plus k per-lane back
 // halves instead of k full passes.
+//
+// Lanes that differ only in MSHR depth share more: they form a family led
+// by the deepest lane (0 = unbounded). A lane of depth m behaves exactly
+// like the leader until m or more fills are outstanding at an access, so a
+// follower whose tags equal the leader's at loop start is not simulated.
+// At the first access where the leader's live fills reach its depth it
+// forks — copies the leader's stall shift, bus and port pools, combining
+// table, fills, tags and counters — and runs on its own; a follower that
+// never forks takes the leader's counters and tags at loop end. Tags carry
+// across a benchmark's loops, so a lane that forked in one loop reattaches
+// in the next when its tags match again. A family is the part of it that
+// one batch holds: the planner fills batches up to the cap, so a grid's
+// family can straddle two batches, each part led by its own deepest lane.
 //
 // Batching is planned inside each shard's row range: cells group by
 // benchmark and compile key (pipeline.SimKey), never across shard

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"ivliw/internal/arch"
 )
@@ -146,6 +147,28 @@ func (s *Store) Invalidate(key int64) bool {
 
 // Flush empties the store.
 func (s *Store) Flush() { clear(s.count) }
+
+// sameTags reports whether two stores have one geometry and hold the same
+// keys, set by set in the same LRU order.
+func (s *Store) sameTags(o *Store) bool {
+	if s.assoc != o.assoc || s.hashed != o.hashed || !slices.Equal(s.count, o.count) {
+		return false
+	}
+	for set, n := range s.count {
+		for i := set * s.assoc; i < set*s.assoc+n; i++ {
+			if s.ways[i] != o.ways[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// copyTags makes s hold exactly o's keys; both have one geometry.
+func (s *Store) copyTags(o *Store) {
+	copy(s.ways, o.ways)
+	copy(s.count, o.count)
+}
 
 // Len returns the number of resident keys.
 func (s *Store) Len() int {
@@ -292,6 +315,25 @@ func (ic *Interleaved) FlushBuffers() {
 		if ab != nil {
 			ab.Flush()
 		}
+	}
+}
+
+// SameTags reports whether ic and o have one geometry (clusters,
+// interleaving, block and cache size, associativity, buffers) and hold the
+// same resident blocks and Attraction Buffer subblocks, set by set in the
+// same LRU order, so that every access classifies the same on both.
+func (ic *Interleaved) SameTags(o *Interleaved) bool {
+	a, b := ic.cfg, o.cfg
+	return a.Clusters == b.Clusters && a.Interleave == b.Interleave && a.BlockBytes == b.BlockBytes &&
+		ic.blocks.sameTags(o.blocks) && slices.EqualFunc(ic.abs, o.abs, (*Store).sameTags)
+}
+
+// CopyTags overwrites ic's tag state with src's (see SameTags); the two
+// must share one geometry. It allocates nothing.
+func (ic *Interleaved) CopyTags(src *Interleaved) {
+	ic.blocks.copyTags(src.blocks)
+	for c, ab := range ic.abs {
+		ab.copyTags(src.abs[c])
 	}
 }
 

@@ -735,3 +735,90 @@ func TestHierarchiesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleavedSameAndCopyTags: SameTags sees the whole tag state — the
+// resident blocks and every Attraction Buffer, in LRU order — and only hierarchies of
+// one geometry can match; after CopyTags two hierarchies classify every
+// access alike, and the copy allocates nothing.
+func TestInterleavedSameAndCopyTags(t *testing.T) {
+	cfg := arch.Default()
+	cfg.AttractionBuffers = true
+	fresh := func(cfg arch.Config) *Interleaved {
+		t.Helper()
+		ic, err := NewInterleaved(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ic
+	}
+	access := func(ic *Interleaved, rng *rand.Rand) Result {
+		return ic.Access(rng.IntN(cfg.Clusters), int64(rng.IntN(64<<10)), rng.IntN(4) == 0, rng.IntN(2) == 0)
+	}
+	a, b := fresh(cfg), fresh(cfg)
+	if !a.SameTags(b) {
+		t.Fatal("two fresh hierarchies differ")
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		access(a, rng)
+	}
+	if a.SameTags(b) {
+		t.Fatal("2000 accesses left the tags unchanged")
+	}
+	b.CopyTags(a)
+	if !a.SameTags(b) {
+		t.Fatal("CopyTags did not make the tags equal")
+	}
+	ra, rb := rand.New(rand.NewPCG(3, 4)), rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 2000; i++ {
+		if x, y := access(a, ra), access(b, rb); x != y {
+			t.Fatalf("access %d after CopyTags: %+v vs %+v", i, x, y)
+		}
+	}
+	if !a.SameTags(b) {
+		t.Fatal("equal tags diverged under equal accesses")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.CopyTags(a) }); n != 0 {
+		t.Errorf("CopyTags allocates %v times", n)
+	}
+
+	// Blocks 0 and 128 share set 0 of the 128-set L1: the same two
+	// residents in the other LRU order are a different state.
+	set := int64(cfg.CacheBytes / cfg.Assoc)
+	c, d := fresh(cfg), fresh(cfg)
+	c.Access(0, 0, false, false)
+	c.Access(0, set, false, false)
+	d.Access(0, set, false, false)
+	d.Access(0, 0, false, false)
+	if c.SameTags(d) {
+		t.Error("SameTags ignores LRU order")
+	}
+	// The same blocks with and without an attracted subblock differ.
+	c, d = fresh(cfg), fresh(cfg)
+	c.Access(1, 0, false, true)
+	d.Access(1, 0, false, false)
+	if c.SameTags(d) {
+		t.Error("SameTags ignores the Attraction Buffers")
+	}
+	noAB := cfg
+	noAB.AttractionBuffers = false
+	for _, tc := range []struct {
+		base arch.Config
+		edit func(*arch.Config)
+	}{
+		{cfg, func(c *arch.Config) { c.AttractionBuffers = false }},
+		{cfg, func(c *arch.Config) { c.ABEntries *= 2 }},
+		{cfg, func(c *arch.Config) { c.Assoc, c.ABAssoc = 4, 1 }},
+		// Without buffers these keep the block store's shape, but its
+		// keys name other blocks, homed in other clusters.
+		{noAB, func(c *arch.Config) { c.Clusters = 2 }},
+		{noAB, func(c *arch.Config) { c.Interleave *= 2 }},
+		{noAB, func(c *arch.Config) { c.BlockBytes, c.CacheBytes = 2*c.BlockBytes, 2*c.CacheBytes }},
+	} {
+		ocfg := tc.base
+		tc.edit(&ocfg)
+		if fresh(tc.base).SameTags(fresh(ocfg)) || fresh(ocfg).SameTags(fresh(tc.base)) {
+			t.Errorf("hierarchies of different geometries (%s vs %s) compare equal", tc.base.ID(), ocfg.ID())
+		}
+	}
+}

@@ -5,9 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"ivliw/internal/addrspace"
 	"ivliw/internal/arch"
 	"ivliw/internal/cache"
+	"ivliw/internal/sched"
 	"ivliw/internal/stats"
+	"ivliw/internal/workload"
 )
 
 // mutateSimOnly applies a random simulate-only mutation set to a base
@@ -139,5 +142,101 @@ func TestPendingCombiningTableBounded(t *testing.T) {
 	if peaks[8192] > 256 {
 		t.Errorf("pending peak = %d, want bounded (< 256) regardless of the %d subblocks touched",
 			peaks[8192], int64(8192))
+	}
+}
+
+// TestFamilyFollowersSkipWork: on a warm-shaped batch — a synthetic
+// benchmark whose footprint overflows the L1, under Attraction Buffers off
+// and on × MSHRs {0, 1, 2, 4, 8, 16} — followers take a large share of the
+// lane-accesses from their family leaders instead of simulating them, deep
+// lanes more than shallow ones, and every lane still equals its serial run.
+func TestFamilyFollowersSkipWork(t *testing.T) {
+	base := arch.Default()
+	bench, err := workload.Synthesize(workload.SynthSpec{
+		Name: "warm", Seed: 7, FootprintBytes: 32 << 10, RecurrenceMax: 2, ReductionPct: 25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths := []int{0, 1, 2, 4, 8, 16}
+	var cfgs []arch.Config
+	for _, ab := range []bool{false, true} {
+		for _, m := range depths {
+			c := base
+			c.AttractionBuffers, c.MSHRs = ab, m
+			cfgs = append(cfgs, c)
+		}
+	}
+	ds := addrspace.Dataset{Seed: bench.ExecSeed, Aligned: true}
+	lay := addrspace.NewLayout(bench.AllLoops(), base, ds)
+	batch := make([]cache.Hierarchy, len(cfgs))
+	serial := make([]cache.Hierarchy, len(cfgs))
+	for l := range cfgs {
+		batch[l], serial[l] = mustHier(t, cfgs[l]), mustHier(t, cfgs[l])
+	}
+	shared := make([]int64, len(cfgs))
+	var total int64
+	loops := scheduleLoops(rand.New(rand.NewPCG(1, 2)), bench, base, sched.IPBC)
+	for _, sl := range loops {
+		testShared = func(l int, n int64) { shared[l] += n }
+		got := RunLoopBatch(sl.s, lay, ds, cfgs, batch, 256, sl.meta)
+		testShared = nil
+		for l := range cfgs {
+			if want := RunLoop(sl.s, lay, ds, cfgs[l], serial[l], 256, sl.meta); !reflect.DeepEqual(got[l], want) {
+				t.Fatalf("%s lane %d (AB %t, MSHRs %d):\n batch  %+v\n serial %+v",
+					sl.s.Loop.Name, l, cfgs[l].AttractionBuffers, cfgs[l].MSHRs, got[l], want)
+			}
+			total += got[l].TotalAccesses()
+		}
+	}
+	var sum int64
+	for _, n := range shared {
+		sum += n
+	}
+	t.Logf("%d loops: %d of %d lane-accesses shared (%.1f%%); per lane %v",
+		len(loops), sum, total, 100*float64(sum)/float64(total), shared)
+	if len(loops) < 2 || 5*sum < total {
+		t.Fatalf("followers shared %d of %d lane-accesses over %d loops, want at least a fifth", sum, total, len(loops))
+	}
+	for f := 0; f < len(cfgs); f += len(depths) {
+		if shared[f] != 0 {
+			t.Errorf("leader lane %d shared %d accesses, want 0", f, shared[f])
+		}
+		if shared[f+1] >= shared[f+5] {
+			t.Errorf("MSHRs 1 shared %d accesses, MSHRs 16 %d: the deep lane should follow longer", shared[f+1], shared[f+5])
+		}
+	}
+}
+
+// TestFollowerAttachesOnlyOnEqualTags: a lane whose carried tags differ
+// from its family leader's must simulate on its own. The leader's hierarchy
+// is warmed by one run of the loop and the follower's is cold, so taking
+// the leader's results would turn the follower's misses into hits.
+func TestFollowerAttachesOnlyOnEqualTags(t *testing.T) {
+	cfg := arch.Default()
+	s, lay, ds, _ := buildAndSchedule(t, cfg, 4, 2048, map[int]int{0: 1, 2: 1}, 1)
+	deep := cfg
+	deep.MSHRs = 16
+	cfgs := []arch.Config{cfg, deep}
+	batch := []cache.Hierarchy{mustHier(t, cfg), mustHier(t, deep)}
+	serial := []cache.Hierarchy{mustHier(t, cfg), mustHier(t, deep)}
+	RunLoop(s, lay, ds, cfg, batch[0], 256, Meta{})
+	RunLoop(s, lay, ds, cfg, serial[0], 256, Meta{})
+
+	want := []stats.Loop{RunLoop(s, lay, ds, cfg, serial[0], 256, Meta{}), RunLoop(s, lay, ds, deep, serial[1], 256, Meta{})}
+	if want[0].Accesses == want[1].Accesses {
+		t.Fatal("warm and cold lanes classify alike: the test no longer separates their tags")
+	}
+	shared := make([]int64, len(cfgs))
+	testShared = func(l int, n int64) { shared[l] = n }
+	got := RunLoopBatch(s, lay, ds, cfgs, batch, 256, Meta{})
+	testShared = nil
+	for l := range cfgs {
+		if !reflect.DeepEqual(got[l], want[l]) {
+			t.Errorf("lane %d (MSHRs %d):\n batch  %+v\n serial %+v", l, cfgs[l].MSHRs, got[l], want[l])
+		}
+	}
+	if shared[1] != 0 {
+		t.Errorf("the cold follower took %d accesses from its warm leader", shared[1])
 	}
 }

@@ -232,38 +232,20 @@ func randomConfig(rng *rand.Rand) arch.Config {
 	return c
 }
 
-// checkAgainstReference simulates every loop of a synthetic benchmark that
-// schedules for cfg, for iters iterations each, sharing one hierarchy per
-// lane across the loops as pipeline.SimulateBatch does. The lanes are cfg
-// and the given number of simulate-only siblings; for each, RunLoop, its
-// RunLoopBatch lane and the reference must agree. It reports how many loops
-// ran.
-func checkAgainstReference(t *testing.T, seed uint64, cfg arch.Config, h sched.Heuristic, siblings int, iters int64) int {
-	t.Helper()
-	rng := rand.New(rand.NewPCG(seed, uint64(siblings)))
-	bench, err := workload.Synthesize(workload.SynthSpec{
-		Name: "ref", Seed: seed, Kernels: 1 + rng.IntN(3),
-		Gran:           []int{1, 2, 4, 8}[rng.IntN(4)],
-		FootprintBytes: int64(64 << rng.IntN(8)),
-		IndirectPct:    rng.IntN(40), ReductionPct: rng.IntN(30), ChainPct: rng.IntN(30),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []arch.Config{cfg}
-	for len(cfgs) <= siblings {
-		cfgs = append(cfgs, mutateSimOnly(t, rng, cfg))
-	}
-	ds := addrspace.Dataset{Seed: bench.ExecSeed, Aligned: rng.IntN(2) == 0}
-	lay := addrspace.NewLayout(bench.AllLoops(), cfg, ds)
-	serial := make([]cache.Hierarchy, len(cfgs))
-	batch := make([]cache.Hierarchy, len(cfgs))
-	ref := make([]cache.Hierarchy, len(cfgs))
-	for l := range cfgs {
-		serial[l], batch[l], ref[l] = mustHier(t, cfgs[l]), mustHier(t, cfgs[l]), mustHier(t, cfgs[l])
-	}
+// scheduledLoop is one synthetic loop scheduled for a test machine, with
+// the compiler-side annotations the simulator reads.
+type scheduledLoop struct {
+	s    *sched.Schedule
+	meta Meta
+}
+
+// scheduleLoops schedules every loop of bench for cfg under h, with random
+// assigned load latencies, preferred clusters, dispersions and (when cfg
+// enables hints) attraction hints drawn from rng. Loops that do not
+// schedule are left out.
+func scheduleLoops(rng *rand.Rand, bench workload.BenchSpec, cfg arch.Config, h sched.Heuristic) []scheduledLoop {
 	lats := []int{1, 2, 5, 10, 15}
-	ran := 0
+	var out []scheduledLoop
 	for _, ls := range bench.Loops {
 		l := ls.Loop
 		g := ir.NewGraph(l)
@@ -285,7 +267,7 @@ func checkAgainstReference(t *testing.T, seed uint64, cfg arch.Config, h sched.H
 			MaxII:     ir.MII(g, cfg, assigned) + 32,
 		})
 		if err != nil {
-			continue // a loop that does not schedule is skipped
+			continue
 		}
 		meta := Meta{
 			Preferred:  func(id int) int { return pref[id] },
@@ -294,21 +276,118 @@ func checkAgainstReference(t *testing.T, seed uint64, cfg arch.Config, h sched.H
 		if cfg.ABHints {
 			meta.Attractable = func(id int) bool { return attract[id] }
 		}
+		out = append(out, scheduledLoop{s: s, meta: meta})
+	}
+	return out
+}
+
+// familyLanes returns the MSHR families every reference batch carries: cfg's
+// machine at MSHRs {0, 1, 2, 4, 8, 16}, a repeated depth and a depth that
+// is not a power of two, plus a second simulate-only sibling machine at
+// three depths. On the interleaved organization they share back halves
+// (see family); on the others MSHRs are inert.
+func familyLanes(t *testing.T, rng *rand.Rand, cfg arch.Config) []arch.Config {
+	var lanes []arch.Config
+	at := func(c arch.Config, depths ...int) {
+		for _, d := range depths {
+			c.MSHRs = d
+			lanes = append(lanes, c)
+		}
+	}
+	powers := []int{0, 1, 2, 4, 8, 16}
+	at(cfg, powers...)
+	at(cfg, powers[rng.IntN(len(powers))], []int{3, 5, 6, 7, 12}[rng.IntN(5)])
+	at(mutateSimOnly(t, rng, cfg), 0, 1+rng.IntN(16), 1+rng.IntN(16))
+	return lanes
+}
+
+// refCoverage counts what the shared-lane path did across reference
+// batches: lanes that followed a leader for a whole loop, lanes that forked
+// mid-loop, and lanes that forked in one loop and reattached in the next.
+type refCoverage struct {
+	followed, forked, reattached int
+	shared, total                int64 // lane-accesses taken from a leader, and all of them
+}
+
+// checkAgainstReference simulates every loop of a synthetic benchmark that
+// schedules for cfg, and then its first loop again, for iters iterations
+// each, sharing one hierarchy per lane across the loops as
+// pipeline.SimulateBatch does. The lanes are cfg, the given number of
+// simulate-only siblings and the MSHR families of familyLanes, shuffled;
+// for each, RunLoop, its RunLoopBatch lane and the reference must agree. It
+// reports how many loops scheduled (the rerun is not counted) and, in cov
+// when non-nil, what the shared-lane path did.
+func checkAgainstReference(t *testing.T, seed uint64, cfg arch.Config, h sched.Heuristic, siblings int, iters int64, cov *refCoverage) int {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, uint64(siblings)))
+	bench, err := workload.Synthesize(workload.SynthSpec{
+		Name: "ref", Seed: seed, Kernels: 1 + rng.IntN(3),
+		Gran:           []int{1, 2, 4, 8}[rng.IntN(4)],
+		FootprintBytes: int64(64 << rng.IntN(8)),
+		IndirectPct:    rng.IntN(40), ReductionPct: rng.IntN(30), ChainPct: rng.IntN(30),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []arch.Config{cfg}
+	for len(cfgs) <= siblings {
+		cfgs = append(cfgs, mutateSimOnly(t, rng, cfg))
+	}
+	cfgs = append(cfgs, familyLanes(t, rng, cfg)...)
+	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
+	ds := addrspace.Dataset{Seed: bench.ExecSeed, Aligned: rng.IntN(2) == 0}
+	lay := addrspace.NewLayout(bench.AllLoops(), cfg, ds)
+	serial := make([]cache.Hierarchy, len(cfgs))
+	batch := make([]cache.Hierarchy, len(cfgs))
+	ref := make([]cache.Hierarchy, len(cfgs))
+	for l := range cfgs {
+		serial[l], batch[l], ref[l] = mustHier(t, cfgs[l]), mustHier(t, cfgs[l]), mustHier(t, cfgs[l])
+	}
+	shared := make([]int64, len(cfgs))
+	forkedBefore := make([]bool, len(cfgs))
+	loops := scheduleLoops(rng, bench, cfg, h)
+	scheduled := len(loops)
+	if scheduled > 0 {
+		// Loops touch disjoint arrays, so tags left by one loop are
+		// unobservable in the next; rerunning the first loop revisits its
+		// arrays and makes every lane's carried tag state count.
+		loops = append(loops, loops[0])
+	}
+	for _, sl := range loops {
+		s, meta := sl.s, sl.meta
+		testShared = func(l int, n int64) { shared[l] = n }
 		got := RunLoopBatch(s, lay, ds, cfgs, batch, iters, meta)
+		testShared = nil
 		for i, c := range cfgs {
 			want := referenceRunLoop(s, lay, ds, c, ref[i], iters, meta)
 			name := fmt.Sprintf("seed %d, %s, %v, lane %d of %d (%s, MSHRs %d, buses %d, AB %t/%d hints %t), iters %d",
-				seed, l.Name, h, i, len(cfgs), c.ID(), c.MSHRs, c.MemBuses, c.AttractionBuffers, c.ABEntries, c.ABHints, iters)
+				seed, s.Loop.Name, h, i, len(cfgs), c.ID(), c.MSHRs, c.MemBuses, c.AttractionBuffers, c.ABEntries, c.ABHints, iters)
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("%s: RunLoopBatch differs from the reference:\n batch %+v\n ref   %+v", name, got[i], want)
 			}
 			if one := RunLoop(s, lay, ds, c, serial[i], iters, meta); !reflect.DeepEqual(one, want) {
 				t.Fatalf("%s: RunLoop differs from the reference:\n run %+v\n ref %+v", name, one, want)
 			}
+			if cov == nil {
+				continue
+			}
+			total := got[i].TotalAccesses()
+			cov.shared += shared[i]
+			cov.total += total
+			if shared[i] > 0 && forkedBefore[i] {
+				cov.reattached++
+			}
+			forkedBefore[i] = shared[i] > 0 && shared[i] < total
+			switch {
+			case shared[i] == 0:
+			case shared[i] == total:
+				cov.followed++
+			default:
+				cov.forked++
+			}
 		}
-		ran++
 	}
-	return ran
+	return scheduled
 }
 
 // TestRunLoopMatchesReference drives RunLoop and RunLoopBatch against the
@@ -316,16 +395,24 @@ func checkAgainstReference(t *testing.T, seed uint64, cfg arch.Config, h sched.H
 func TestRunLoopMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 19))
 	loops := 0
+	var cov refCoverage
 	for trial := 0; trial < 150; trial++ {
 		cfg := randomConfig(rng)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		h := []sched.Heuristic{sched.Base, sched.IBC, sched.IPBC}[rng.IntN(3)]
-		loops += checkAgainstReference(t, rng.Uint64(), cfg, h, rng.IntN(4), int64(1+rng.IntN(300)))
+		loops += checkAgainstReference(t, rng.Uint64(), cfg, h, rng.IntN(4), int64(1+rng.IntN(300)), &cov)
 	}
 	if loops < 150 {
 		t.Fatalf("only %d loops scheduled — the inputs no longer exercise the simulator", loops)
+	}
+	// The MSHR families must take every shared-lane path: whole loops
+	// followed, forks mid-loop, and reattachment after a fork.
+	t.Logf("%d loops; family lanes: %d followed, %d forked, %d reattached; %d of %d lane-accesses shared",
+		loops, cov.followed, cov.forked, cov.reattached, cov.shared, cov.total)
+	if cov.followed == 0 || cov.forked == 0 || cov.reattached == 0 {
+		t.Fatalf("shared-lane paths not all exercised: %+v", cov)
 	}
 }
 
@@ -351,7 +438,7 @@ func FuzzSimulate(f *testing.F) {
 			t.Skip(err)
 		}
 		h := sched.Heuristic(heuristic % 3)
-		if checkAgainstReference(t, seed, cfg, h, int(seed%4), int64(1+iters%512)) == 0 {
+		if checkAgainstReference(t, seed, cfg, h, int(seed%4), int64(1+iters%512), nil) == 0 {
 			t.Skip("no loop schedules")
 		}
 	})

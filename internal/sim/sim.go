@@ -22,8 +22,9 @@
 // Attraction Buffer geometry). The issue order, address generation and
 // stall-cause classification run once per access; only the per-lane machine
 // state (stall shift, bus/port pools, combining table, MSHR pool, cache
-// hierarchy) fans out, held as parallel arrays indexed by lane. RunLoop is
-// the batch-of-1 wrapper.
+// hierarchy) fans out, held as parallel arrays indexed by lane. Lanes that
+// differ only in MSHR depth form a family that shares one back half until a
+// shallower lane's fill bound can bite. RunLoop is the batch-of-1 wrapper.
 package sim
 
 import (
@@ -77,11 +78,12 @@ func RunLoop(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 // clusters, subblock keys, granularity spans, attraction hints and
 // stall-cause classification — is computed from cfgs[0] and is only valid
 // for every lane under that contract. len(hiers) must equal len(cfgs), one
-// hierarchy per lane (lanes may not share tag state: an Attraction Buffer
-// hit returns without touching the backing blocks, so per-lane AB geometry
-// makes tag contents diverge). Callers enforce the contract by grouping on
-// CompileKey (see pipeline.SimKey). The schedule's II must be at least 1, as
-// sched.Run guarantees; entry points that take foreign schedules check it.
+// distinct hierarchy per lane: AB geometry and timing (a combined access
+// skips the tags) make tag contents diverge. Lanes differing only in MSHR
+// depth share tag state while it stays equal (see family). Callers enforce
+// the contract by grouping on CompileKey (see pipeline.SimKey). The
+// schedule's II must be at least 1, as sched.Run guarantees; entry points
+// that take foreign schedules check it.
 func RunLoopBatch(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 	cfgs []arch.Config, hiers []cache.Hierarchy, iters int64, meta Meta) []stats.Loop {
 
@@ -154,12 +156,31 @@ type lane struct {
 	mc   *cache.MultiVLIWCache
 	uc   *cache.UnifiedCache
 	hier cache.Hierarchy
+	// lead is the family leader this lane follows while attached, else -1;
+	// shared counts the accesses it took from the leader.
+	lead   int
+	shared int64
+}
+
+// family is a set of interleaved lanes whose machines differ only in MSHR
+// depth, led by the deepest (0 = unbounded; the lowest index on a tie). A
+// lane of depth m behaves exactly like the leader up to the first access at
+// which m or more of the leader's fills are outstanding: before it no
+// reservation of depth m can wait. A follower whose tags equal the leader's
+// at loop start attaches and is not simulated; it forks — copies the
+// leader's state and runs on its own — at that access, or takes the
+// leader's counters and tags at loop end.
+type family struct {
+	lead  int
+	forks []int // attached followers shallower than the leader, shallowest first
 }
 
 // testPendingPeak, when non-nil, receives each lane's peak combining-map
 // size after a batched run — the hook for the bounded-memory regression
-// test. Never set outside tests.
+// test. testShared likewise receives the accesses each lane took from its
+// family leader. Never set outside tests.
 var testPendingPeak func(lane int, peak int)
+var testShared func(lane int, accesses int64)
 
 // kernelOrder returns the order in which one kernel window issues the memory
 // instructions with the given flat-schedule cycles, and the stage of each.
@@ -270,6 +291,7 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 			lanes[l].uc = h
 		}
 	}
+	fams := attach(cfgs, lanes)
 
 	// Stall causes depend only on the (static) instruction and its
 	// placement, never on simulated time or lane state, so the Figure 5
@@ -308,8 +330,30 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 				sbKey = blk*int64(cfg.Clusters) + int64(home)
 			}
 
+			// Fork every attached follower that could differ from its
+			// leader at this access: one whose depth the leader's live
+			// fills have reached. Forking early is exact; late is not.
+			for fi := range fams {
+				f := &fams[fi]
+				if len(f.forks) == 0 {
+					continue
+				}
+				ld := &lanes[f.lead]
+				live := ld.fills.prune(issue + ld.stalled)
+				for len(f.forks) > 0 && lanes[f.forks[0]].fills.cap <= live {
+					lanes[f.forks[0]].fork(ld, &outs[f.forks[0]], &outs[f.lead])
+					f.forks = f.forks[1:]
+				}
+				if len(f.forks) == 0 && cfgs[f.lead].MSHRs == 0 {
+					ld.fills = nil // no follower left to count fills for
+				}
+			}
+
 			for l := range lanes {
 				ln := &lanes[l]
+				if ln.lead >= 0 {
+					continue // attached: the leader simulates for it
+				}
 				out := &outs[l]
 				t := issue + ln.stalled
 
@@ -408,11 +452,94 @@ func runAccesses(s *sched.Schedule, lay *addrspace.Layout, ds addrspace.Dataset,
 		}
 	}
 
-	if testPendingPeak != nil {
-		for l := range lanes {
+	for l := range lanes {
+		if ln := &lanes[l]; ln.lead >= 0 {
+			ld := &lanes[ln.lead]
+			outs[l] = outs[ln.lead] // a family's static fields agree too
+			ln.shared = outs[l].TotalAccesses()
+			ln.ic.CopyTags(ld.ic)
+			ln.pending.peak = ld.pending.peak
+		}
+		if testPendingPeak != nil {
 			testPendingPeak(l, lanes[l].pending.peak)
 		}
+		if testShared != nil {
+			testShared(l, lanes[l].shared)
+		}
 	}
+}
+
+// attach partitions the interleaved lanes into families and attaches each
+// follower whose tags equal its leader's. It returns the families; an
+// unbounded leader with a follower to fork gets a capless fill heap.
+func attach(cfgs []arch.Config, lanes []lane) []family {
+	for l := range lanes {
+		lanes[l].lead = -1
+	}
+	if len(lanes) < 2 {
+		return nil
+	}
+	depth := func(l int) int { // MSHR depth, unbounded deepest
+		if cfgs[l].MSHRs == 0 {
+			return math.MaxInt
+		}
+		return cfgs[l].MSHRs
+	}
+	var buf [16]arch.Config // a typical batch's machines, off the heap
+	machines := append(buf[:0], cfgs...)
+	for l := range machines {
+		machines[l].MSHRs = 0
+	}
+	kin := func(a, b int) bool { return lanes[b].ic != nil && machines[a] == machines[b] }
+	var fams []family
+	for l := range lanes {
+		// l roots a family when no earlier lane shares its machine.
+		if lanes[l].ic == nil || cfgs[l].Org != arch.Interleaved ||
+			slices.ContainsFunc(machines[:l], func(m arch.Config) bool { return m == machines[l] }) {
+			continue
+		}
+		lead := l
+		for j := l + 1; j < len(lanes); j++ {
+			if kin(l, j) && depth(j) > depth(lead) {
+				lead = j
+			}
+		}
+		f := family{lead: lead}
+		for j := l; j < len(lanes); j++ {
+			if j == lead || !kin(l, j) || !lanes[j].ic.SameTags(lanes[lead].ic) {
+				continue
+			}
+			lanes[j].lead = lead
+			if depth(j) < depth(lead) {
+				f.forks = append(f.forks, j)
+			}
+		}
+		if len(f.forks) == 0 {
+			continue
+		}
+		slices.SortStableFunc(f.forks, func(a, b int) int { return cmp.Compare(depth(a), depth(b)) })
+		if lanes[lead].fills == nil {
+			lanes[lead].fills = &mshrPool{cap: math.MaxInt}
+		}
+		fams = append(fams, f)
+	}
+	return fams
+}
+
+// fork detaches a follower: it copies the leader's stall shift, pools,
+// combining table, live fills (under its own depth), tags and counters into
+// its own buffers and is simulated from the current access on.
+func (ln *lane) fork(ld *lane, out, ldOut *stats.Loop) {
+	ln.stalled = ld.stalled
+	copy(ln.busFree, ld.busFree)
+	copy(ln.portFree, ld.portFree)
+	ln.pending.entries = append(ln.pending.entries[:0], ld.pending.entries...)
+	ln.pending.soonest, ln.pending.peak = ld.pending.soonest, ld.pending.peak
+	ln.fills.completions = append(ln.fills.completions[:0], ld.fills.completions...)
+	ln.ic.CopyTags(ld.ic)
+	*out = *ldOut // a family's static fields agree too
+	ln.shared = out.TotalAccesses()
+	ln.lead = -1
 }
 
 // acquire models queuing on a resource pool: the transfer starts when the
@@ -508,13 +635,18 @@ type mshrPool struct {
 	cap         int
 }
 
-// reserve returns the extra cycles an access issued at t must wait for a
-// free fill slot (0 when one is available).
-func (p *mshrPool) reserve(t int64) int64 {
+// prune drops the fills complete by t and returns how many stay live.
+func (p *mshrPool) prune(t int64) int {
 	for len(p.completions) > 0 && p.completions[0] <= t {
 		p.pop()
 	}
-	if len(p.completions) < p.cap {
+	return len(p.completions)
+}
+
+// reserve returns the extra cycles an access issued at t must wait for a
+// free fill slot (0 when one is available).
+func (p *mshrPool) reserve(t int64) int64 {
+	if p.prune(t) < p.cap {
 		return 0
 	}
 	wait := p.completions[0] - t

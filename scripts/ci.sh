@@ -21,11 +21,11 @@
 #      in a fresh process, must equal their sections of it (inside `-exp
 #      all` those sections reuse cells the earlier figures simulated)
 #   5. sweep determinism: `ivliw-bench -spec` of the committed default spec
-#      (cmd/ivliw-bench/testdata/default.json; tri.json and skew.json there
-#      are the grids of steps 7 and 9) must emit identical JSON across
-#      worker counts (1 vs 8) AND across the compiled-schedule cache being
-#      disabled (-compile-cache 0) vs enabled — the staged pipeline's
-#      byte-identity invariant
+#      (cmd/ivliw-bench/testdata/default.json; tri.json, mshr.json and
+#      skew.json there are the grids of steps 7, 8 and 9) must emit
+#      identical JSON across worker counts (1 vs 8) AND across the
+#      compiled-schedule cache being disabled (-compile-cache 0) vs
+#      enabled — the staged pipeline's byte-identity invariant
 #   6. sharding, the disk artifact store and usage errors: the default spec
 #      run as 3 concatenated -shard slices over a fresh -artifact-dir, and
 #      re-run against the then-warm store, must be byte-identical to the
@@ -49,8 +49,10 @@
 #      over the access stream) must emit bytes identical to the batch-off
 #      reference — serial, parallel, and through the coordinator's worker
 #      pool — and must actually engage (the "sim batches:" stderr line);
-#      the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the batch-off
-#      4-sibling baseline) is written to BENCH_7.json
+#      so must `-sim-batch 16` on the MSHR grid (mshr.json), whose lanes
+#      form MSHR families sharing one back half until their fill bound can
+#      bite; the BenchmarkSweepBatch1/2/4/8 scaling curve (plus the
+#      batch-off 4-sibling baseline) is written to BENCH_7.json
 #   9. cost-balanced chunks + work stealing: on the skew grid, a
 #      mixed-cluster grid (its 2-cluster half compiles in tens of
 #      milliseconds, its 8-cluster half in hundreds), `-calibrate` must
@@ -401,6 +403,31 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/pool_batch.jsonl"; then
   exit 1
 fi
 echo "batch-on byte-identical (serial, 8 workers, coordinator pool)"
+# MSHR families: mshr.json crosses AB {0, 16} with MSHRs {0, 1, 2, 4, 8, 16}
+# over four benchmarks, one of them overflowing the L1, so each benchmark's
+# 12 siblings are one batch of two MSHR families whose shallow lanes fork
+# from their leader mid-loop. Batched rows must equal the batch-off run.
+run_sweep "$tmp/mshr_ref.jsonl" -spec "$specs/mshr.json" -workers 1
+for w in 1 8; do
+  run_sweep "$tmp/mshr_batch$w.jsonl" -spec "$specs/mshr.json" -sim-batch 16 -workers "$w"
+  if ! cmp -s "$tmp/mshr_ref.jsonl" "$tmp/mshr_batch$w.jsonl" || \
+     ! grep -q 'sim batches:' "$tmp/sweep_stderr.log"; then
+    echo "FAIL: mshr.json with -sim-batch 16 ($w workers) differs from the batch-off run or never batched" >&2
+    exit 1
+  fi
+done
+if ! "$tmp/ivliw-bench" -spec "$specs/mshr.json" -sim-batch 16 -coordinate 3 \
+    -coordinate-dir "$tmp/pool_mshr" -out "$tmp/pool_mshr.jsonl" \
+    2> "$tmp/pool_mshr_stderr.log"; then
+  echo "FAIL: pool run of mshr.json with -sim-batch 16 crashed:" >&2
+  cat "$tmp/pool_mshr_stderr.log" >&2
+  exit 1
+fi
+if ! cmp -s "$tmp/mshr_ref.jsonl" "$tmp/pool_mshr.jsonl"; then
+  echo "FAIL: pool output of mshr.json with -sim-batch 16 differs from the batch-off run" >&2
+  exit 1
+fi
+echo "MSHR families byte-identical (serial, 8 workers, coordinator pool)"
 # Scaling snapshot for PERFORMANCE.md: cells/s over 1/2/4/8 sibling lanes
 # plus the batch-off 4-sibling baseline. Byte-identity above is the hard
 # gate; the throughputs are recorded, not thresholded.

@@ -12,7 +12,10 @@ import (
 // run evaluates their cross-product, Default()-based. Zero-length axes
 // collapse to the paper's Table 2 value, so an empty grid is exactly the
 // paper point. The grid is part of the serializable Spec: every field is a
-// plain JSON list.
+// plain JSON list. Its points times the spec's benchmarks may number at
+// most 8 192 rows, counted over the whole grid even when one shard runs;
+// Validate, and so every run, rejects a larger grid from the axis lengths,
+// before expanding anything.
 type Grid struct {
 	// Clusters, Interleave, CacheBytes, Assoc and ABEntries are the grid
 	// axes (ABEntries 0 = Attraction Buffers off). CacheBytes is the total
@@ -52,6 +55,33 @@ func (g Grid) validate() error {
 		}
 	}
 	return nil
+}
+
+// rows returns how many rows the grid expands to over n benchmarks —
+// len(points) × n — from the axis lengths alone, saturating just past
+// maxGridRows so that no product overflows.
+func (g Grid) rows(n int) int {
+	capMul := func(a, b int) int {
+		if b > 0 && a > maxGridRows/b {
+			return maxGridRows + 1
+		}
+		return a * b
+	}
+	rows := min(n, maxGridRows+1)
+	for _, axis := range []int{len(g.Clusters), len(g.Interleave), len(g.CacheBytes), len(g.Assoc),
+		len(g.BusCycleRatio), len(g.NextLevelLatency), len(g.FUs), len(g.RegBuses), len(g.MSHRs)} {
+		rows = capMul(rows, max(axis, 1))
+	}
+	// ABHintK multiplies only the points whose ABEntries value enables
+	// the buffers; an empty ABEntries axis is one buffer-less point.
+	on := 0
+	for _, v := range g.ABEntries {
+		if v > 0 {
+			on++
+		}
+	}
+	off := max(len(g.ABEntries), 1) - on
+	return capMul(rows, min(off+capMul(on, max(len(g.ABHintK), 1)), maxGridRows+1))
 }
 
 // points expands the grid into sweep points labeled by their configuration

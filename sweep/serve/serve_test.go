@@ -436,6 +436,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"no workloads", `{"grid": {"clusters": [2]}}`, http.StatusBadRequest},
 		{"too many synthetic loops", `{"workloads": {"synth_count": 1000000}}`, http.StatusBadRequest},
 		{"synthetic depth past the limit", `{"workloads": {"synth": [{"Name": "d", "DepthMax": 65}]}}`, http.StatusBadRequest},
+		{"synthetic iters past the limit", `{"workloads": {"synth": [{"Name": "i", "Iters": 1025}]}}`, http.StatusBadRequest},
+		{"synthetic footprint past the limit", `{"workloads": {"synth": [{"Name": "f", "FootprintBytes": 262145}]}}`, http.StatusBadRequest},
+		{"grid rows past the limit", `{"grid": {"clusters": [1,2,3,4,5,6,7,8,9,10], "interleave": [1,2,3,4,5,6,7,8,9,10],
+			"assoc": [1,2,3,4,5,6,7,8,9,10], "mshrs": [1,2,3,4,5,6,7,8,9,10]}, "workloads": {"bench": ["gsmdec"]}}`, http.StatusBadRequest},
 		{"pinned shard", string(encode(t, func() sweep.Spec {
 			s := testSpec("pin", 9)
 			s.Shard = sweep.Shard{Index: 0, Count: 2}

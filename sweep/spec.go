@@ -8,6 +8,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 
 	"ivliw/internal/core"
 	"ivliw/internal/sched"
@@ -18,7 +19,9 @@ import (
 // generator): a seeded mix of strided, indirect, reduction and chain
 // kernels with controllable footprint, ALU depth and recurrence depth.
 // Re-exported here so spec files and external callers can author synthetic
-// workload populations against the public package alone.
+// workload populations against the public package alone. In a spec, an
+// entry's Iters may be at most 1 024 and its FootprintBytes at most 256 KiB
+// (see also Workloads).
 type SynthSpec = workload.SynthSpec
 
 // Spec is the declarative, JSON-serializable description of one
@@ -210,6 +213,9 @@ func (s Spec) resolve() (core.Options, []workload.BenchSpec, error) {
 	if err != nil {
 		return core.Options{}, nil, err
 	}
+	if err := s.checkSize(); err != nil {
+		return core.Options{}, nil, err
+	}
 	benches, err := s.Workloads.benches()
 	if err != nil {
 		return core.Options{}, nil, err
@@ -245,15 +251,48 @@ func (c Compile) options() (core.Options, error) {
 	return opt, nil
 }
 
-// Limits on the synthetic workloads one spec may ask for (see Workloads):
-// a few times the largest committed population, 30 entries of 3 kernels.
+// Limits on the work one spec may ask for (see Grid, Workloads and
+// SynthSpec), a few times the largest committed use: perfbench's warm grid
+// of 1 584 rows over 30 synthetic entries of 3 kernels, Iters 256 and
+// footprints up to 64 KiB.
 const (
-	maxSynthLoops = 384
-	maxSynthDepth = 64
+	maxGridRows       = 8192
+	maxSynthLoops     = 384
+	maxSynthDepth     = 64
+	maxSynthIters     = 1024
+	maxSynthFootprint = 256 << 10
 )
 
+// checkSize rejects a spec that asks for more work than the limits allow,
+// before any workload is synthesized or any grid point expanded.
+func (s Spec) checkSize() error {
+	if err := s.Workloads.checkSynthSize(); err != nil {
+		return err
+	}
+	if rows := s.Grid.rows(s.Workloads.count()); rows > maxGridRows {
+		return fmt.Errorf("sweep: the grid expands to more than the limit of %d rows (points × benchmarks)", maxGridRows)
+	}
+	return nil
+}
+
+// count returns how many benchmarks the selection names, resolving none.
+func (w Workloads) count() int {
+	n := len(w.Synth) + max(w.SynthCount, 0)
+	for _, name := range w.Bench {
+		if strings.EqualFold(strings.TrimSpace(name), "all") {
+			n += suiteSize()
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+// suiteSize is the number of paper benchmarks "all" selects.
+var suiteSize = sync.OnceValue(func() int { return len(workload.Suite()) })
+
 // checkSynthSize rejects a selection whose synthetic workloads exceed the
-// limits, before any of them is synthesized.
+// limits.
 func (w Workloads) checkSynthSize() error {
 	if w.SynthCount > maxSynthLoops/3 {
 		return fmt.Errorf("sweep: synth_count %d exceeds the limit of %d synthetic loops (3 per member)", w.SynthCount, maxSynthLoops)
@@ -271,6 +310,10 @@ func (w Workloads) checkSynthSize() error {
 			return fmt.Errorf("sweep: synth %q: DepthMax %d and RecurrenceMax %d must each be at most %d",
 				syn.Name, syn.DepthMax, syn.RecurrenceMax, maxSynthDepth)
 		}
+		if syn.Iters > maxSynthIters || syn.FootprintBytes > maxSynthFootprint {
+			return fmt.Errorf("sweep: synth %q: Iters %d must be at most %d and FootprintBytes %d at most %d",
+				syn.Name, syn.Iters, maxSynthIters, syn.FootprintBytes, maxSynthFootprint)
+		}
 		loops += max(kernels, 0)
 	}
 	return nil
@@ -281,9 +324,6 @@ func (w Workloads) checkSynthSize() error {
 // Named benchmarks are looked up in one build of the suite, however many
 // the spec lists.
 func (w Workloads) benches() ([]workload.BenchSpec, error) {
-	if err := w.checkSynthSize(); err != nil {
-		return nil, err
-	}
 	var benches, suite []workload.BenchSpec
 	if len(w.Bench) > 0 {
 		suite = workload.Suite()

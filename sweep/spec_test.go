@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ivliw/internal/core"
 	"ivliw/internal/workload"
 )
 
@@ -171,6 +173,10 @@ func TestSynthLimits(t *testing.T) {
 		{"depth past the limit", Workloads{Synth: []SynthSpec{synth(1, maxSynthDepth+1, 0)}}, false},
 		{"recurrence at the limit", Workloads{Synth: []SynthSpec{synth(1, 0, maxSynthDepth)}}, true},
 		{"recurrence past the limit", Workloads{Synth: []SynthSpec{synth(1, 0, maxSynthDepth+1)}}, false},
+		{"iters at the limit", Workloads{Synth: []SynthSpec{{Name: "s", Iters: maxSynthIters}}}, true},
+		{"iters past the limit", Workloads{Synth: []SynthSpec{{Name: "s", Iters: maxSynthIters + 1}}}, false},
+		{"footprint at the limit", Workloads{Synth: []SynthSpec{{Name: "s", FootprintBytes: maxSynthFootprint}}}, true},
+		{"footprint past the limit", Workloads{Synth: []SynthSpec{{Name: "s", FootprintBytes: maxSynthFootprint + 1}}}, false},
 		{"huge synth_count", Workloads{SynthCount: 1 << 50}, false},
 		{"huge kernels", Workloads{Synth: []SynthSpec{synth(1<<62, 0, 0), synth(1<<62, 0, 0)}}, false},
 	}
@@ -188,6 +194,63 @@ func TestSynthLimits(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(3, func() { _ = s.Validate() }); allocs > 20 {
 			t.Errorf("%s: a rejected spec made %.0f allocations; it must synthesize nothing", tc.name, allocs)
+		}
+	}
+}
+
+// TestGridRowLimit: the row count Validate checks equals the expanded
+// grid's, ab_hint_k multiplying only the buffered points; a grid at the row
+// limit is accepted and one row past it rejected from the axis lengths
+// alone, with a handful of allocations however large the request.
+func TestGridRowLimit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	pick := func(vals ...int) []int { return vals[:rng.IntN(len(vals)+1)] }
+	for trial := 0; trial < 200; trial++ {
+		g := Grid{
+			Clusters: pick(2, 4, 8), Interleave: pick(2, 4), CacheBytes: pick(4096, 8192), Assoc: pick(1, 2),
+			ABEntries: pick(0, 16, 32, 0), BusCycleRatio: pick(1, 2), NextLevelLatency: pick(10, 20),
+			FUs: [][]int{{1, 1, 1}, {2, 1, 1}}[:rng.IntN(3)], RegBuses: pick(1, 2), MSHRs: pick(0, 1, 2),
+			ABHintK: pick(2, 4, 0),
+		}
+		n := 1 + rng.IntN(3)
+		if got, want := g.rows(n), n*len(g.points(core.Options{})); got != want {
+			t.Fatalf("%+v over %d benchmarks: rows %d, want %d", g, n, got, want)
+		}
+	}
+	bench := Workloads{Bench: []string{"gsmdec"}}
+	all := Workloads{Bench: []string{"all"}}
+	nAll := len(workload.Suite())
+	cases := []struct {
+		name string
+		g    Grid
+		w    Workloads
+		ok   bool
+	}{
+		{"rows at the limit", Grid{MSHRs: make([]int, maxGridRows)}, bench, true},
+		{"rows past the limit", Grid{MSHRs: make([]int, maxGridRows+1)}, bench, false},
+		{"hint points at the limit", Grid{ABEntries: []int{0, 16}, ABHintK: make([]int, maxGridRows-1)}, bench, true},
+		{"hint points past the limit", Grid{ABEntries: []int{0, 16}, ABHintK: make([]int, maxGridRows)}, bench, false},
+		{"all at the limit", Grid{MSHRs: make([]int, maxGridRows/nAll)}, all, true},
+		{"all past the limit", Grid{MSHRs: make([]int, maxGridRows/nAll+1)}, all, false},
+		{"huge product", Grid{Clusters: make([]int, 1<<20), MSHRs: make([]int, 1<<20), FUs: make([][]int, 1<<20)}, bench, false},
+	}
+	for _, tc := range cases {
+		for i := range tc.g.FUs {
+			tc.g.FUs[i] = []int{1, 1, 1}
+		}
+		s := Spec{Grid: tc.g, Workloads: tc.w}
+		err := s.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: err = %v, want a limit error", tc.name, err)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { _ = s.Validate() }); allocs > 20 {
+			t.Errorf("%s: a rejected spec made %.0f allocations", tc.name, allocs)
 		}
 	}
 }
