@@ -336,7 +336,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 }
 
 // BenchmarkInterleaveSweep regenerates the §5.1 future-work interleaving
-// study (see examples/interleave-sweep).
+// study (see experiments' ExampleInterleaveSweep).
 func BenchmarkInterleaveSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.InterleaveSweep(context.Background(), []string{"gsmdec", "jpegenc"}, []int{2, 4, 8})

@@ -1,84 +1,54 @@
-// Command ivliw-load throws traffic at an ivliw-served daemon.
+// Command ivliw-load submits one spec file to an ivliw-served daemon, waits
+// for the job to finish and optionally saves its rows — the smallest
+// client, which scripts/ci.sh uses to gate the served rows byte-identical
+// to the direct CLI run of the same spec file:
 //
-// Replay mode (the default) replays a seeded stream of overlapping spec
-// submissions — a fixed population of distinct tiny sweeps, drawn with
-// replacement so most submissions are duplicates — and reports
-// submit-to-done latency percentiles, throughput and the dedup hit rate as
-// JSON (the BENCH_9 headline shape):
-//
-//	ivliw-load -addr http://127.0.0.1:8372 [-n 1000] [-distinct 16]
-//	           [-concurrency 32] [-seed 1] [-poll 5ms] [-out bench.json]
-//
-// Every submission is its own client interaction: POST the spec, poll the
-// returned job until done, measure wall time. Latency therefore includes
-// queueing and dedup wins — a duplicate of a completed job costs one
-// round-trip, which is exactly the serving-layer property under test.
-// 503 backpressure rejections are retried after the server's Retry-After
-// hint (counted, not failed). The replay is deterministic in -seed: the
-// same seed replays the same submission sequence.
-//
-// One-shot mode submits a spec file and optionally saves its rows — the
-// smallest possible client, used by scripts/ci.sh to gate byte-identity of
-// the served rows against the direct CLI run:
-//
-//	ivliw-load -addr URL -submit spec.json [-rows out.jsonl] [-poll 5ms]
+//	ivliw-load -addr URL -submit spec.json [-rows out.jsonl]
 //
 // It prints `job=<hash> state=<state> dedup=<bool> cached=<bool> rows=<n>
-// executions=<server total>` and exits nonzero if the job failed.
+// executions=<server total>` and exits nonzero if the job failed. -submit
+// is required (exit 2 without it).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"math"
 	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ivliw/internal/atomicio"
-	"ivliw/sweep"
 	"ivliw/sweep/serve"
 )
+
+// poll is the status poll interval while the job runs.
+const poll = 5 * time.Millisecond
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ivliw-load: ")
 
 	addr := flag.String("addr", "http://127.0.0.1:8372", "server base URL")
-	n := flag.Int("n", 1000, "replay: total submissions")
-	distinct := flag.Int("distinct", 16, "replay: distinct spec population size")
-	concurrency := flag.Int("concurrency", 32, "replay: concurrent client sessions")
-	seed := flag.Uint64("seed", 1, "replay: submission-sequence seed")
-	poll := flag.Duration("poll", 5*time.Millisecond, "status poll interval")
-	out := flag.String("out", "", "replay: also write the report JSON here (atomic)")
-	submit := flag.String("submit", "", "one-shot: submit this spec file instead of replaying")
-	rows := flag.String("rows", "", "one-shot: save the job's result rows here (atomic)")
+	submit := flag.String("submit", "", "submit this spec file (required)")
+	rows := flag.String("rows", "", "save the job's result rows here (atomic)")
 	flag.Parse()
+	if *submit == "" {
+		fmt.Fprintln(flag.CommandLine.Output(), "ivliw-load: -submit is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	c := &serve.Client{Base: *addr}
-	ctx := context.Background()
-	var err error
-	if *submit != "" {
-		err = oneShot(ctx, c, *submit, *rows, *poll)
-	} else {
-		err = replay(ctx, c, replayConfig{
-			N: *n, Distinct: *distinct, Concurrency: *concurrency,
-			Seed: *seed, Poll: *poll, Out: *out,
-		})
-	}
-	if err != nil {
+	if err := oneShot(context.Background(), c, *submit, *rows, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // oneShot submits one spec file, waits for the terminal state, optionally
-// saves the rows, and reports the interaction on stdout.
-func oneShot(ctx context.Context, c *serve.Client, specPath, rowsPath string, poll time.Duration) error {
+// saves the rows, and reports the interaction on w.
+func oneShot(ctx context.Context, c *serve.Client, specPath, rowsPath string, w io.Writer) error {
 	specJSON, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
@@ -108,215 +78,10 @@ func oneShot(ctx context.Context, c *serve.Client, specPath, rowsPath string, po
 	if err != nil {
 		return err
 	}
-	fmt.Printf("job=%s state=%s dedup=%t cached=%t rows=%d executions=%d\n",
+	fmt.Fprintf(w, "job=%s state=%s dedup=%t cached=%t rows=%d executions=%d\n",
 		sub.Job, st.State, sub.Dedup, sub.Cached, st.Rows, stats.Executions)
 	if st.State != serve.StateDone {
 		return fmt.Errorf("job %s ended %s: %s", sub.Job, st.State, st.Error)
 	}
 	return nil
-}
-
-type replayConfig struct {
-	N, Distinct, Concurrency int
-	Seed                     uint64
-	Poll                     time.Duration
-	Out                      string
-}
-
-// report is the replay's JSON output — the BENCH_9 headline shape.
-type report struct {
-	Submissions int     `json:"submissions"`
-	Distinct    int     `json:"distinct"`
-	Concurrency int     `json:"concurrency"`
-	Executions  int64   `json:"executions"`
-	DedupHits   int64   `json:"dedup_hits"`
-	DedupRate   float64 `json:"dedup_hit_rate"`
-	Cached      int64   `json:"dedup_cached"`
-	Retries503  int64   `json:"retries_503"`
-	Failed      int64   `json:"failed"`
-	P50MS       float64 `json:"p50_ms"`
-	P90MS       float64 `json:"p90_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	MeanMS      float64 `json:"mean_ms"`
-	WallS       float64 `json:"wall_s"`
-	PerSec      float64 `json:"throughput_per_s"`
-}
-
-// loadSpec builds the i-th member of the distinct-spec population: a
-// one-point grid over one tiny synthetic benchmark, distinct in its seed
-// and name (both inside the semantic hash), cheap enough that thousands of
-// submissions finish in seconds. Compile and grid knobs stay fixed so the
-// population stresses the serving layer, not the compiler.
-func loadSpec(i int, seed uint64) ([]byte, error) {
-	s := sweep.Spec{
-		Grid: sweep.Grid{Clusters: []int{2}},
-		Workloads: sweep.Workloads{Synth: []sweep.SynthSpec{{
-			Name:           fmt.Sprintf("load-%04d", i),
-			Seed:           seed + uint64(i),
-			Kernels:        1,
-			Iters:          64,
-			FootprintBytes: 2048,
-		}}},
-		Compile: sweep.Compile{Heuristic: "IPBC", Unroll: "none"},
-	}
-	return s.Encode()
-}
-
-// splitmix64 is the deterministic draw behind the submission sequence —
-// the same generator the sweep package uses for seeded jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// replay drives cfg.N submissions through cfg.Concurrency client sessions
-// and prints the report.
-func replay(ctx context.Context, c *serve.Client, cfg replayConfig) error {
-	if cfg.Distinct < 1 || cfg.N < 1 || cfg.Concurrency < 1 {
-		return fmt.Errorf("-n, -distinct and -concurrency must all be >= 1")
-	}
-	specs := make([][]byte, cfg.Distinct)
-	for i := range specs {
-		b, err := loadSpec(i, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		specs[i] = b
-	}
-	startStats, err := c.Stats(ctx)
-	if err != nil {
-		return fmt.Errorf("server unreachable: %w", err)
-	}
-
-	var (
-		next      atomic.Int64
-		dedupHits atomic.Int64
-		cached    atomic.Int64
-		retries   atomic.Int64
-		failed    atomic.Int64
-		mu        sync.Mutex
-		latencies []float64
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(cfg.N) {
-					return
-				}
-				spec := specs[splitmix64(cfg.Seed^uint64(i))%uint64(cfg.Distinct)]
-				t0 := time.Now()
-				var sub serve.SubmitResponse
-				for {
-					var err error
-					sub, err = c.Submit(ctx, spec)
-					if err == nil {
-						break
-					}
-					if apiErr, ok := err.(*serve.APIError); ok && apiErr.Retryable() {
-						retries.Add(1)
-						wait := apiErr.RetryAfter
-						if wait <= 0 {
-							wait = 50 * time.Millisecond
-						}
-						time.Sleep(wait)
-						continue
-					}
-					log.Printf("submission %d: %v", i, err)
-					failed.Add(1)
-					sub.Job = ""
-					break
-				}
-				if sub.Job == "" {
-					continue
-				}
-				if sub.Dedup {
-					dedupHits.Add(1)
-				}
-				if sub.Cached {
-					cached.Add(1)
-				}
-				st, err := c.Wait(ctx, sub.Job, cfg.Poll)
-				if err != nil || st.State != serve.StateDone {
-					log.Printf("submission %d (job %s): err=%v state=%s error=%s",
-						i, sub.Job, err, st.State, st.Error)
-					failed.Add(1)
-					continue
-				}
-				ms := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				latencies = append(latencies, ms)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	endStats, err := c.Stats(ctx)
-	if err != nil {
-		return err
-	}
-	sort.Float64s(latencies)
-	r := report{
-		Submissions: cfg.N,
-		Distinct:    cfg.Distinct,
-		Concurrency: cfg.Concurrency,
-		Executions:  endStats.Executions - startStats.Executions,
-		DedupHits:   dedupHits.Load(),
-		DedupRate:   float64(dedupHits.Load()) / float64(cfg.N),
-		Cached:      cached.Load(),
-		Retries503:  retries.Load(),
-		Failed:      failed.Load(),
-		P50MS:       percentile(latencies, 50),
-		P90MS:       percentile(latencies, 90),
-		P99MS:       percentile(latencies, 99),
-		MeanMS:      mean(latencies),
-		WallS:       wall.Seconds(),
-		PerSec:      float64(len(latencies)) / wall.Seconds(),
-	}
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	os.Stdout.Write(b)
-	if cfg.Out != "" {
-		if err := atomicio.WriteFile(cfg.Out, b); err != nil {
-			return err
-		}
-	}
-	if f := failed.Load(); f > 0 {
-		return fmt.Errorf("%d of %d submissions failed", f, cfg.N)
-	}
-	return nil
-}
-
-// percentile reads the p-th percentile from sorted values (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

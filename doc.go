@@ -72,14 +72,14 @@
 //
 // `ivliw-bench` is a thin front end over the package: -spec runs a spec
 // file (Spec.Encode writes one), and -shard/-artifact-dir select the slice
-// and the persistent store. examples/design-sweep walks a small grid end
-// to end; examples/sharded-sweep demonstrates spec files, 3-way sharding
-// and warm disk-store starts against the public package alone. Every run
-// of a spec — local, library, coordinated or served — is bounded: the full
-// grid may expand to at most 8 192 rows (points × benchmarks; a shard
-// counts the whole grid, not its slice), and a synthetic entry may ask for
-// at most 1 024 Iters and a 256 KiB footprint. A larger sweep is split
-// into several specs.
+// and the persistent store. The sweep package's ExampleRun walks a small
+// grid end to end, and its tests check spec files
+// (TestSpecRoundTripByteIdentical), sharding (TestShardAlgebra) and warm
+// disk-store starts (TestRunWarmDiskStore). Every run of a spec — local,
+// library, coordinated or served — is bounded: the full grid may expand to
+// at most 8 192 rows (points × benchmarks; a shard counts the whole grid,
+// not its slice), and a synthetic entry may ask for at most 1 024 Iters
+// and a 256 KiB footprint. A larger sweep is split into several specs.
 //
 // # Coordinated sweeps
 //
@@ -107,8 +107,9 @@
 // `ivliw-bench`, which then exits 130) tears attempts down promptly and
 // leaves only committed state behind. `ivliw-bench -coordinate n` wraps
 // the whole workflow as a CLI over a pool of n subprocess workers;
-// examples/coordinated-sweep exercises failure injection, stitching and
-// resume against the public package.
+// TestCoordinateRetriesInjectedFailures and
+// TestCoordinateResumeSkipsCompleted exercise failure injection, stitching
+// and resume against the package.
 //
 // # Worker pools and health
 //
@@ -137,8 +138,8 @@
 // corrupt outputs and dead workers by task/attempt/worker, which is how
 // scripts/ci.sh step 7 gates that task outputs stay byte-identical under
 // every recovery path. `ivliw-bench -coordinate n` wraps it (stale after
-// -pool-stale, 2s by default); examples/worker-pool drives a faulted pool
-// end to end.
+// -pool-stale, 2s by default); TestPoolDeadWorkerRequeues drives a faulted
+// pool end to end.
 //
 // # Cost-balanced coordination
 //
@@ -202,7 +203,8 @@
 // Duplicates are answered from the job table. A job ID is the sha256 of
 // the spec's canonical encoding with the per-process knobs cleared, so a
 // body whose sha256 is a known job ID is that job's canonical encoding —
-// what Spec.Encode writes and `ivliw-load` sends — and
+// what Spec.Encode writes, and so what `ivliw-load` sends for a spec file
+// Spec.Encode wrote — and
 // gets its dedup answer without being parsed, validated or hashed; any
 // other body takes the full path to the same answer. A done job's status
 // is rendered on its first poll and the stored bytes answer every later
@@ -217,11 +219,13 @@
 // context-cancellation path and are persisted back to queued, new
 // submissions get 503 + Retry-After — and a restarted daemon over the same
 // directory resumes requeued jobs from their coordinator manifests instead
-// of recomputing completed shards. `ivliw-load` replays seeded mixes of
-// duplicate/distinct submissions against the daemon and reports p50/p99
-// submit-to-done latency, throughput and dedup hit rate (BENCH_9.json;
-// gated with byte-identity and zero-execution dedup by scripts/ci.sh
-// step 10).
+// of recomputing completed shards. `ivliw-load -submit` sends one spec
+// file and saves the job's rows; scripts/ci.sh step 10 gates them
+// byte-identical to the direct run, and a duplicate cached with zero new
+// executions. TestReplayDedupsOverlappingSubmissions (sweep/serve) checks
+// that 1 000 overlapping submissions of 12 specs from 32 clients execute
+// exactly 12 jobs, and perfbench's served-replay workload measures the
+// submit-to-done latency.
 //
 // # Pipeline stages
 //

@@ -1,7 +1,8 @@
 // Package lru provides a bounded, mutex-guarded least-recently-used map:
-// the memo behind profile.Run and the figure functions' table of simulated
-// cells. Values are stored and handed out as-is, so a value shared through
-// the map must be treated as read-only by every caller.
+// the memo behind profile.Run, the figure functions' table of simulated
+// cells and pipeline.Cache's resident artifacts. Values are stored and
+// handed out as-is, so a value shared through the map must be treated as
+// read-only by every caller.
 package lru
 
 import (
@@ -46,25 +47,26 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Add stores v under k as the most recently used entry, replacing any value
-// already there, and evicts the least recently used entries beyond the
-// capacity.
-func (c *Cache[K, V]) Add(k K, v V) {
+// already there, evicts the least recently used entries beyond the
+// capacity, and returns how many it evicted.
+func (c *Cache[K, V]) Add(k K, v V) (evicted int) {
 	if c.capacity <= 0 {
-		return
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		el.Value.(*entry[K, V]).val = v
 		c.order.MoveToFront(el)
-		return
+		return 0
 	}
 	c.items[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
-	for c.order.Len() > c.capacity {
+	for ; c.order.Len() > c.capacity; evicted++ {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.items, back.Value.(*entry[K, V]).key)
 	}
+	return evicted
 }
 
 // Len returns the number of stored entries.

@@ -7,12 +7,15 @@ import (
 
 func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
+	if n := c.Add("a", 1) + c.Add("b", 2) + c.Add("a", 1); n != 0 {
+		t.Fatalf("filling to capacity and replacing evicted %d entries, want 0", n)
+	}
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d, %t; want 1, true", v, ok)
 	}
-	c.Add("c", 3) // b is now the least recently used
+	if n := c.Add("c", 3); n != 1 { // b is now the least recently used
+		t.Fatalf("adding past capacity evicted %d entries, want 1", n)
+	}
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction although a was used more recently")
 	}
@@ -37,7 +40,9 @@ func TestAddReplaces(t *testing.T) {
 
 func TestZeroCapacityStoresNothing(t *testing.T) {
 	c := New[int, int](0)
-	c.Add(1, 1)
+	if n := c.Add(1, 1); n != 0 {
+		t.Errorf("a zero-capacity Add evicted %d entries, want 0", n)
+	}
 	if _, ok := c.Get(1); ok || c.Len() != 0 {
 		t.Error("a zero-capacity cache stored an entry")
 	}

@@ -1,7 +1,8 @@
 // Package paperex builds the worked example of §4.3.3 (Figure 3 of the
 // paper): an 8-node data dependence graph with two recurrences whose latency
 // assignment, ordering and cluster assignment are spelled out in the text.
-// It is shared by unit tests, the example binaries and the documentation.
+// It is shared by unit tests, the root package's Example_latencyWalkthrough
+// and the documentation.
 package paperex
 
 import "ivliw/internal/ir"

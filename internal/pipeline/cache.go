@@ -1,8 +1,9 @@
 package pipeline
 
 import (
-	"container/list"
 	"sync"
+
+	"ivliw/internal/lru"
 )
 
 // DefaultCacheSize is the compile-cache capacity (in artifacts) used when a
@@ -28,19 +29,19 @@ const DefaultCacheSize = 256
 // the backing tier (typically a DiskStore) persists artifacts across
 // processes.
 type Cache struct {
+	// mu makes a lookup and the insertion of its miss one step, which is
+	// what makes the cache single-flight; entries has its own lock too.
 	mu       sync.Mutex
 	capacity int
-	next     Store                    // miss source; nil = Compile directly
-	entries  map[string]*list.Element // key -> element whose Value is *cacheEntry
-	lru      list.List                // front = most recently used
-	inflight map[string]*cacheEntry   // pass-through single-flight (capacity <= 0 over next)
+	next     Store                           // miss source; nil = Compile directly
+	entries  *lru.Cache[string, *cacheEntry] // resident artifacts (capacity > 0)
+	inflight map[string]*cacheEntry          // pass-through single-flight (capacity <= 0 over next)
 
 	hits, misses, evictions int64
 }
 
 // cacheEntry is one keyed compilation; ready closes when art/err are set.
 type cacheEntry struct {
-	key   string
 	ready chan struct{}
 	art   *Artifact
 	err   error
@@ -68,7 +69,7 @@ func NewCache(capacity int) *Cache {
 func NewCacheOver(capacity int, next Store) *Cache {
 	c := &Cache{capacity: capacity, next: next}
 	if c.capacity > 0 {
-		c.entries = make(map[string]*list.Element, capacity)
+		c.entries = lru.New[string, *cacheEntry](capacity)
 	}
 	return c
 }
@@ -134,7 +135,7 @@ func (c *Cache) get(s CompileSpec, key string) (*Artifact, error) {
 			return e.art, e.err
 		}
 		c.misses++
-		e := &cacheEntry{key: key, ready: make(chan struct{})}
+		e := &cacheEntry{ready: make(chan struct{})}
 		if c.inflight == nil {
 			c.inflight = make(map[string]*cacheEntry)
 		}
@@ -148,26 +149,17 @@ func (c *Cache) get(s CompileSpec, key string) (*Artifact, error) {
 		return e.art, e.err
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if e, ok := c.entries.Get(key); ok {
 		c.hits++
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
 		<-e.ready // single-flight: wait for the compiling leader
 		return e.art, e.err
 	}
 	c.misses++
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = c.lru.PushFront(e)
-	for len(c.entries) > c.capacity {
-		back := c.lru.Back()
-		be := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.entries, be.key)
-		c.evictions++
-		// An evicted in-flight entry still completes for whoever holds
-		// it; it just stops being findable.
-	}
+	e := &cacheEntry{ready: make(chan struct{})}
+	// An evicted in-flight entry still completes for whoever holds it; it
+	// just stops being findable.
+	c.evictions += int64(c.entries.Add(key, e))
 	c.mu.Unlock()
 
 	e.art, e.err = c.fill(s, key)

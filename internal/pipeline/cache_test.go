@@ -77,8 +77,8 @@ func TestCacheEviction(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Error("capacity-1 cache with two alternating keys never evicted")
+	if st.Evictions != 5 {
+		t.Errorf("capacity-1 cache with two alternating keys evicted %d times, want 5 (every miss but the first)", st.Evictions)
 	}
 	if st.Hits != 0 {
 		t.Errorf("alternating keys through capacity 1 produced %d hits, want 0", st.Hits)

@@ -10,7 +10,8 @@
 #                                 time-boxed -fuzz run of each fuzz target:
 #                                 the beat decoder, the fault-plan parser,
 #                                 ivliw-bench's -shard/-claim parsers, the
-#                                 spec parser, ivliw-served's submission
+#                                 spec parser, the coordinator manifest
+#                                 decoder, ivliw-served's submission
 #                                 endpoint, and the differential simulator
 #                                 target (RunLoop, RunLoopBatch lanes and
 #                                 the reference simulator must agree)
@@ -72,11 +73,10 @@
 #      -spec-hash` of the same spec file (clients predict job IDs
 #      offline), gate the streamed JSONL byte-identical to the direct CLI
 #      run, gate dedup (a second identical submission reports
-#      cached=true and the server's execution counter does not move),
-#      replay >= 1000 overlapping seeded submissions with `ivliw-load`
-#      (every duplicate must dedup: executions == distinct specs, zero
-#      failures), gate the SIGTERM drain, and write the
-#      p50/p99/throughput/dedup-rate snapshot to BENCH_9.json
+#      cached=true and the server's execution counter does not move), and
+#      gate the SIGTERM drain; the 1000-submission replay property (every
+#      duplicate dedups: executions == distinct specs, zero failures) is
+#      the in-process TestReplayDedupsOverlappingSubmissions in step 3
 #  11. static analysis: build `ivliw-vet` (internal/lintcheck) and gate the
 #      repo clean under all five analyzers (atomicwrite, strictjson,
 #      determinism, ctxplumb, nopanic) plus annotation validation; then a
@@ -85,9 +85,10 @@
 #      silently broken analyzer can never fake a clean repo. The analyzer
 #      wall time per KLoC lands in BENCH_10.json
 #
-# The BENCH_6-10.json snapshots and the step-10 calibration file are written
-# under the run's temporary directory, never into the tree; each snapshot's
-# path and contents are printed when it is written.
+# The BENCH_6-8.json and BENCH_10.json snapshots and the step-9
+# calibration file are written under the run's temporary directory, never
+# into the tree; each snapshot's path and contents are printed when it is
+# written.
 #
 # Usage: scripts/ci.sh
 # To refresh the golden transcript after an *intentional* output change:
@@ -111,13 +112,13 @@ echo "== 3/11 go test -race ./... and time-boxed fuzzing =="
 go test -race ./...
 # Fuzz the parsers of input that crosses a process boundary (beat files,
 # fault plans, the -shard/-claim arguments a pool worker receives, spec
-# files and the bodies ivliw-served accepts) and the simulator from loop to
-# cycles against its reference (FuzzSimulate). Their committed seed corpora
-# (testdata/fuzz) already ran in the line above.
+# files, coordinator manifests and the bodies ivliw-served accepts) and the
+# simulator from loop to cycles against its reference (FuzzSimulate). Their
+# committed seed corpora (testdata/fuzz) already ran in the line above.
 for target in "FuzzReadBeat ./sweep" "FuzzParse ./sweep/fault" \
     "FuzzParseShard ./cmd/ivliw-bench" "FuzzParseClaim ./cmd/ivliw-bench" \
-    "FuzzParseSpec ./sweep" "FuzzSubmitBody ./sweep/serve" \
-    "FuzzSimulate ./internal/sim"; do
+    "FuzzParseSpec ./sweep" "FuzzOpenManifest ./sweep" \
+    "FuzzSubmitBody ./sweep/serve" "FuzzSimulate ./internal/sim"; do
   read -r name pkg <<< "$target"
   go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -parallel 2 "$pkg"
 done
@@ -677,28 +678,6 @@ if ! cmp -s "$tmp/sweep_ref.jsonl" "$tmp/served_rows2.jsonl"; then
   exit 1
 fi
 echo "served rows byte-identical; duplicate submission cached with zero new executions"
-# The headline replay: >= 1000 overlapping seeded submissions over a small
-# distinct population. ivliw-load exits nonzero if any submission fails;
-# every duplicate must dedup, so the execution delta equals the population.
-if ! "$tmp/ivliw-load" -addr "$served_url" -n 1000 -distinct 12 -concurrency 32 \
-    -seed 7 -out "$tmp/load.json" > /dev/null 2>> "$tmp/load_stderr.log"; then
-  echo "FAIL: ivliw-load replay failed:" >&2
-  cat "$tmp/load_stderr.log" "$tmp/served_stderr.log" >&2
-  exit 1
-fi
-load_execs=$(grep -o '"executions": [0-9]*' "$tmp/load.json" | grep -o '[0-9]*')
-if [ "$load_execs" -ne 12 ]; then
-  echo "FAIL: 1000-submission replay over 12 distinct specs executed $load_execs times, want exactly 12:" >&2
-  cat "$tmp/load.json" >&2
-  exit 1
-fi
-# BENCH_9.json = the replay report plus snapshot metadata (load.json opens
-# with "{" on its own line, so the tail splices in as the remaining keys).
-{
-  printf '{\n  "snapshot": 9,\n  "date": "%s",\n  "go": "%s",\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(go env GOVERSION)"
-  tail -n +2 "$tmp/load.json"
-} > "$tmp/BENCH_9.json"
 # Graceful drain: SIGTERM must stop the daemon cleanly (exit 0).
 kill -TERM "$served_pid"
 rc=0
@@ -714,9 +693,7 @@ if ! grep -q 'drained' "$tmp/served_stderr.log"; then
   cat "$tmp/served_stderr.log" >&2
   exit 1
 fi
-echo "replay clean (1000 submissions, 12 executions); SIGTERM drained exit 0"
-echo "snapshot written to $tmp/BENCH_9.json:"
-cat "$tmp/BENCH_9.json"
+echo "SIGTERM drained, exit 0"
 
 echo "== 11/11 static analysis: ivliw-vet clean gate + seeded-violation smoke =="
 go build -o "$tmp/ivliw-vet" ./cmd/ivliw-vet

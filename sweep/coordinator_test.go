@@ -277,6 +277,42 @@ func TestCoordinateResumeSkipsCompleted(t *testing.T) {
 	if got, _ := os.ReadFile(out); !bytes.Equal(got, ref) {
 		t.Error("resumed output differs from the unsharded reference")
 	}
+
+	// resume reruns over the same directory and checks the stats and the
+	// stitched bytes.
+	resume := func(what string, resumed, launches int) {
+		t.Helper()
+		st, err := Coordinate(context.Background(), cs, CoordinatorOptions{
+			Shards: 3, Dir: work, Launcher: InProcess{}, MaxAttempts: 2,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if st.Resumed != resumed || st.Launches != launches {
+			t.Errorf("%s: stats = %+v, want %d resumed and %d launches", what, st, resumed, launches)
+		}
+		if got, _ := os.ReadFile(out); !bytes.Equal(got, ref) {
+			t.Errorf("%s: output differs from the unsharded reference", what)
+		}
+	}
+	// A finished run resumes whole: nothing launches.
+	resume("full resume", 3, 0)
+
+	// A done shard whose recorded output names another shard's file, while
+	// its own file is gone, is relaunched: stitch reads the canonical file.
+	mf := poolManifest(t, work)
+	mf.path = filepath.Join(work, manifestName)
+	mf.Shards[1].Output = shardFileName(0)
+	if err := mf.save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(work, shardFileName(1))); err != nil {
+		t.Fatal(err)
+	}
+	resume("mismatched output", 2, 1)
+	if got := poolManifest(t, work).Shards[1].Output; got != shardFileName(1) {
+		t.Errorf("shard 1 records output %q after the relaunch, want %q", got, shardFileName(1))
+	}
 }
 
 // TestCoordinateManifestSpecMismatch: a work directory holding a different

@@ -115,11 +115,13 @@ func specHash(s Spec) (string, error) {
 // openManifest loads the manifest from dir, or initializes a fresh one when
 // none exists or the existing one describes a different run (spec hash or
 // shard count mismatch) or is unreadable. Non-done states are reset to
-// pending with zeroed attempts; done shards whose output file has vanished
-// — or whose recorded row range no longer matches the planned cut (cuts
-// move when the calibration or the worker count changes between runs) —
-// are demoted back to pending. The normalized manifest is persisted before
-// returning, and the number of shards resumed as done is reported.
+// pending with zeroed attempts; done shards whose output file has vanished,
+// that record an output other than their canonical shardFileName (the
+// only file stitch reads), or whose recorded row range no longer matches
+// the planned cut (cuts move when the calibration or the worker count
+// changes between runs) are demoted back to pending. Every shard's output
+// is normalized to its canonical name. The normalized manifest is persisted
+// before returning, and the number of shards resumed as done is reported.
 func openManifest(dir, hash string, cuts []rowRange) (*manifest, int, error) {
 	path := filepath.Join(dir, manifestName)
 	shards := len(cuts)
@@ -146,11 +148,11 @@ func openManifest(dir, hash string, cuts []rowRange) (*manifest, int, error) {
 			prev.path = path
 			for i := range prev.Shards {
 				s := &prev.Shards[i]
-				s.Index = i
-				if s.Output == "" {
-					s.Output = shardFileName(i)
-				}
-				if s.Status == shardDone && s.Lo == cuts[i].lo && s.Hi == cuts[i].hi {
+				// stitch reads the canonical file, so a done shard that
+				// names another one is relaunched.
+				canonical := s.Output == "" || s.Output == shardFileName(i)
+				s.Index, s.Output = i, shardFileName(i)
+				if canonical && s.Status == shardDone && s.Lo == cuts[i].lo && s.Hi == cuts[i].hi {
 					if _, err := os.Stat(filepath.Join(dir, s.Output)); err == nil {
 						continue
 					}

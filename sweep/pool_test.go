@@ -16,7 +16,8 @@ import (
 	"ivliw/sweep/fault"
 )
 
-// poolManifest reads the coordinator manifest of a pool test run.
+// poolManifest reads the coordinator manifest of a test run, rejecting
+// fields the manifest type does not know, as openManifest does.
 func poolManifest(t *testing.T, work string) *manifest {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(work, manifestName))
@@ -24,7 +25,9 @@ func poolManifest(t *testing.T, work string) *manifest {
 		t.Fatal(err)
 	}
 	m := new(manifest)
-	if err := json.Unmarshal(data, m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(m); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -118,6 +121,9 @@ func TestPoolDeadWorkerRequeues(t *testing.T) {
 	}
 	found := false
 	for _, s := range poolManifest(t, work).Shards {
+		if s.Status != shardDone || s.Worker == "" {
+			t.Errorf("shard %d: %s on worker %q, want done and attributed", s.Index, s.Status, s.Worker)
+		}
 		for _, rec := range s.History {
 			if rec.Worker == "w1" && strings.Contains(rec.Error, "worker w1 down") {
 				found = true

@@ -181,7 +181,8 @@ func TestRunStoreVariantsByteIdentical(t *testing.T) {
 }
 
 // TestRunWarmDiskStore: a second run over a populated artifact directory
-// compiles nothing and still produces identical bytes.
+// compiles nothing and still produces identical bytes, whether one run or
+// the shards of one filled the directory.
 func TestRunWarmDiskStore(t *testing.T) {
 	spec := smallSpec()
 	spec.Store = Store{Dir: t.TempDir()}
@@ -206,6 +207,23 @@ func TestRunWarmDiskStore(t *testing.T) {
 	}
 	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
 		t.Error("warm rows differ from cold rows")
+	}
+
+	// Shards sharing one fresh store warm it for the unsharded run too.
+	spec.Store = Store{Dir: t.TempDir()}
+	for i := 0; i < 3; i++ {
+		shard := spec
+		shard.Shard = Shard{Index: i, Count: 3}
+		runJSONL(t, shard)
+	}
+	var after bytes.Buffer
+	ast, err := Run(context.Background(), spec, JSONL(&after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ast.DiskMisses != 0 || !bytes.Equal(cold.Bytes(), after.Bytes()) {
+		t.Errorf("run after 3 shards filled the store: %d compiles (want 0), rows equal to cold: %t",
+			ast.DiskMisses, bytes.Equal(cold.Bytes(), after.Bytes()))
 	}
 }
 

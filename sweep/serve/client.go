@@ -11,8 +11,9 @@ import (
 	"time"
 )
 
-// Client is a typed wrapper over the serve API, used by cmd/ivliw-load and
-// the tests; any HTTP client can speak the same JSON surface directly.
+// Client is a typed wrapper over the serve API, used by cmd/ivliw-load's
+// one-shot submission, perfbench's served-replay workload and the tests;
+// any HTTP client can speak the same JSON surface directly.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8372".
 	Base string

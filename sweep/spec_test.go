@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,8 +45,8 @@ func fullSpec() Spec {
 	}
 }
 
-// TestSpecRoundTripByteIdentical: encode→decode→re-encode is byte-identical
-// — specs are stable, diffable files.
+// TestSpecRoundTripByteIdentical: encode→decode→re-encode is byte-identical,
+// also through a spec file and LoadSpec — specs are stable, diffable files.
 func TestSpecRoundTripByteIdentical(t *testing.T) {
 	for name, spec := range map[string]Spec{
 		"full":    fullSpec(),
@@ -86,6 +88,18 @@ func TestSpecRoundTripByteIdentical(t *testing.T) {
 		enc3, _ := third.Encode()
 		if !bytes.Equal(second, enc3) {
 			t.Errorf("%s: third generation drifted", name)
+		}
+		// The file form: what a coordinator hands its workers.
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSpec(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if enc, _ := loaded.Encode(); !bytes.Equal(first, enc) {
+			t.Errorf("%s: the spec file loads to a different spec", name)
 		}
 	}
 }
