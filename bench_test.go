@@ -178,6 +178,36 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// compileAllocCeilings bound the heap allocations of one suite compile at
+// each cluster count, about 10% above what the compile path makes:
+// 12 813, 13 824 and 15 377 at 2, 4 and 8 clusters (3% more under the
+// race detector).
+var compileAllocCeilings = map[int]float64{2: 14100, 4: 15200, 8: 16800}
+
+// TestCompileAllocBudget holds the compile path to its allocation budget:
+// compiling the suite under IPBC and selective unrolling, with the profile
+// memo warm (AllocsPerRun's warm-up run fills it), allocates no more than
+// the ceiling at 2, 4 and 8 clusters. The count is deterministic for a
+// given toolchain, so a rise past the ceiling is new allocation on the
+// compile path, not noise.
+func TestCompileAllocBudget(t *testing.T) {
+	for _, clusters := range []int{2, 4, 8} {
+		v := experiments.Interleaved("IPBC", ivliw.IPBC, ivliw.Selective, true, false, false)
+		v.Cfg.Clusters = clusters
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, spec := range workload.Suite() {
+				if _, err := pipeline.Compile(v.CompileSpec(spec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Logf("c%d: %.0f allocations per suite compile (ceiling %.0f)", clusters, allocs, compileAllocCeilings[clusters])
+		if allocs > compileAllocCeilings[clusters] {
+			t.Errorf("c%d: %.0f allocations per suite compile, ceiling %.0f", clusters, allocs, compileAllocCeilings[clusters])
+		}
+	}
+}
+
 // BenchmarkSimulate measures the simulator alone (pipeline.SimulateBatch
 // with one lane) per benchmark for the headline configuration
 // (interleaved, IPBC, ABs), on an artifact compiled before the timer starts.

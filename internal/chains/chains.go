@@ -7,11 +7,7 @@
 // (may-alias) dependences, as produced by IMPACT-style disambiguation.
 package chains
 
-import (
-	"sort"
-
-	"ivliw/internal/ir"
-)
+import "ivliw/internal/ir"
 
 // Chain is a maximal set of memory instructions connected (in either
 // direction, at any dependence distance) by memory dependence edges.
@@ -60,31 +56,38 @@ func Build(l *ir.Loop) *Set {
 		}
 	}
 
-	groups := map[int][]int{}
+	// Chains are numbered in ascending order of their roots (a root is
+	// the smallest instruction of its set). size[r] counts root r's
+	// members and chainAt[r] is its chain; the members fill one flat
+	// array, grouped by chain, each group in ID order.
+	n := len(l.Instrs)
+	ints := make([]int, 3*n)
+	root, size, chainAt := ints[:n], ints[n:2*n], ints[2*n:]
+	mems := 0
 	for _, in := range l.Instrs {
-		if !in.IsMem() {
-			continue
+		if in.IsMem() {
+			root[in.ID] = find(in.ID)
+			size[root[in.ID]]++
+			mems++
 		}
-		r := find(in.ID)
-		groups[r] = append(groups[r], in.ID)
 	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-
-	s := &Set{chainOf: make([]int, len(l.Instrs))}
-	for i := range s.chainOf {
-		s.chainOf[i] = -1
-	}
-	for i, r := range roots {
-		members := groups[r]
-		sort.Ints(members)
-		s.Chains = append(s.Chains, Chain{ID: i, Members: members})
-		for _, m := range members {
-			s.chainOf[m] = i
+	s := &Set{chainOf: make([]int, n)}
+	members := make([]int, mems)
+	lo := 0
+	for r, k := range size {
+		if k > 0 {
+			chainAt[r] = len(s.Chains)
+			s.Chains = append(s.Chains, Chain{ID: len(s.Chains), Members: members[lo : lo : lo+k]})
+			lo += k
 		}
+	}
+	for _, in := range l.Instrs {
+		c := -1
+		if in.IsMem() {
+			c = chainAt[root[in.ID]]
+			s.Chains[c].Members = append(s.Chains[c].Members, in.ID)
+		}
+		s.chainOf[in.ID] = c
 	}
 	return s
 }

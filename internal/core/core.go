@@ -180,14 +180,26 @@ func compileAt(l *ir.Loop, u int, cfg arch.Config, profLay *addrspace.Layout, pr
 	// Per-instruction target clusters: chain-averaged preferred cluster
 	// under IPBC (or the instruction's own preferred cluster for the
 	// no-chains ablation).
-	pref := map[int]int{}
-	for _, id := range ul.MemInstrs() {
+	mems := ul.MemInstrs()
+	pref := make(map[int]int, len(mems))
+	for _, id := range mems {
 		pref[id] = p.Stats(id).Preferred()
 	}
 	if !opt.NoChains {
+		// One buffer serves every member's histogram: AveragePreferred
+		// adds each into its sum before asking for the next.
+		var hist []float64
 		for _, ch := range cs.Chains {
 			avg := ch.AveragePreferred(cfg.Clusters, func(id int) []float64 {
-				return p.Stats(id).HistFloat()
+				st := p.Stats(id)
+				if st == nil {
+					return nil
+				}
+				hist = hist[:0]
+				for _, v := range st.Hist {
+					hist = append(hist, float64(v))
+				}
+				return hist
 			})
 			for _, m := range ch.Members {
 				pref[m] = avg
@@ -205,7 +217,7 @@ func compileAt(l *ir.Loop, u int, cfg arch.Config, profLay *addrspace.Layout, pr
 		la = latassign.Result{Assigned: ul.DefaultLatencies(ladder.Max())}
 		la.TargetMII = ir.MII(g, cfg, la.Assigned)
 	} else {
-		la = latassign.Assign(ul, g, cfg, ladder, memProfiles(ul, cfg, p, pref, opt))
+		la = latassign.Assign(ul, g, cfg, ladder, memProfiles(ul, mems, cfg, p, pref, opt))
 	}
 
 	// Step 3: ordering.
@@ -238,7 +250,7 @@ func compileAt(l *ir.Loop, u int, cfg arch.Config, profLay *addrspace.Layout, pr
 		Chains:       cs,
 		Latency:      la,
 		Preferred:    pref,
-		Attractable:  attractable(ul, cfg, s, p),
+		Attractable:  attractable(ul, mems, cfg, s, p),
 		Texec:        unroll.TexecEstimate(ul.AvgIters, s.SC, s.II),
 	}
 	return c, nil
@@ -250,9 +262,9 @@ func compileAt(l *ir.Loop, u int, cfg arch.Config, profLay *addrspace.Layout, pr
 // cluster under IPBC; with IBC or BASE the placement is unknown, so the
 // expected ratio of a blind placement (1/N) is used. Elements bigger than
 // the interleaving factor can never be local.
-func memProfiles(l *ir.Loop, cfg arch.Config, p *profile.Profile, pref map[int]int, opt Options) map[int]latassign.MemProfile {
-	out := map[int]latassign.MemProfile{}
-	for _, id := range l.MemInstrs() {
+func memProfiles(l *ir.Loop, mems []int, cfg arch.Config, p *profile.Profile, pref map[int]int, opt Options) map[int]latassign.MemProfile {
+	out := make(map[int]latassign.MemProfile, len(mems))
+	for _, id := range mems {
 		st := p.Stats(id)
 		mp := latassign.MemProfile{Hit: st.HitRate()}
 		switch {
@@ -274,20 +286,24 @@ func memProfiles(l *ir.Loop, cfg arch.Config, p *profile.Profile, pref map[int]i
 // only the K most beneficial loads of each cluster may allocate into that
 // cluster's Attraction Buffer, with K bounded by the buffer capacity; the
 // benefit of a load is its expected number of remote accesses (accesses ×
-// remote ratio). Without hints every load is attractable.
-func attractable(l *ir.Loop, cfg arch.Config, s *sched.Schedule, p *profile.Profile) map[int]bool {
+// remote ratio). Without hints every load is attractable. mems lists the
+// loop's memory instructions.
+func attractable(l *ir.Loop, mems []int, cfg arch.Config, s *sched.Schedule, p *profile.Profile) map[int]bool {
 	out := map[int]bool{}
-	loads := map[int][]int{} // cluster -> load IDs
-	for _, id := range l.MemInstrs() {
-		if !l.Instrs[id].IsLoad() {
-			continue
+	for _, id := range mems {
+		if l.Instrs[id].IsLoad() {
+			out[id] = true
 		}
-		out[id] = true
-		c := s.Place[id].Cluster
-		loads[c] = append(loads[c], id)
 	}
 	if !cfg.ABHints || !cfg.AttractionBuffers {
 		return out
+	}
+	loads := make([][]int, cfg.Clusters) // cluster -> load IDs
+	for _, id := range mems {
+		if l.Instrs[id].IsLoad() {
+			c := s.Place[id].Cluster
+			loads[c] = append(loads[c], id)
+		}
 	}
 	// A strided load keeps several attracted subblocks live before it
 	// revisits one (the two words of a subblock are N·I bytes apart, i.e.
@@ -304,13 +320,12 @@ func attractable(l *ir.Loop, cfg arch.Config, s *sched.Schedule, p *profile.Prof
 			return float64(st.Accesses) * (1 - st.LocalRatio(c))
 		}
 		// Insertion-sort by descending benefit (stable, tiny inputs).
-		sorted := append([]int(nil), ids...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && benefit(sorted[j]) > benefit(sorted[j-1]); j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		for i := 1; i < len(ids); i++ {
+			for j := i; j > 0 && benefit(ids[j]) > benefit(ids[j-1]); j-- {
+				ids[j], ids[j-1] = ids[j-1], ids[j]
 			}
 		}
-		for _, id := range sorted[k:] {
+		for _, id := range ids[k:] {
 			out[id] = false
 		}
 	}

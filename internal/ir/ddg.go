@@ -1,11 +1,16 @@
 package ir
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Graph is an adjacency view over a Loop's dependence edges.
 type Graph struct {
 	Loop *Loop
-	// Out[v] and In[v] list edge indices leaving/entering v.
+	// Out[v] and In[v] list edge indices leaving/entering v, ascending:
+	// views, capped at their length, into one flat array each (nil when
+	// empty).
 	Out, In [][]int
 	// succs and preds are the distinct sorted neighbor lists, precomputed
 	// once so Succs/Preds are allocation-free.
@@ -18,27 +23,75 @@ type Graph struct {
 // NewGraph builds the adjacency view of a loop, precomputes the neighbor
 // lists and compiles a RecEngine for every cyclic SCC.
 func NewGraph(l *Loop) *Graph {
-	g := &Graph{
-		Loop: l,
-		Out:  make([][]int, len(l.Instrs)),
-		In:   make([][]int, len(l.Instrs)),
-	}
-	for i, e := range l.Edges {
-		g.Out[e.From] = append(g.Out[e.From], i)
-		g.In[e.To] = append(g.In[e.To], i)
-	}
-	g.succs = make([][]int, len(l.Instrs))
-	g.preds = make([][]int, len(l.Instrs))
-	for v := range l.Instrs {
-		g.succs[v] = g.neighbors(g.Out[v], false)
-		g.preds[v] = g.neighbors(g.In[v], true)
-	}
+	n := len(l.Instrs)
+	g := &Graph{Loop: l}
+	g.Out = adjacency(l.Edges, n, func(e *Edge) int { return e.From })
+	g.In = adjacency(l.Edges, n, func(e *Edge) int { return e.To })
+	g.succs = neighbors(l.Edges, g.Out, func(e *Edge) int { return e.To })
+	g.preds = neighbors(l.Edges, g.In, func(e *Edge) int { return e.From })
 	for _, comp := range g.SCCs() {
 		if g.hasCycle(comp) {
 			g.engines = append(g.engines, NewRecEngine(g, comp))
 		}
 	}
 	return g
+}
+
+// adjacency lists, per node, the indices of the edges whose end (From or
+// To) is that node, in edge-index order: a counting sort into one flat
+// array, each list a view capped at its own length and nil when empty.
+func adjacency(edges []Edge, n int, end func(*Edge) int) [][]int {
+	lists := make([][]int, n)
+	start := make([]int, n+1)
+	for i := range edges {
+		start[end(&edges[i])+1]++
+	}
+	for v := range n {
+		start[v+1] += start[v]
+	}
+	flat := make([]int, len(edges))
+	fill := start[:n]
+	for i := range edges {
+		v := end(&edges[i])
+		flat[fill[v]] = i
+		fill[v]++
+	}
+	// fill[v] now holds the end of v's list, which is where v+1's starts.
+	lo := 0
+	for v := range n {
+		if hi := fill[v]; hi > lo {
+			lists[v] = flat[lo:hi:hi]
+			lo = hi
+		}
+	}
+	return lists
+}
+
+// neighbors returns, per node, the distinct far ends of its adjacency list
+// in ascending order, sorted and deduplicated in place in one flat array
+// (nil for a node with no edges).
+func neighbors(edges []Edge, adj [][]int, far func(*Edge) int) [][]int {
+	total := 0
+	for _, a := range adj {
+		total += len(a)
+	}
+	lists := make([][]int, len(adj))
+	flat := make([]int, 0, total)
+	for v, a := range adj {
+		if len(a) == 0 {
+			continue
+		}
+		lo := len(flat)
+		for _, ei := range a {
+			flat = append(flat, far(&edges[ei]))
+		}
+		ns := flat[lo:]
+		slices.Sort(ns)
+		ns = slices.Compact(ns)
+		flat = flat[:lo+len(ns)]
+		lists[v] = flat[lo:len(flat):len(flat)]
+	}
+	return lists
 }
 
 // Succs returns the distinct successor instruction IDs of v in ascending
@@ -49,54 +102,44 @@ func (g *Graph) Succs(v int) []int { return g.succs[v] }
 // order. The slice is shared; callers must not modify it.
 func (g *Graph) Preds(v int) []int { return g.preds[v] }
 
-func (g *Graph) neighbors(edges []int, from bool) []int {
-	seen := make(map[int]bool, len(edges))
-	var out []int
-	for _, ei := range edges {
-		e := g.Loop.Edges[ei]
-		n := e.From
-		if !from {
-			n = e.To
-		}
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // RecEngines returns the compiled recurrence evaluators of the loop, one per
 // cyclic SCC in Tarjan discovery order.
 func (g *Graph) RecEngines() []*RecEngine { return g.engines }
 
 // SCCs returns the strongly connected components of the dependence graph in
-// Tarjan discovery order. Components are sorted internally by instruction ID.
+// Tarjan discovery order. Components are sorted internally by instruction ID
+// and are views, capped at their length, into one array per call.
 // Trivial components (single node without a self edge) are included; use
 // Recurrences to keep only true recurrences.
 func (g *Graph) SCCs() [][]int {
 	n := len(g.Loop.Instrs)
-	index := make([]int, n)
-	low := make([]int, n)
+	if n == 0 {
+		return nil
+	}
+	ints := make([]int, 4*n)
+	index, low := ints[:n], ints[n:2*n]
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = -1
 	}
-	var stack []int
-	var comps [][]int
+	// Tarjan's stack pops each component as a contiguous tail, which is
+	// copied into members; every node lands in exactly one component.
+	stack := ints[2*n : 2*n : 3*n]
+	members := ints[3*n : 3*n : 4*n]
+	comps := make([][]int, 0, n)
 	next := 0
 
 	// Iterative Tarjan to survive large unrolled bodies without deep
-	// recursion.
+	// recursion. One frame stack serves every root.
 	type frame struct {
 		v, ei int
 	}
+	var frames []frame
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		frames := []frame{{root, 0}}
+		frames = append(frames[:0], frame{root, 0})
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
@@ -127,17 +170,18 @@ func (g *Graph) SCCs() [][]int {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+				top := len(stack) - 1
+				for stack[top] != v {
+					top--
 				}
-				sort.Ints(comp)
+				lo := len(members)
+				members = append(members, stack[top:]...)
+				for _, w := range stack[top:] {
+					onStack[w] = false
+				}
+				stack = stack[:top]
+				comp := members[lo:len(members):len(members)]
+				slices.Sort(comp)
 				comps = append(comps, comp)
 			}
 		}

@@ -280,7 +280,16 @@ func zeroDistanceCycle(l *Loop) int {
 
 // MemInstrs returns the IDs of all memory instructions in body order.
 func (l *Loop) MemInstrs() []int {
-	var ids []int
+	count := 0
+	for _, in := range l.Instrs {
+		if in.IsMem() {
+			count++
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	ids := make([]int, 0, count)
 	for _, in := range l.Instrs {
 		if in.IsMem() {
 			ids = append(ids, in.ID)
@@ -289,7 +298,8 @@ func (l *Loop) MemInstrs() []int {
 	return ids
 }
 
-// Clone returns a deep copy of the loop (instructions and edges).
+// Clone returns a deep copy of the loop (instructions and edges). The
+// copied instructions and memory descriptors live in one backing array each.
 func (l *Loop) Clone() *Loop {
 	nl := &Loop{
 		Name:     l.Name,
@@ -299,13 +309,24 @@ func (l *Loop) Clone() *Loop {
 		Weight:   l.Weight,
 		Unroll:   l.Unroll,
 	}
-	for i, in := range l.Instrs {
-		ci := *in
+	mems := 0
+	for _, in := range l.Instrs {
 		if in.Mem != nil {
-			m := *in.Mem
-			ci.Mem = &m
+			mems++
 		}
-		nl.Instrs[i] = &ci
+	}
+	instrs := make([]Instr, len(l.Instrs))
+	memInfos := make([]MemInfo, mems)
+	for i, in := range l.Instrs {
+		ci := &instrs[i]
+		*ci = *in
+		if in.Mem != nil {
+			m := &memInfos[0]
+			memInfos = memInfos[1:]
+			*m = *in.Mem
+			ci.Mem = m
+		}
+		nl.Instrs[i] = ci
 	}
 	copy(nl.Edges, l.Edges)
 	return nl

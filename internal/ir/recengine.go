@@ -107,20 +107,20 @@ const unreached = math.MinInt
 // NewRecEngine compiles the component given by its sorted member node IDs.
 func NewRecEngine(g *Graph, nodes []int) *RecEngine {
 	n := len(nodes)
-	local := make(map[int]int, n)
-	for i, v := range nodes {
-		local[v] = i
-	}
-	var edges []recEdge
-	var zeroArcs [][2]int
+	out := 0
 	for _, v := range nodes {
+		out += len(g.Out[v])
+	}
+	edges := make([]recEdge, 0, out)
+	zeroArcs := make([][2]int, 0, out)
+	for vi, v := range nodes {
 		for _, ei := range g.Out[v] {
 			ed := g.Loop.Edges[ei]
-			ti, ok := local[ed.To]
+			ti, ok := slices.BinarySearch(nodes, ed.To)
 			if !ok {
 				continue
 			}
-			re := recEdge{from: local[v], to: ti, dist: ed.Distance, latOf: -1}
+			re := recEdge{from: vi, to: ti, dist: ed.Distance, latOf: -1}
 			switch ed.Kind {
 			case RegFlow:
 				re.latOf = ed.From

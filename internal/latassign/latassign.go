@@ -18,9 +18,7 @@
 package latassign
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 
 	"ivliw/internal/arch"
@@ -234,11 +232,13 @@ type scratch struct {
 // Only candidates that can still win are probed. Lowering a load by δ
 // cycles lowers the II by at most min(δ, curII−floor) (see
 // ir.RecEngine.IIWithChangeIn), which caps the candidate's benefit before
-// any graph work. Candidates run in descending order of that cap, and the
-// scan stops once a cap falls below the best benefit found: better is a
-// strict total order, so the order cannot change the winner. A load that
-// carries no latency of the witness cycle at curII−1 cannot lower the II at
-// all and is scored without a probe.
+// any graph work. Candidates are popped from a max-heap on that cap, and
+// the scan stops once a cap falls below the best benefit found, leaving
+// the rest unordered: better is a strict total order, and every candidate
+// left unpopped has a cap below the best benefit, so neither the pop order
+// among equal caps nor the partial selection can change the winner. A
+// load that carries no latency of the witness cycle at curII−1 cannot
+// lower the II at all and is scored without a probe.
 func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile, assigned []int, curII, floor int, sc *scratch) (Step, bool) {
 	cands := sc.cands[:0]
 	for _, m := range loads {
@@ -260,15 +260,19 @@ func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile
 	if len(cands) == 0 {
 		return Step{}, false
 	}
-	slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(b.ceil, a.ceil) })
+	for i := len(cands)/2 - 1; i >= 0; i-- {
+		siftDown(cands, i)
+	}
 	clear(sc.carried)
 	witness := eng.WitnessCycle(assigned, curII-1, sc.carried)
 
 	best := Step{B: math.Inf(-1)}
-	for _, c := range cands {
-		if c.ceil < best.B {
-			break
-		}
+	for len(cands) > 0 && cands[0].ceil >= best.B {
+		c := cands[0]
+		last := len(cands) - 1
+		cands[0] = cands[last]
+		cands = cands[:last]
+		siftDown(cands, 0)
 		newII := curII
 		if !witness || sc.carried[c.instr] {
 			newII = eng.IIWithChangeIn(assigned, c.instr, c.la, curII, floor)
@@ -285,6 +289,24 @@ func bestStep(eng *ir.RecEngine, loads []int, ld Ladder, prof map[int]MemProfile
 		return Step{}, false
 	}
 	return best, true
+}
+
+// siftDown restores the max-heap order on ceil below index i.
+func siftDown(h []candidate, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].ceil > h[c].ceil {
+			c++
+		}
+		if h[c].ceil <= h[i].ceil {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // benefit computes B = ΔII / Δstall; if the denominator is not positive the

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"ivliw/internal/addrspace"
 	"ivliw/internal/arch"
@@ -64,15 +65,12 @@ type CompileSpec struct {
 
 // Key returns the content hash addressing this spec's artifact.
 func (s CompileSpec) Key() string {
-	h := sha256.New()
-	io.WriteString(h, s.Cfg.CompileKey())
-	io.WriteString(h, "|")
-	io.WriteString(h, OptionsKey(s.Opt))
-	fmt.Fprintf(h, "|al%t|pseed%d|", s.Aligned, s.Bench.ProfileSeed)
+	b := keyPrefix(nil, s.Cfg, s.Opt, s.Aligned, s.Bench.ProfileSeed)
 	for _, ls := range s.Bench.Loops {
-		writeLoopFingerprint(h, ls.Loop)
+		b = appendLoopFingerprint(b, ls.Loop)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // OptionsKey canonically encodes every core.Options field that can change a
@@ -91,36 +89,67 @@ func OptionsKey(opt core.Options) string {
 // profileSeed identifies the profile data set driving layout and
 // profiling.
 func LoopKey(l *ir.Loop, layoutLoops []*ir.Loop, cfg arch.Config, opt core.Options, aligned bool, profileSeed uint64) string {
-	h := sha256.New()
-	io.WriteString(h, cfg.CompileKey())
-	io.WriteString(h, "|")
-	io.WriteString(h, OptionsKey(opt))
-	fmt.Fprintf(h, "|al%t|pseed%d|", aligned, profileSeed)
-	writeLoopFingerprint(h, l)
-	io.WriteString(h, "|layout|")
+	b := keyPrefix(nil, cfg, opt, aligned, profileSeed)
+	b = appendLoopFingerprint(b, l)
+	b = append(b, "|layout|"...)
 	for _, ll := range layoutLoops {
-		writeLoopFingerprint(h, ll)
+		b = appendLoopFingerprint(b, ll)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-// writeLoopFingerprint streams a canonical byte encoding of the loop IR —
-// metadata, instructions (with memory descriptors) and dependence edges —
-// into the hash.
-func writeLoopFingerprint(w io.Writer, l *ir.Loop) {
-	fmt.Fprintf(w, "loop|%s|%d|%x|%d|", l.Name, l.AvgIters, math.Float64bits(l.Weight), l.Unroll)
+// keyPrefix appends the machine, options, alignment and profile-seed part
+// that CompileSpec.Key and LoopKey hash ahead of the loop fingerprints.
+func keyPrefix(b []byte, cfg arch.Config, opt core.Options, aligned bool, profileSeed uint64) []byte {
+	b = append(b, cfg.CompileKey()...)
+	b = append(b, '|')
+	b = append(b, OptionsKey(opt)...)
+	b = append(b, "|al"...)
+	b = strconv.AppendBool(b, aligned)
+	b = append(b, "|pseed"...)
+	b = strconv.AppendUint(b, profileSeed, 10)
+	return append(b, '|')
+}
+
+// appendLoopFingerprint appends a canonical byte encoding of the loop IR —
+// metadata, instructions (with memory descriptors) and dependence edges.
+// The bytes name stored artifacts, so they never change: they are what
+// fmt's "loop|%s|%d|%x|%d|", "i%d,%s,%d", ",m:%s,%d,%d,%d,%t,%d,%t,%d,%d",
+// ";" and "e%d>%d,%d,%d;" wrote.
+func appendLoopFingerprint(b []byte, l *ir.Loop) []byte {
+	num := func(sep byte, v int64) { b = strconv.AppendInt(append(b, sep), v, 10) }
+	flag := func(v bool) { b = strconv.AppendBool(append(b, ','), v) }
+	b = append(append(b, "loop|"...), l.Name...)
+	num('|', int64(l.AvgIters))
+	b = strconv.AppendUint(append(b, '|'), math.Float64bits(l.Weight), 16)
+	num('|', int64(l.Unroll))
+	b = append(b, '|')
 	for _, in := range l.Instrs {
-		fmt.Fprintf(w, "i%d,%s,%d", in.ID, in.Name, int(in.Class))
+		num('i', int64(in.ID))
+		b = append(append(b, ','), in.Name...)
+		num(',', int64(in.Class))
 		if m := in.Mem; m != nil {
-			fmt.Fprintf(w, ",m:%s,%d,%d,%d,%t,%d,%t,%d,%d",
-				m.Sym, int(m.Kind), m.Offset, m.Stride, m.StrideKnown,
-				m.Gran, m.Indirect, m.IndirectSpan, m.SymBytes)
+			b = append(append(b, ",m:"...), m.Sym...)
+			num(',', int64(m.Kind))
+			num(',', m.Offset)
+			num(',', m.Stride)
+			flag(m.StrideKnown)
+			num(',', int64(m.Gran))
+			flag(m.Indirect)
+			num(',', m.IndirectSpan)
+			num(',', m.SymBytes)
 		}
-		io.WriteString(w, ";")
+		b = append(b, ';')
 	}
 	for _, e := range l.Edges {
-		fmt.Fprintf(w, "e%d>%d,%d,%d;", e.From, e.To, int(e.Kind), e.Distance)
+		num('e', int64(e.From))
+		num('>', int64(e.To))
+		num(',', int64(e.Kind))
+		num(',', int64(e.Distance))
+		b = append(b, ';')
 	}
+	return b
 }
 
 // LoopArtifact is the compile-stage output for one loop: the schedule plus

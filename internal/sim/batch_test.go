@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -238,5 +239,50 @@ func TestFollowerAttachesOnlyOnEqualTags(t *testing.T) {
 	}
 	if shared[1] != 0 {
 		t.Errorf("the cold follower took %d accesses from its warm leader", shared[1])
+	}
+}
+
+// TestForkCopiesOnlyLiveFills: a forking follower takes exactly the
+// leader's live combining entries and fills. Entries the leader has pruned
+// stay behind its live length in the shared backing order, and none may
+// come back to life in the follower.
+func TestForkCopiesOnlyLiveFills(t *testing.T) {
+	cfg := arch.Default()
+	newLane := func(depth int) *lane {
+		return &lane{
+			busFree:  make([]int64, cfg.MemBuses),
+			portFree: make([]int64, cfg.NextLevelPorts),
+			ic:       mustHier(t, cfg).(*cache.Interleaved),
+			fills:    &mshrPool{cap: depth},
+		}
+	}
+	leader, follower := newLane(math.MaxInt), newLane(2)
+	for key := int64(0); key < 4; key++ {
+		leader.pending.set(key, 10+key)
+		leader.fills.add(10 + key)
+	}
+	// At t = 12 the fills of keys 0, 1 and 2 are complete: pruning leaves
+	// key 3 live and stale copies of the others past the live length.
+	if _, ok := leader.pending.lookup(99, 12); ok {
+		t.Fatal("key 99 was never set")
+	}
+	if live := leader.fills.prune(12); live != 1 {
+		t.Fatalf("%d live fills after the prune, want 1", live)
+	}
+	var out, leaderOut stats.Loop
+	follower.fork(leader, &out, &leaderOut)
+	if got, want := follower.pending.live(), leader.pending.live(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower's combining entries %v, leader's live %v", got, want)
+	}
+	if got, want := follower.fills.live(), leader.fills.live(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower's fills %v, leader's live %v", got, want)
+	}
+	for key := int64(0); key < 3; key++ {
+		if c, ok := follower.pending.lookup(key, 12); ok {
+			t.Errorf("key %d combines with a fill that completed at %d", key, c)
+		}
+	}
+	if c, ok := follower.pending.lookup(3, 12); !ok || c != 13 {
+		t.Errorf("key 3: lookup = %d, %v; want the live fill completing at 13", c, ok)
 	}
 }

@@ -533,9 +533,10 @@ func (ln *lane) fork(ld *lane, out, ldOut *stats.Loop) {
 	ln.stalled = ld.stalled
 	copy(ln.busFree, ld.busFree)
 	copy(ln.portFree, ld.portFree)
-	ln.pending.entries = append(ln.pending.entries[:0], ld.pending.entries...)
-	ln.pending.soonest, ln.pending.peak = ld.pending.soonest, ld.pending.peak
-	ln.fills.completions = append(ln.fills.completions[:0], ld.fills.completions...)
+	ln.pending.entries = append(ln.pending.entries[:0], ld.pending.live()...)
+	ln.pending.n, ln.pending.soonest, ln.pending.peak = ld.pending.n, ld.pending.soonest, ld.pending.peak
+	ln.fills.completions = append(ln.fills.completions[:0], ld.fills.live()...)
+	ln.fills.n = ld.fills.n
 	ln.ic.CopyTags(ld.ic)
 	*out = *ldOut // a family's static fields agree too
 	ln.shared = out.TotalAccesses()
@@ -567,8 +568,13 @@ func acquire(pool []int64, at int64, hold int64) int64 {
 // of every subblock the run ever touched. At that size (tens of entries,
 // bounded by latency over II) a flat linearly-scanned slice beats a hash
 // map: no hashing, no tombstones, one cache line most of the time.
+//
+// The live entries are entries[:n]. Shrinking stores only n: the set lives
+// in a heap-allocated lane, and storing a slice header there would cost a
+// GC write barrier on every pruning lookup while the collector marks.
 type pendingSet struct {
 	entries []pendEntry
+	n       int
 	// soonest is at most the earliest completion in entries: while lookups
 	// come before it nothing can have expired, and the prune is skipped.
 	soonest int64
@@ -586,7 +592,7 @@ type pendEntry struct {
 // are unique: set is only reached after a failed lookup at the same t, which
 // has already removed any expired entry for the key.
 func (p *pendingSet) lookup(key, t int64) (int64, bool) {
-	es := p.entries
+	es := p.live()
 	if t < p.soonest {
 		for _, e := range es {
 			if e.key == key {
@@ -605,42 +611,51 @@ func (p *pendingSet) lookup(key, t int64) (int64, bool) {
 		}
 		if e.key == key {
 			// Pruning only raises the minimum, so the old bound holds.
-			p.entries = es
+			p.n = len(es)
 			return e.completion, true
 		}
 		soonest = min(soonest, e.completion)
 		i++
 	}
-	p.entries, p.soonest = es, soonest
+	p.n, p.soonest = len(es), soonest
 	return 0, false
 }
 
 // set records an outstanding fill for key completing at the given cycle.
 func (p *pendingSet) set(key, completion int64) {
-	if len(p.entries) == 0 || completion < p.soonest {
+	if p.n == 0 || completion < p.soonest {
 		p.soonest = completion
 	}
-	p.entries = append(p.entries, pendEntry{completion: completion, key: key})
-	if len(p.entries) > p.peak {
-		p.peak = len(p.entries)
+	e := pendEntry{completion: completion, key: key}
+	if p.n < len(p.entries) {
+		p.entries[p.n] = e
+	} else {
+		p.entries = append(p.entries, e)
 	}
+	p.n++
+	p.peak = max(p.peak, p.n)
 }
+
+// live returns the live entries.
+func (p *pendingSet) live() []pendEntry { return p.entries[:p.n] }
 
 // mshrPool models a bounded set of outstanding-fill slots (MSHRs) as a
 // binary min-heap of completion times. reserve pops expired fills and, when
 // every slot is still live, returns the wait until the earliest one frees
-// (consuming it); add registers a new outstanding fill.
+// (consuming it); add registers a new outstanding fill. The heap is
+// completions[:n], and pop stores only n, for the reason pendingSet does.
 type mshrPool struct {
 	completions []int64
+	n           int
 	cap         int
 }
 
 // prune drops the fills complete by t and returns how many stay live.
 func (p *mshrPool) prune(t int64) int {
-	for len(p.completions) > 0 && p.completions[0] <= t {
+	for p.n > 0 && p.completions[0] <= t {
 		p.pop()
 	}
-	return len(p.completions)
+	return p.n
 }
 
 // reserve returns the extra cycles an access issued at t must wait for a
@@ -656,23 +671,32 @@ func (p *mshrPool) reserve(t int64) int64 {
 
 // add registers an outstanding fill completing at the given cycle.
 func (p *mshrPool) add(completion int64) {
-	p.completions = append(p.completions, completion)
-	i := len(p.completions) - 1
+	if p.n < len(p.completions) {
+		p.completions[p.n] = completion
+	} else {
+		p.completions = append(p.completions, completion)
+	}
+	h := p.completions
+	i := p.n
+	p.n++
 	for i > 0 {
 		parent := (i - 1) / 2
-		if p.completions[parent] <= p.completions[i] {
+		if h[parent] <= h[i] {
 			break
 		}
-		p.completions[parent], p.completions[i] = p.completions[i], p.completions[parent]
+		h[parent], h[i] = h[i], h[parent]
 		i = parent
 	}
 }
 
+// live returns the live fills, in heap order.
+func (p *mshrPool) live() []int64 { return p.completions[:p.n] }
+
 func (p *mshrPool) pop() {
+	p.n--
 	h := p.completions
-	h[0] = h[len(h)-1]
-	h = h[:len(h)-1]
-	p.completions = h
+	h[0] = h[p.n]
+	h = h[:p.n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2

@@ -15,34 +15,35 @@
 package sms
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"ivliw/internal/ir"
 )
 
 // Order returns the instruction IDs of the loop in swing modulo scheduling
-// order for the given latency assignment.
+// order for the given latency assignment. The graph's distance-0 edges must
+// form a DAG, as they do for every graph ir.NewGraph accepts.
 func Order(g *ir.Graph, assigned []int) []int {
 	n := len(g.Loop.Instrs)
-	height := heights(g, assigned)
-	depth := depths(g, assigned)
+	height, depth := heightsDepths(g, assigned)
 
-	var order []int
-	inOrder := make([]bool, n)
-	append1 := func(v int) {
-		order = append(order, v)
-		inOrder[v] = true
+	o := &orderer{
+		g: g, height: height, depth: depth,
+		inOrder:  make([]bool, n),
+		rem:      make([]bool, n),
+		frontier: make([]bool, n),
 	}
-
 	for _, set := range nodeSets(g, assigned) {
-		orderSet(g, set, inOrder, height, depth, append1)
+		o.orderSet(set)
 	}
-	return order
+	return o.order
 }
 
 // nodeSets partitions the nodes into ordered priority sets: recurrences by
 // decreasing II, each preceded by the nodes on paths connecting it to the
-// already-selected sets, with all remaining nodes in a final set.
+// already-selected sets, with all remaining nodes in a final set. Every set
+// is sorted.
 func nodeSets(g *ir.Graph, assigned []int) [][]int {
 	n := len(g.Loop.Instrs)
 	taken := make([]bool, n)
@@ -52,7 +53,6 @@ func nodeSets(g *ir.Graph, assigned []int) [][]int {
 		if len(set) == 0 {
 			return
 		}
-		sort.Ints(set)
 		sets = append(sets, set)
 		for _, v := range set {
 			taken[v] = true
@@ -87,42 +87,38 @@ func anyTaken(taken []bool, nodes []int) bool {
 	return false
 }
 
-// pathNodes returns the untaken nodes lying on a directed path between the
-// already-taken nodes and the target set (in either direction), computed
-// over distance-0 edges.
+// pathNodes returns, in ascending order, the untaken nodes lying on a
+// directed path between the already-taken nodes and the target set (in
+// either direction), computed over distance-0 edges.
 func pathNodes(g *ir.Graph, taken []bool, target []int) []int {
-	inTarget := make(map[int]bool, len(target))
+	inTarget := make([]bool, len(taken))
 	for _, v := range target {
 		inTarget[v] = true
 	}
-	fromTaken := reach(g, func(v int) bool { return taken[v] }, true)
-	toTaken := reach(g, func(v int) bool { return taken[v] }, false)
-	fromTarget := reach(g, func(v int) bool { return inTarget[v] }, true)
-	toTarget := reach(g, func(v int) bool { return inTarget[v] }, false)
+	fromTaken := reach(g, taken, true)
+	toTaken := reach(g, taken, false)
+	fromTarget := reach(g, inTarget, true)
+	toTarget := reach(g, inTarget, false)
 
 	var path []int
-	for v := range fromTaken {
-		if toTarget[v] && !taken[v] && !inTarget[v] {
+	for v := range taken {
+		if taken[v] || inTarget[v] {
+			continue
+		}
+		if fromTaken[v] && toTarget[v] || fromTarget[v] && toTaken[v] {
 			path = append(path, v)
 		}
 	}
-	for v := range fromTarget {
-		if toTaken[v] && !taken[v] && !inTarget[v] {
-			path = append(path, v)
-		}
-	}
-	sort.Ints(path)
-	return dedup(path)
+	return path
 }
 
-// reach computes the set of nodes reachable from (forward=true) or reaching
-// (forward=false) the seed predicate, over distance-0 edges.
-func reach(g *ir.Graph, seed func(int) bool, forward bool) map[int]bool {
-	seen := map[int]bool{}
+// reach marks the nodes reachable from (forward=true) or reaching
+// (forward=false) the seed nodes, seeds included, over distance-0 edges.
+func reach(g *ir.Graph, seed []bool, forward bool) []bool {
+	seen := slices.Clone(seed)
 	var stack []int
-	for v := range g.Loop.Instrs {
-		if seed(v) {
-			seen[v] = true
+	for v, s := range seed {
+		if s {
 			stack = append(stack, v)
 		}
 	}
@@ -151,68 +147,75 @@ func reach(g *ir.Graph, seed func(int) bool, forward bool) map[int]bool {
 	return seen
 }
 
-func dedup(sorted []int) []int {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+// orderer carries the state of one Order: the order built so far, the
+// nodes of the current set not yet ordered (rem) and the nodes on the
+// current frontier, each marked by instruction ID.
+type orderer struct {
+	g             *ir.Graph
+	height, depth []int
+	order         []int
+	inOrder       []bool
+	rem           []bool
+	frontier      []bool
+	r             []int // the frontier's nodes, in no particular order
 }
 
-// orderSet appends the nodes of one set to the global order, alternating
-// directions so that appended nodes have only predecessors or only
-// successors already ordered.
-func orderSet(g *ir.Graph, set []int, inOrder []bool, height, depth []int, emit func(int)) {
-	remaining := make(map[int]bool, len(set))
+// orderSet appends the nodes of one sorted set to the global order,
+// alternating directions so that appended nodes have only predecessors or
+// only successors already ordered.
+func (o *orderer) orderSet(set []int) {
 	for _, v := range set {
-		remaining[v] = true
+		o.rem[v] = true
 	}
-	for len(remaining) > 0 {
+	for left := len(set); left > 0; {
 		// Frontier: nodes of the set adjacent to the current order.
-		var r []int
-		bottomUp := false
-		for v := range remaining {
-			if hasNeighborInOrder(g, v, inOrder, true) { // succ in order
-				r = append(r, v)
-			}
+		bottomUp := o.collect(set, true) // succ in order
+		if !bottomUp {
+			o.collect(set, false) // pred in order
 		}
-		if len(r) > 0 {
-			bottomUp = true
-		} else {
-			for v := range remaining {
-				if hasNeighborInOrder(g, v, inOrder, false) { // pred in order
-					r = append(r, v)
-				}
-			}
-		}
-		if len(r) == 0 {
+		if len(o.r) == 0 {
 			// Seed: the node with the greatest height (it heads the
 			// longest chain), ordered top-down from there.
-			r = []int{seedNode(set, remaining, height)}
+			o.push(o.seedNode(set))
 		}
-		sort.Ints(r)
 
-		for len(r) > 0 {
-			v := pick(r, bottomUp, height, depth)
-			emit(v)
-			delete(remaining, v)
+		for len(o.r) > 0 {
+			v := o.pick(bottomUp)
+			o.order = append(o.order, v)
+			o.inOrder[v] = true
+			o.rem[v] = false
+			left--
 			// Extend the frontier following the current direction.
-			next := g.Preds(v)
+			next := o.g.Preds(v)
 			if !bottomUp {
-				next = g.Succs(v)
+				next = o.g.Succs(v)
 			}
 			for _, w := range next {
-				if remaining[w] && !contains(r, w) {
-					r = append(r, w)
+				if o.rem[w] && !o.frontier[w] {
+					o.push(w)
 				}
 			}
-			r = filterRemaining(r, remaining)
 		}
 		// Direction flips implicitly: the next frontier computation
 		// re-derives it from the new order.
 	}
+}
+
+// collect puts on the (empty) frontier every unordered node of the set with
+// a successor (succs) or a predecessor (!succs) in the order, and reports
+// whether it found any.
+func (o *orderer) collect(set []int, succs bool) bool {
+	for _, v := range set {
+		if o.rem[v] && hasNeighborInOrder(o.g, v, o.inOrder, succs) {
+			o.push(v)
+		}
+	}
+	return len(o.r) > 0
+}
+
+func (o *orderer) push(v int) {
+	o.r = append(o.r, v)
+	o.frontier[v] = true
 }
 
 func hasNeighborInOrder(g *ir.Graph, v int, inOrder []bool, succs bool) bool {
@@ -228,14 +231,13 @@ func hasNeighborInOrder(g *ir.Graph, v int, inOrder []bool, succs bool) bool {
 	return false
 }
 
-func seedNode(set []int, remaining map[int]bool, height []int) int {
+// seedNode returns the unordered node of the set with the greatest height,
+// ties by smallest ID.
+func (o *orderer) seedNode(set []int) int {
 	best, bestH := -1, -1
 	for _, v := range set {
-		if !remaining[v] {
-			continue
-		}
-		if height[v] > bestH || (height[v] == bestH && v < best) {
-			best, bestH = v, height[v]
+		if o.rem[v] && o.height[v] > bestH {
+			best, bestH = v, o.height[v]
 		}
 	}
 	return best
@@ -244,11 +246,12 @@ func seedNode(set []int, remaining map[int]bool, height []int) int {
 // pick removes and returns the highest-priority node of the frontier:
 // greatest depth for bottom-up, greatest height for top-down, ties by
 // smallest ID.
-func pick(r []int, bottomUp bool, height, depth []int) int {
-	prio := height
+func (o *orderer) pick(bottomUp bool) int {
+	prio := o.height
 	if bottomUp {
-		prio = depth
+		prio = o.depth
 	}
+	r := o.r
 	bi := 0
 	for i := 1; i < len(r); i++ {
 		if prio[r[i]] > prio[r[bi]] || (prio[r[i]] == prio[r[bi]] && r[i] < r[bi]) {
@@ -257,67 +260,67 @@ func pick(r []int, bottomUp bool, height, depth []int) int {
 	}
 	v := r[bi]
 	r[bi] = r[len(r)-1]
+	o.r = r[:len(r)-1]
+	o.frontier[v] = false
 	return v
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+// heightsDepths returns, per node, the longest latency path to any sink
+// (height: the node's own latency excluded, successors' included) and from
+// any source (depth) over distance-0 edges: one pass each over a
+// topological order of those edges, which must form a DAG.
+func heightsDepths(g *ir.Graph, assigned []int) (height, depth []int) {
+	l := g.Loop
+	n := len(l.Instrs)
+	order := topoOrder(g)
+	height = make([]int, n)
+	depth = make([]int, n)
+	for _, v := range order {
+		for _, ei := range g.In[v] {
+			if e := l.Edges[ei]; e.Distance == 0 {
+				depth[v] = max(depth[v], depth[e.From]+l.EdgeLatency(e, assigned))
+			}
 		}
 	}
-	return false
-}
-
-func filterRemaining(r []int, remaining map[int]bool) []int {
-	out := r[:0]
-	for _, v := range r {
-		if remaining[v] {
-			out = append(out, v)
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
+		for _, ei := range g.Out[v] {
+			if e := l.Edges[ei]; e.Distance == 0 {
+				height[v] = max(height[v], height[e.To]+l.EdgeLatency(e, assigned))
+			}
 		}
 	}
-	return out
+	return height, depth
 }
 
-// heights returns, per node, the longest latency path to any sink over
-// distance-0 edges (the node's own latency excluded, successors' included),
-// computed by bounded relaxation so that malformed zero-distance cycles
-// cannot hang the compiler.
-func heights(g *ir.Graph, assigned []int) []int {
-	return longest(g, assigned, true)
-}
-
-// depths returns, per node, the longest latency path from any source over
-// distance-0 edges.
-func depths(g *ir.Graph, assigned []int) []int {
-	return longest(g, assigned, false)
-}
-
-func longest(g *ir.Graph, assigned []int, toSink bool) []int {
+// topoOrder returns the nodes in a topological order of the distance-0
+// edges (Kahn's algorithm).
+func topoOrder(g *ir.Graph) []int {
 	n := len(g.Loop.Instrs)
-	val := make([]int, n)
-	for round := 0; round < n; round++ {
-		changed := false
-		for _, e := range g.Loop.Edges {
-			if e.Distance != 0 {
-				continue
-			}
-			w := g.Loop.EdgeLatency(e, assigned)
-			if toSink {
-				if d := val[e.To] + w; d > val[e.From] {
-					val[e.From] = d
-					changed = true
-				}
-			} else {
-				if d := val[e.From] + w; d > val[e.To] {
-					val[e.To] = d
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
+	indeg := make([]int, n)
+	for _, e := range g.Loop.Edges {
+		if e.Distance == 0 {
+			indeg[e.To]++
 		}
 	}
-	return val
+	order := make([]int, 0, n)
+	for v, d := range indeg {
+		if d == 0 {
+			order = append(order, v)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, ei := range g.Out[order[i]] {
+			if e := g.Loop.Edges[ei]; e.Distance == 0 {
+				if indeg[e.To]--; indeg[e.To] == 0 {
+					order = append(order, e.To)
+				}
+			}
+		}
+	}
+	if len(order) < n {
+		//ivliw:invariant ir.NewGraph builds a RecEngine for every cyclic SCC, and NewRecEngine panics on a distance-0 cycle, so the distance-0 edges of any graph reaching here are acyclic
+		panic(fmt.Sprintf("sms: loop %s has a distance-0 cycle", g.Loop.Name))
+	}
+	return order
 }

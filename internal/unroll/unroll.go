@@ -9,7 +9,7 @@
 package unroll
 
 import (
-	"fmt"
+	"strconv"
 
 	"ivliw/internal/arch"
 	"ivliw/internal/ir"
@@ -74,6 +74,9 @@ func Candidates(l *ir.Loop, cfg arch.Config, hitRate func(id int) float64) []int
 // references one and only one cache module. A dependence (a→b, distance d)
 // becomes, for each copy j, an edge from a's copy j to b's copy (j+d) mod u
 // with distance (j+d) div u. The trip count shrinks accordingly.
+//
+// The copies' instructions and memory descriptors live in one backing array
+// each, and their names ("<name>.u<j>" for copy j) in one string.
 func Unroll(l *ir.Loop, u int) *ir.Loop {
 	if u <= 1 {
 		return l.Clone()
@@ -85,21 +88,51 @@ func Unroll(l *ir.Loop, u int) *ir.Loop {
 		Weight:   l.Weight,
 		Unroll:   l.Unroll * u,
 	}
+	mems, nameBytes := 0, 0
+	for _, in := range l.Instrs {
+		if in.Mem != nil {
+			mems++
+		}
+		nameBytes += len(in.Name)
+	}
+	if n > 0 {
+		nl.Instrs = make([]*ir.Instr, 0, u*n)
+	}
+	instrs := make([]ir.Instr, u*n)
+	memInfos := make([]ir.MemInfo, u*mems)
+	// Every copy's name is a substring of one string holding them all:
+	// name k spans names[bounds[k]:bounds[k+1]].
+	buf := make([]byte, 0, u*(nameBytes+n*len(".u"+strconv.Itoa(u-1))))
+	bounds := make([]int, 1, u*n+1)
 	for j := 0; j < u; j++ {
 		for _, in := range l.Instrs {
-			ci := *in
+			buf = append(buf, in.Name...)
+			buf = append(buf, ".u"...)
+			buf = strconv.AppendInt(buf, int64(j), 10)
+			bounds = append(bounds, len(buf))
+		}
+	}
+	names := string(buf)
+	for j := 0; j < u; j++ {
+		for _, in := range l.Instrs {
+			k := len(nl.Instrs)
+			ci := &instrs[k]
+			*ci = *in
 			ci.ID = j*n + in.ID
-			if u > 1 {
-				ci.Name = fmt.Sprintf("%s.u%d", in.Name, j)
-			}
+			ci.Name = names[bounds[k]:bounds[k+1]]
 			if in.Mem != nil {
-				m := *in.Mem
+				m := &memInfos[0]
+				memInfos = memInfos[1:]
+				*m = *in.Mem
 				m.Offset += m.Stride * int64(j)
 				m.Stride *= int64(u)
-				ci.Mem = &m
+				ci.Mem = m
 			}
-			nl.Instrs = append(nl.Instrs, &ci)
+			nl.Instrs = append(nl.Instrs, ci)
 		}
+	}
+	if len(l.Edges) > 0 {
+		nl.Edges = make([]ir.Edge, 0, u*len(l.Edges))
 	}
 	for _, e := range l.Edges {
 		for j := 0; j < u; j++ {

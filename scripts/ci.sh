@@ -115,12 +115,15 @@ go test -race ./...
 # files, coordinator manifests and the bodies ivliw-served accepts) and the
 # simulator from loop to cycles against its reference (FuzzSimulate). Their
 # committed seed corpora (testdata/fuzz) already ran in the line above.
+# -fuzzminimizetime bounds the minimization of each new input to 50
+# executions: under Go's 60 s default, a target whose executions take
+# milliseconds spends its whole time box minimizing and barely fuzzes.
 for target in "FuzzReadBeat ./sweep" "FuzzParse ./sweep/fault" \
     "FuzzParseShard ./cmd/ivliw-bench" "FuzzParseClaim ./cmd/ivliw-bench" \
     "FuzzParseSpec ./sweep" "FuzzOpenManifest ./sweep" \
     "FuzzSubmitBody ./sweep/serve" "FuzzSimulate ./internal/sim"; do
   read -r name pkg <<< "$target"
-  go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -parallel 2 "$pkg"
+  go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -fuzzminimizetime 50x -parallel 2 "$pkg"
 done
 
 echo "== 4/11 paper-output byte identity (ivliw-bench -exp all, fig5, fig7, headlines) =="
