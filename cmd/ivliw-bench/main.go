@@ -34,7 +34,7 @@
 // concatenation of all shards' outputs is byte-identical to the unsharded
 // run — and -artifact-dir layers the compile cache over a persistent
 // content-addressed artifact store so repeated and sharded runs start warm.
-// testdata/ holds the spec files scripts/ci.sh runs.
+// testdata/ holds the spec files the command's tests run.
 //
 // -coordinate n runs the whole sharded workflow in one command with n
 // workers: the grid is cut into up to 4n never-empty chunks of equal
@@ -64,8 +64,8 @@
 // by the worker's name). The IVLIW_FAULT_PLAN environment variable may
 // name a JSON fault plan (see ivliw/sweep/fault) that deterministically
 // crashes, hangs or wedges specific shard attempts and kills specific pool
-// workers — the harness scripts/ci.sh uses to prove byte-identity survives
-// worker failure.
+// workers — the harness TestCoordinateSurvivesDeadWorkerAndHang uses to
+// prove byte-identity survives worker failure.
 //
 // Sweeps run as a two-stage streaming pipeline: distinct compile keys are
 // compiled once into the artifact store (-compile-cache memory artifacts, 0

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,8 +13,8 @@ import (
 )
 
 // asMainEnv, set to 1, makes this test binary run main() instead of the
-// tests, so the coordinated-run test can start it as an ivliw-bench
-// coordinator whose pool starts it again as every worker.
+// tests, so a test can start it as the ivliw-bench command, and a
+// coordinated run's pool starts it again as every worker.
 const asMainEnv = "IVLIW_BENCH_TEST_AS_MAIN"
 
 func TestMain(m *testing.M) {
@@ -86,9 +85,10 @@ func firstDiff(want, got []byte) string {
 	return "no line differs"
 }
 
-// TestCommittedSpecs: each spec file scripts/ci.sh runs parses strictly,
-// validates, re-encodes to its own bytes, and keeps the semantic hash
-// (the ivliw-served job ID) it was committed with.
+// TestCommittedSpecs: each committed spec file (the grids the tests in
+// cli_test.go run, and skew.json, which scripts/ci.sh also times) parses
+// strictly, validates, re-encodes to its own bytes, and keeps the semantic
+// hash (the ivliw-served job ID) it was committed with.
 func TestCommittedSpecs(t *testing.T) {
 	for name, want := range map[string]string{
 		"default": "b9def06d14b0b46ca4214bcdfe91efd0bcdba50b737cab7c998766a5b947d01a",
@@ -121,41 +121,13 @@ func TestCommittedSpecs(t *testing.T) {
 // bytes, a crashed chunk attempt from a fault plan is retried, and a rerun
 // over the same coordinator directory resumes with 0 launches.
 func TestCoordinatedCLI(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
-	// run starts this binary as ivliw-bench with an armed (or, for "", an
-	// unarmed) fault plan and returns its stderr.
-	run := func(plan string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(exe, args...)
-		cmd.Env = append(os.Environ(), asMainEnv+"=1", "IVLIW_FAULT_PLAN="+plan)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("ivliw-bench %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-		}
-		return stderr.String()
-	}
 	same := func(name string) {
 		t.Helper()
-		want, err := os.ReadFile(path("ref.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := readFile(t, path("ref.jsonl"))
 		if got, err := os.ReadFile(path(name)); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the unsharded run (err %v)", name, err)
-		}
-	}
-	wantLog := func(stderr string, lines ...string) {
-		t.Helper()
-		for _, l := range lines {
-			if !strings.Contains(stderr, l) {
-				t.Errorf("stderr lacks %q:\n%s", l, stderr)
-			}
 		}
 	}
 
@@ -171,23 +143,21 @@ func TestCoordinatedCLI(t *testing.T) {
 	if err := os.WriteFile(path("spec.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	run("", "-spec", path("spec.json"), "-out", path("ref.jsonl"))
+	mustCLI(t, "", "-spec", path("spec.json"), "-out", path("ref.jsonl"))
 
 	coordinate := func(plan, work, out string) string {
-		return run(plan, "-spec", path("spec.json"), "-coordinate", "2",
+		_, stderr := mustCLI(t, plan, "-spec", path("spec.json"), "-coordinate", "2",
 			"-coordinate-dir", path(work), "-out", path(out))
+		return stderr
 	}
-	wantLog(coordinate("", "work", "coord.jsonl"), "2 workers, 2 tasks, 0 resumed, 2 launches, 0 retries")
+	wantLog(t, coordinate("", "work", "coord.jsonl"), "2 workers, 2 tasks, 0 resumed, 2 launches, 0 retries")
 	same("coord.jsonl")
 
-	plan := path("crash.json")
-	if err := os.WriteFile(plan, []byte(`{"events":[{"op":"crash","shard":1,"attempt":1}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wantLog(coordinate(plan, "work_crash", "crash.jsonl"), "fault: crash (shard 1, attempt 1)", "3 launches, 1 retries")
+	plan := writePlan(t, dir, `{"events":[{"op":"crash","shard":1,"attempt":1}]}`)
+	wantLog(t, coordinate(plan, "work_crash", "crash.jsonl"), "fault: crash (shard 1, attempt 1)", "3 launches, 1 retries")
 	same("crash.jsonl")
 
-	wantLog(coordinate("", "work", "resume.jsonl"), "2 resumed, 0 launches")
+	wantLog(t, coordinate("", "work", "resume.jsonl"), "2 resumed, 0 launches")
 	same("resume.jsonl")
 }
 

@@ -1,7 +1,7 @@
 // Command ivliw-load submits one spec file to an ivliw-served daemon, waits
 // for the job to finish and optionally saves its rows — the smallest
-// client, which scripts/ci.sh uses to gate the served rows byte-identical
-// to the direct CLI run of the same spec file:
+// client, with which a user can check the served rows against the direct
+// CLI run of the same spec file (TestOneShot checks them byte-identical):
 //
 //	ivliw-load -addr URL -submit spec.json [-rows out.jsonl]
 //

@@ -93,7 +93,8 @@
 // is the multi-host seam over a shared filesystem) — retries failed
 // attempts within a per-task attempt cap, one attempt in flight at a time,
 // and stitches the per-task JSONL files into the final output
-// byte-identical to the unsharded run (gated by scripts/ci.sh).
+// byte-identical to the unsharded run (TestCoordinatedCLI and
+// TestCoordinateThreeWorkers in cmd/ivliw-bench).
 //
 // The coordinator is built on an all-or-nothing file discipline: task
 // outputs, the manifest and the stitched result only ever appear via
@@ -136,10 +137,10 @@
 // deterministic fault harness (ivliw/sweep/fault, armed via the
 // IVLIW_FAULT_PLAN env var) scripts crashes, hangs, stale heartbeats,
 // corrupt outputs and dead workers by task/attempt/worker, which is how
-// scripts/ci.sh step 7 gates that task outputs stay byte-identical under
-// every recovery path. `ivliw-bench -coordinate n` wraps it (stale after
-// -pool-stale, 2s by default); TestPoolDeadWorkerRequeues drives a faulted
-// pool end to end.
+// TestCoordinateSurvivesDeadWorkerAndHang (cmd/ivliw-bench) shows that task
+// outputs stay byte-identical under every recovery path. `ivliw-bench
+// -coordinate n` wraps it (stale after -pool-stale, 2s by default);
+// TestPoolDeadWorkerRequeues drives a faulted pool end to end.
 //
 // # Cost-balanced coordination
 //
@@ -168,11 +169,11 @@
 // pin explicit row ranges through Shard.Lo/Hi (CLI protocol: `ivliw-bench
 // -spec F -claim lo:hi`), and byte-identity holds by construction: rows
 // are keyed by grid index, tasks tile the grid exactly, and the stitcher
-// concatenates committed task files in index order (gated by scripts/ci.sh
-// step 9 through `ivliw-bench -coordinate`, including an injected chunk
-// crash). The manifest records per-attempt wall time and
-// cells/s, which is both the coordinator's slowest-task stats line and the
-// raw material for recalibration.
+// concatenates committed task files in index order (TestCostBalancedChunks
+// in cmd/ivliw-bench runs `ivliw-bench -coordinate` on the skew grid,
+// including an injected chunk crash). The manifest records per-attempt
+// wall time and cells/s, which is both the coordinator's slowest-task
+// stats line and the raw material for recalibration.
 //
 // # Sweep as a service
 //
@@ -220,9 +221,10 @@
 // submissions get 503 + Retry-After — and a restarted daemon over the same
 // directory resumes requeued jobs from their coordinator manifests instead
 // of recomputing completed shards. `ivliw-load -submit` sends one spec
-// file and saves the job's rows; scripts/ci.sh step 10 gates them
-// byte-identical to the direct run, and a duplicate cached with zero new
-// executions. TestReplayDedupsOverlappingSubmissions (sweep/serve) checks
+// file and saves the job's rows. TestServedOverPool (cmd/ivliw-served)
+// checks the daemon's rows over a subprocess pool byte-identical to the
+// direct run, and a duplicate cached with zero new executions.
+// TestReplayDedupsOverlappingSubmissions (sweep/serve) checks
 // that 1 000 overlapping submissions of 12 specs from 32 clients execute
 // exactly 12 jobs, and perfbench's served-replay workload measures the
 // submit-to-done latency.
@@ -255,7 +257,8 @@
 // are emitted in grid order as their cells complete, with memory bounded
 // by a reorder window and the store capacity rather than the grid size, so
 // 10^5+ cell grids run in constant space. Output is byte-identical for any
-// store configuration, worker count and sharding (gated by scripts/ci.sh).
+// store configuration, worker count and sharding (TestSweepDeterminism and
+// TestShardsAndWarmStore in cmd/ivliw-bench).
 // On the root API, Program.CompileArtifact and Program.RunArtifact expose
 // the same two stages per loop, with artifacts cached by content inside
 // the Program.
@@ -295,9 +298,9 @@
 // flow through the same reorder window in grid order and every row's
 // bytes are identical with batching on or off — the per-lane simulation
 // is exactly the serial simulation, only the access iteration is shared
-// (gated by scripts/ci.sh step 8, including the coordinator pool path;
-// the -sim-batch flag travels to pool workers through the shared base
-// spec). A batch that fails as a whole falls back to simulating its
+// (TestSimBatchIdentity in cmd/ivliw-bench, including the coordinator pool
+// path; the -sim-batch flag travels to pool workers through the shared
+// base spec). A batch that fails as a whole falls back to simulating its
 // lanes serially, so one infeasible sibling cannot smear an error over
 // the others. Run stats record the economy as SimCells/SimBatches (mean
 // lane width); BENCH_7.json snapshots the measured cells/s scaling curve
@@ -372,8 +375,9 @@
 // The module's two load-bearing invariants — byte-identical output across
 // workers/shards/caches/coordination, and temp+rename atomicity for every
 // committed file — are proven, not just tested, by a custom analysis pass:
-// internal/lintcheck, run as `ivliw-vet ./...` (cmd/ivliw-vet; gated clean
-// by scripts/ci.sh step 11). Five analyzers, stdlib-only (go/parser +
+// internal/lintcheck, run as `ivliw-vet ./...` (cmd/ivliw-vet; the repo is
+// kept clean by TestRepoIsClean, and TestSeededViolations shows that each
+// analyzer fires). Five analyzers, stdlib-only (go/parser +
 // go/types over `go list -deps -export`):
 //
 //   - atomicwrite: os.Create / os.WriteFile / os.OpenFile-for-write are

@@ -3,12 +3,18 @@ package ivliw_test
 import (
 	"fmt"
 	"log"
+	"sort"
+	"strings"
 
 	"ivliw"
+	"ivliw/internal/addrspace"
 	"ivliw/internal/arch"
+	"ivliw/internal/core"
 	"ivliw/internal/ir"
 	"ivliw/internal/latassign"
 	"ivliw/internal/paperex"
+	"ivliw/internal/sched"
+	"ivliw/internal/workload"
 )
 
 // Example_quickstart builds a SAXPY-like loop, compiles it with the paper's
@@ -376,4 +382,147 @@ func Example_latencyWalkthrough() {
 	//   n6.load  1 cycles
 	//
 	// final RecMII = 8 (target MII 8)
+}
+
+// Example_schedule prints the modulo schedule the paper's pipeline builds
+// for the first loop of gsmdec (gsmdec.ltp) on the Table 2 machine, under
+// IPBC with selective unrolling: the unroll factor, II and MII, stage
+// count, inter-cluster copies and workload balance; the latency assignment
+// steps; each instruction's cycle and cluster, and for a memory
+// instruction its assigned latency, profiled hit rate, preferred cluster
+// and memory dependent chain; and the copies on the register buses.
+//
+// Selective unrolling picks the factor 4. The unrolled loop is
+// resource-bound: its 32 integer operations on the machine's 4 integer
+// units set the MII of 8, which the schedule meets with every load at the
+// 15-cycle remote-miss latency, so latency assignment takes no step. Every
+// memory instruction prefers cluster 0 and IPBC places it there, but the
+// integer operations of each unrolled copy j run on cluster j, so copies 1
+// to 3 each move a loaded value out to their cluster and the result back
+// to cluster 0 for the store: 6 copies, and a balance of 0.40 (0.25 is
+// perfect on 4 clusters). No memory instruction is in a chain of two or
+// more, so no chain is printed.
+func Example_schedule() {
+	spec, ok := workload.ByName("gsmdec")
+	if !ok {
+		log.Fatal("no benchmark gsmdec")
+	}
+	cfg := arch.Default()
+	loop := spec.Loops[0].Loop
+	profDS := addrspace.Dataset{Seed: spec.ProfileSeed, Aligned: true}
+	profLay := addrspace.NewLayout(spec.AllLoops(), cfg, profDS)
+	h, um := sched.IPBC, core.Selective
+	c, err := core.Compile(loop, cfg, profLay, profDS, core.Options{Heuristic: h, Unroll: um})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("loop %s  (%s cache, %v, %v unrolling)\n", loop.Name, cfg.Org, h, um)
+	fmt.Printf("unroll factor %d   II %d (MII %d)   stages %d   copies %d   balance %.2f\n\n",
+		c.UnrollFactor, c.Schedule.II, c.Schedule.MII, c.Schedule.SC,
+		len(c.Schedule.Copies), c.Schedule.WorkloadBalance(cfg.Clusters))
+
+	if len(c.Latency.Steps) > 0 {
+		fmt.Println("latency assignment steps (target MII", c.Latency.TargetMII, "):")
+		for _, s := range c.Latency.Steps {
+			if s.Slack {
+				fmt.Printf("  %-14s %2d -> %2d  (slack re-absorption)\n",
+					c.Loop.Instrs[s.Instr].Name, s.From, s.To)
+				continue
+			}
+			fmt.Printf("  %-14s %2d -> %2d  ∆II=%-3d ∆stall=%-6.2f B=%.2f\n",
+				c.Loop.Instrs[s.Instr].Name, s.From, s.To, s.DeltaII, s.DeltaStall, s.B)
+		}
+		fmt.Println()
+	}
+
+	fmt.Println("schedule (cycle, cluster):")
+	ids := make([]int, len(c.Loop.Instrs))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		pa, pb := c.Schedule.Place[ids[a]], c.Schedule.Place[ids[b]]
+		if pa.Cycle != pb.Cycle {
+			return pa.Cycle < pb.Cycle
+		}
+		return ids[a] < ids[b]
+	})
+	for _, id := range ids {
+		in := c.Loop.Instrs[id]
+		p := c.Schedule.Place[id]
+		extra := ""
+		if in.IsMem() {
+			st := c.Profile.Stats(id)
+			extra = fmt.Sprintf("  lat=%-2d hit=%.2f pref=c%d", c.Schedule.Assigned[id],
+				st.HitRate(), c.Preferred[id])
+			if ch := c.Chains.ChainOf(id); ch >= 0 && c.Chains.Len(id) > 1 {
+				extra += fmt.Sprintf(" chain=%d", ch)
+			}
+		}
+		// The name column is padded; a line that ends with it is trimmed.
+		line := fmt.Sprintf("  t=%-4d c%-2d %-6s %-14s%s", p.Cycle, p.Cluster, in.Class, in.Name, extra)
+		fmt.Println(strings.TrimRight(line, " "))
+	}
+	if len(c.Schedule.Copies) > 0 {
+		fmt.Println("\ninter-cluster copies (bus transfers):")
+		for _, cp := range c.Schedule.Copies {
+			fmt.Printf("  t=%-4d %s(c%d) -> %s(c%d)\n", cp.Cycle,
+				c.Loop.Instrs[cp.From].Name, cp.FromCluster,
+				c.Loop.Instrs[cp.To].Name, cp.ToCluster)
+		}
+	}
+	// Output:
+	// loop gsmdec.ltp  (interleaved cache, IPBC, selective unrolling)
+	// unroll factor 4   II 8 (MII 8)   stages 4   copies 6   balance 0.40
+	//
+	// schedule (cycle, cluster):
+	//   t=0    c0  load   ld.u0           lat=15 hit=0.97 pref=c0
+	//   t=1    c0  load   ld.u1           lat=15 hit=0.00 pref=c0
+	//   t=2    c0  load   ld.u2           lat=15 hit=1.00 pref=c0
+	//   t=3    c0  load   ld.u3           lat=15 hit=0.00 pref=c0
+	//   t=15   c0  int    op.u0
+	//   t=16   c0  int    op.u0
+	//   t=17   c0  int    op.u0
+	//   t=18   c0  int    op.u0
+	//   t=18   c1  int    op.u1
+	//   t=19   c0  int    op.u0
+	//   t=19   c1  int    op.u1
+	//   t=19   c2  int    op.u2
+	//   t=20   c0  int    op.u0
+	//   t=20   c1  int    op.u1
+	//   t=20   c2  int    op.u2
+	//   t=20   c3  int    op.u3
+	//   t=21   c0  int    op.u0
+	//   t=21   c1  int    op.u1
+	//   t=21   c2  int    op.u2
+	//   t=21   c3  int    op.u3
+	//   t=22   c0  int    op.u0
+	//   t=22   c1  int    op.u1
+	//   t=22   c2  int    op.u2
+	//   t=22   c3  int    op.u3
+	//   t=23   c0  store  st.u0           lat=1  hit=0.00 pref=c0
+	//   t=23   c1  int    op.u1
+	//   t=23   c2  int    op.u2
+	//   t=23   c3  int    op.u3
+	//   t=24   c1  int    op.u1
+	//   t=24   c2  int    op.u2
+	//   t=24   c3  int    op.u3
+	//   t=25   c1  int    op.u1
+	//   t=25   c2  int    op.u2
+	//   t=25   c3  int    op.u3
+	//   t=26   c2  int    op.u2
+	//   t=26   c3  int    op.u3
+	//   t=27   c3  int    op.u3
+	//   t=28   c0  store  st.u1           lat=1  hit=1.00 pref=c0
+	//   t=29   c0  store  st.u2           lat=1  hit=0.00 pref=c0
+	//   t=30   c0  store  st.u3           lat=1  hit=1.00 pref=c0
+	//
+	// inter-cluster copies (bus transfers):
+	//   t=16   ld.u1(c0) -> op.u1(c1)
+	//   t=26   op.u1(c1) -> st.u1(c0)
+	//   t=17   ld.u2(c0) -> op.u2(c2)
+	//   t=27   op.u2(c2) -> st.u2(c0)
+	//   t=18   ld.u3(c0) -> op.u3(c3)
+	//   t=28   op.u3(c3) -> st.u3(c0)
 }

@@ -36,8 +36,9 @@
 // An annotation escape is one comment — `//ivliw:<verb> <reason>` — on the
 // flagged line or the line directly above it; the reason is mandatory, and
 // unknown verbs or missing reasons are themselves diagnostics. cmd/ivliw-vet
-// is the CLI: `ivliw-vet ./...` exits nonzero on any finding, and
-// scripts/ci.sh step 11 gates the repo clean.
+// is the CLI: `ivliw-vet ./...` exits nonzero on any finding.
+// TestRepoIsClean keeps the repo clean, and TestSeededViolations
+// (cmd/ivliw-vet) shows the CLI reporting each analyzer's finding.
 package lintcheck
 
 import (
@@ -79,7 +80,8 @@ type Config struct {
 }
 
 // DefaultConfig is the repo's own policy, parameterized on the module path
-// so the seeded-violation smoke module in ci.sh runs under the same rules.
+// so the seeded-violation module of TestSeededViolations (cmd/ivliw-vet)
+// runs under the same rules.
 func DefaultConfig(module string) Config {
 	return Config{
 		DeterminismRoots: []string{

@@ -1,9 +1,10 @@
 // Package fault scripts deterministic failures for coordinated sweeps: a
 // JSON fault plan names exactly which shard attempts crash, hang, stop
-// heartbeating or corrupt their output, and which workers die — so tests,
-// examples and scripts/ci.sh can drill every recovery path of the
-// coordinator and the worker pool reproducibly, with no timing races and
-// no marker files.
+// heartbeating or corrupt their output, and which workers die — so tests
+// (TestCoordinateSurvivesDeadWorkerAndHang and TestCostBalancedChunks in
+// cmd/ivliw-bench, TestPoolDeadWorkerRequeues in sweep) can drill every
+// recovery path of the coordinator and the worker pool reproducibly, with
+// no timing races and no marker files.
 //
 // A plan is a list of events. Shard-scoped events (crash, hang,
 // stale-heartbeat, corrupt-output) match one attempt of one shard: the
@@ -31,7 +32,7 @@ import (
 )
 
 // Environment variables of the fault protocol. EnvPlan is set by the
-// operator (or ci.sh) and inherited by every subprocess; EnvAttempt and
+// operator (or a test) and inherited by every subprocess; EnvAttempt and
 // EnvWorker are exported by sweep.Pool so a worker process can match
 // shard-scoped events deterministically.
 const (

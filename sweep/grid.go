@@ -16,6 +16,18 @@ import (
 // most 8 192 rows, counted over the whole grid even when one shard runs;
 // Validate, and so every run, rejects a larger grid from the axis lengths,
 // before expanding anything.
+//
+// Each value is bounded too, since a worker sizes the machine it builds,
+// tag stores and buffers included, from them: at most 64 clusters, an
+// interleaving factor of 64, 1 MiB of cache, associativity 64, 256
+// Attraction Buffer entries and hint budget, a bus-cycle ratio of 16, a
+// next-level latency of 100, 16 units of each functional-unit kind, 16
+// register buses and 64 MSHRs.
+// Each bound is a few times the largest value in use (16 clusters, 128 KiB,
+// 64 entries, 16 MSHRs, a latency of 20), and Validate rejects a larger
+// value before anything is allocated, so ivliw-served answers 400. Values
+// too small to build a machine are not rejected here: they become error
+// rows (see validate).
 type Grid struct {
 	// Clusters, Interleave, CacheBytes, Assoc and ABEntries are the grid
 	// axes (ABEntries 0 = Attraction Buffers off). CacheBytes is the total
@@ -43,15 +55,58 @@ type Grid struct {
 	ABHintK []int `json:"ab_hint_k,omitempty"`
 }
 
-// validate rejects malformed axes (today: FU entries that are not triples).
-// Infeasible machine points are deliberately not rejected here: the grid
-// keeps them and they surface as per-cell error rows, documenting the
-// infeasible region of the space instead of silently shrinking it.
+// Upper bounds on the grid's values (see Grid).
+const (
+	maxClusters         = 64
+	maxInterleave       = 64
+	maxCacheBytes       = 1 << 20
+	maxAssoc            = 64
+	maxABEntries        = 256
+	maxBusCycleRatio    = 16
+	maxNextLevelLatency = 100
+	maxFUs              = 16
+	maxRegBuses         = 16
+	maxMSHRs            = 64
+	maxABHintK          = maxABEntries
+)
+
+// validate rejects malformed axes: FU entries that are not triples, and
+// values above their bounds. Infeasible machine points are deliberately not
+// rejected here: the grid keeps them and they surface as per-cell error
+// rows, documenting the infeasible region of the space instead of silently
+// shrinking it.
 func (g Grid) validate() error {
 	for i, fu := range g.FUs {
 		if len(fu) != int(arch.NumFUKinds) {
 			return fmt.Errorf("sweep: grid fus[%d] has %d entries, want %d ([int, fp, mem])",
 				i, len(fu), int(arch.NumFUKinds))
+		}
+		for _, v := range fu {
+			if v > maxFUs {
+				return fmt.Errorf("sweep: grid fus[%d] value %d exceeds the limit of %d", i, v, maxFUs)
+			}
+		}
+	}
+	for _, axis := range []struct {
+		name  string
+		vals  []int
+		limit int
+	}{
+		{"clusters", g.Clusters, maxClusters},
+		{"interleave", g.Interleave, maxInterleave},
+		{"cache_bytes", g.CacheBytes, maxCacheBytes},
+		{"assoc", g.Assoc, maxAssoc},
+		{"ab_entries", g.ABEntries, maxABEntries},
+		{"bus_cycle_ratio", g.BusCycleRatio, maxBusCycleRatio},
+		{"next_level_latency", g.NextLevelLatency, maxNextLevelLatency},
+		{"reg_buses", g.RegBuses, maxRegBuses},
+		{"mshrs", g.MSHRs, maxMSHRs},
+		{"ab_hint_k", g.ABHintK, maxABHintK},
+	} {
+		for _, v := range axis.vals {
+			if v > axis.limit {
+				return fmt.Errorf("sweep: grid %s value %d exceeds the limit of %d", axis.name, v, axis.limit)
+			}
 		}
 	}
 	return nil

@@ -440,6 +440,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"synthetic footprint past the limit", `{"workloads": {"synth": [{"Name": "f", "FootprintBytes": 262145}]}}`, http.StatusBadRequest},
 		{"grid rows past the limit", `{"grid": {"clusters": [1,2,3,4,5,6,7,8,9,10], "interleave": [1,2,3,4,5,6,7,8,9,10],
 			"assoc": [1,2,3,4,5,6,7,8,9,10], "mshrs": [1,2,3,4,5,6,7,8,9,10]}, "workloads": {"bench": ["gsmdec"]}}`, http.StatusBadRequest},
+		{"cache_bytes of 2^40", `{"grid": {"cache_bytes": [1099511627776]}, "workloads": {"bench": ["gsmdec"]}}`, http.StatusBadRequest},
+		{"ab_entries of 2^40", `{"grid": {"ab_entries": [1099511627776]}, "workloads": {"bench": ["gsmdec"]}}`, http.StatusBadRequest},
 		{"pinned shard", string(encode(t, func() sweep.Spec {
 			s := testSpec("pin", 9)
 			s.Shard = sweep.Shard{Index: 0, Count: 2}
@@ -452,6 +454,30 @@ func TestSubmitValidation(t *testing.T) {
 		apiErr, ok := err.(*APIError)
 		if !ok || apiErr.Status != tc.code {
 			t.Errorf("%s: got %v, want HTTP %d", tc.name, err, tc.code)
+		}
+	}
+
+	// Each grid bound on the wire: a value at the limit is queued (on a
+	// server whose launcher never starts a job), one past it is a 400.
+	_, queued := startServer(t, Options{Launcher: &countingLauncher{gate: make(chan struct{})}})
+	for _, b := range []struct {
+		grid  string
+		limit int
+	}{
+		{`"clusters": [%d]`, 64}, {`"interleave": [%d]`, 64}, {`"cache_bytes": [%d]`, 1 << 20},
+		{`"assoc": [%d]`, 64}, {`"ab_entries": [%d]`, 256}, {`"bus_cycle_ratio": [%d]`, 16},
+		{`"next_level_latency": [%d]`, 100}, {`"fus": [[1, %d, 1]]`, 16}, {`"reg_buses": [%d]`, 16},
+		{`"mshrs": [%d]`, 64}, {`"ab_entries": [16], "ab_hint_k": [%d]`, 256},
+	} {
+		body := func(v int) []byte {
+			return []byte(`{"grid": {` + fmt.Sprintf(b.grid, v) + `}, "workloads": {"bench": ["gsmdec"]}}`)
+		}
+		if _, err := queued.Submit(ctx, body(b.limit)); err != nil {
+			t.Errorf("%s at the limit: %v", fmt.Sprintf(b.grid, b.limit), err)
+		}
+		_, err := queued.Submit(ctx, body(b.limit+1))
+		if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("%s past the limit: got %v, want HTTP 400", fmt.Sprintf(b.grid, b.limit+1), err)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -125,10 +126,11 @@ func TestParseSpecStrict(t *testing.T) {
 // error; feasible specs pass.
 func TestSpecValidate(t *testing.T) {
 	base := func() Spec { return Spec{Workloads: Workloads{Bench: []string{"gsmdec"}}} }
-	cases := map[string]struct {
+	type validateCase struct {
 		mutate  func(*Spec)
 		wantErr string
-	}{
+	}
+	cases := map[string]validateCase{
 		"ok":                   {func(s *Spec) {}, ""},
 		"ok-all":               {func(s *Spec) { s.Workloads.Bench = []string{"all"} }, ""},
 		"ok-shard":             {func(s *Spec) { s.Shard = Shard{Index: 2, Count: 3} }, ""},
@@ -147,6 +149,28 @@ func TestSpecValidate(t *testing.T) {
 		"shard-index-oob":      {func(s *Spec) { s.Shard = Shard{Index: 3, Count: 3} }, "shard index"},
 		"shard-index-negative": {func(s *Spec) { s.Shard = Shard{Index: -1, Count: 3} }, "shard index"},
 		"shard-index-no-count": {func(s *Spec) { s.Shard = Shard{Index: 1} }, "without a shard count"},
+	}
+	// Each grid value is accepted at its bound and rejected one past it.
+	for _, b := range []struct {
+		name  string
+		set   func(*Grid, int)
+		limit int
+	}{
+		{"clusters", func(g *Grid, v int) { g.Clusters = []int{2, v} }, maxClusters},
+		{"interleave", func(g *Grid, v int) { g.Interleave = []int{4, v} }, maxInterleave},
+		{"cache_bytes", func(g *Grid, v int) { g.CacheBytes = []int{8192, v} }, maxCacheBytes},
+		{"assoc", func(g *Grid, v int) { g.Assoc = []int{2, v} }, maxAssoc},
+		{"ab_entries", func(g *Grid, v int) { g.ABEntries = []int{0, v} }, maxABEntries},
+		{"bus_cycle_ratio", func(g *Grid, v int) { g.BusCycleRatio = []int{2, v} }, maxBusCycleRatio},
+		{"next_level_latency", func(g *Grid, v int) { g.NextLevelLatency = []int{10, v} }, maxNextLevelLatency},
+		{"fus[1]", func(g *Grid, v int) { g.FUs = [][]int{{1, 1, 1}, {1, 1, v}} }, maxFUs},
+		{"reg_buses", func(g *Grid, v int) { g.RegBuses = []int{4, v} }, maxRegBuses},
+		{"mshrs", func(g *Grid, v int) { g.MSHRs = []int{0, v} }, maxMSHRs},
+		{"ab_hint_k", func(g *Grid, v int) { g.ABEntries, g.ABHintK = []int{16}, []int{0, v} }, maxABHintK},
+	} {
+		cases[b.name+"-at-limit"] = validateCase{func(s *Spec) { b.set(&s.Grid, b.limit) }, ""}
+		cases[b.name+"-past-limit"] = validateCase{func(s *Spec) { b.set(&s.Grid, b.limit+1) },
+			fmt.Sprintf("grid %s value %d exceeds the limit of %d", b.name, b.limit+1, b.limit)}
 	}
 	for name, tc := range cases {
 		s := base()

@@ -31,7 +31,8 @@
 // so 10^5+ cell grids stream in constant space (the expanded machine-point
 // list, rows ÷ workloads, is the one grid-proportional allocation). Output
 // is byte-identical for any worker count, any store configuration, and any
-// sharding (gated by scripts/ci.sh).
+// sharding (TestSweepDeterminism and TestShardsAndWarmStore in
+// cmd/ivliw-bench).
 package sweep
 
 import (
